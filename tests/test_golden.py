@@ -1,0 +1,74 @@
+"""Golden JSON reports: fixed-argument runs of every subcommand.
+
+Each case runs ``kuroda.cli.main`` on ``configs/concrete.json`` with small
+sample counts and fixed seeds and compares the parsed JSON report with the
+stored one in ``tests/golden/<case>.json``.  The only field dropped before
+the comparison is ``cloud``'s ``path``, which names a temporary file.
+
+To re-record after an intended report change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from kuroda.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIG = str(ROOT / "configs" / "concrete.json")
+CUBIC = "(P1-P2)*(P2-P3)*(P3-P1)"
+
+CASES = {
+    "validate": ["validate"],
+    "tower": ["tower"],
+    "generators": ["generators", "--degree-bound", "4"],
+    "member": ["member", "--expr", f"{CUBIC} + P1^2*P2"],
+    "cond_triple": ["cond", "--axis", "1", "--r1", "1", "--r2", "0", "--r3", "1"],
+    "cond_expr": ["cond", "--axis", "2", "--expr", CUBIC],
+    "pullback_triple": ["pullback", "--axis", "1", "--r1", "2", "--r2", "1", "--r3", "1"],
+    "pullback_region": ["pullback", "--axis", "2"],
+    "probe": ["probe", "--expr", "P1*P2", "--samples", "500", "--seed", "3", "--kmax", "200"],
+    "sandwich": ["sandwich", "--samples", "100", "--seed", "5"],
+    "cloud": [
+        "cloud", "--which", "stilde", "--grid", "12", "--radius", "3", "--band", "0.5",
+    ],
+}
+
+
+def run_case(name: str, workdir: Path) -> tuple[int, dict]:
+    out = workdir / f"{name}.json"
+    argv = [*CASES[name], "--config", CONFIG, "--format", "json", "--out", str(out)]
+    if CASES[name][0] == "cloud":
+        argv += ["--cloud-out", str(workdir / f"{name}.csv")]
+    code = main(argv)
+    data = json.loads(out.read_text(encoding="utf-8"))
+    if CASES[name][0] == "cloud":
+        del data["path"]
+    return code, data
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    code, data = run_case(name, tmp_path)
+    assert code == 0
+    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert data == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            exit_code, report = run_case(case, Path(tmp))
+            if exit_code != 0:
+                sys.exit(f"{case}: exit {exit_code}")
+            text = json.dumps(report, indent=2) + "\n"
+            (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+            print(f"recorded {case}")
