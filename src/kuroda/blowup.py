@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .algebra import SparsePolynomial, System, axis_support
-from .config import AXES, AxisTower, EuclidTower, KurodaConfig, column_minima, euclid_tower
+from .config import AXES, AxisTower, EuclidTower
 
 
 class TraceCollisionError(RuntimeError):
@@ -85,8 +85,8 @@ def pullback_trace(triple: Sequence[int], tower: EuclidTower, axis: int) -> Towe
     ax = _axis_tower(tower, axis)
     r1, r2, r3 = ChartTriple(*triple)
     out = [ChartTriple(r1, r2, r3)]
-    for n in range(ax.n_total):
-        if ax.block_of(n + 1) % 2 == 1:
+    for k in ax.positions[1:]:
+        if k % 2 == 1:
             r1 = r1 - r3
         else:
             r3 = r3 - r1
@@ -138,8 +138,8 @@ def pole_profile(trace: TowerTrace, tower: EuclidTower) -> PoleProfile:
     if len(trace.triples) != ax.n_total + 1:
         raise ValueError("trace length does not match the tower")
     poles = []
-    for n, (r1, _, r3) in enumerate(trace.triples):
-        if ax.block_of(n) % 2 == 1:
+    for (r1, _, r3), k in zip(trace.triples, ax.positions):
+        if k % 2 == 1:
             poles.append(r1 > 0)
         else:
             poles.append(r3 < 0)
@@ -165,6 +165,16 @@ def _assert_distinct_traces(traces: Sequence[TowerTrace], axis: int) -> None:
             )
 
 
+def _trace_terms(
+    terms: Sequence[Sequence[int]], tower: EuclidTower, axis: int
+) -> tuple[tuple[TowerTrace, ...], frozenset[int]]:
+    """Trace each term, require distinct traces, and union their pole sets."""
+    traces = tuple(pullback_trace(t, tower, axis) for t in terms)
+    _assert_distinct_traces(traces, axis)
+    poles = frozenset(n for trace in traces for n in pole_profile(trace, tower).pole_set())
+    return traces, poles
+
+
 def polynomial_pole_set(
     f: SparsePolynomial, tower: EuclidTower, axis: int
 ) -> frozenset[int]:
@@ -174,22 +184,15 @@ def polynomial_pole_set(
     because invertibility of the step maps rules out cancellation between
     distinct terms (checked via :class:`TraceCollisionError`).
     """
-    support = axis_support(f, axis)
-    traces = [pullback_trace(t, tower, axis) for t in support]
-    _assert_distinct_traces(traces, axis)
-    poles: set[int] = set()
-    for trace in traces:
-        poles.update(pole_profile(trace, tower).pole_set())
-    return frozenset(poles)
+    return _trace_terms(axis_support(f, axis), tower, axis)[1]
 
 
-def _slope_ok(triple: Sequence[int], config: KurodaConfig, axis: int) -> bool:
+def _slope_ok(triple: Sequence[int], tower: EuclidTower, axis: int) -> bool:
     r1, _, r3 = ChartTriple(*triple)
-    d = column_minima(config)
-    return config.magnitude(axis, axis) * r1 <= d[axis - 1] * r3
+    return tower.config.magnitude(axis, axis) * r1 <= tower.constants.d[axis - 1] * r3
 
 
-def cond(f_or_triple, axis: int, which: int, config: KurodaConfig) -> bool:
+def cond(f_or_triple, axis: int, which: int, tower: EuclidTower) -> bool:
     """The three equivalent per-axis membership conditions.
 
     ``which = 1``: the slope bound on every support triple (exact integers).
@@ -199,24 +202,17 @@ def cond(f_or_triple, axis: int, which: int, config: KurodaConfig) -> bool:
     """
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    tower = euclid_tower(config)
-    ax = tower.axis(axis)
+    ax = _axis_tower(tower, axis)
     if isinstance(f_or_triple, SparsePolynomial):
         if f_or_triple.system is not System.PI3:
             raise ValueError("cond expects a PI3 polynomial or an exponent triple")
-        if which == 1:
-            return all(
-                _slope_ok(t, config, axis) for t in axis_support(f_or_triple, axis)
-            )
-        poles = polynomial_pole_set(f_or_triple, tower, axis)
+        triples = axis_support(f_or_triple, axis)
     else:
-        triple = ChartTriple(*f_or_triple)
-        if which == 1:
-            return _slope_ok(triple, config, axis)
-        trace = pullback_trace(triple, tower, axis)
-        poles = frozenset(pole_profile(trace, tower).pole_set())
-    allowed = ax.j1 if which == 2 else ax.j2
-    return poles <= allowed
+        triples = (ChartTriple(*f_or_triple),)
+    if which == 1:
+        return all(_slope_ok(t, tower, axis) for t in triples)
+    poles = _trace_terms(triples, tower, axis)[1]
+    return poles <= (ax.j1 if which == 2 else ax.j2)
 
 
 @dataclass(frozen=True)
@@ -241,13 +237,12 @@ class Census:
         return tuple(r for r in self.rows if r.axis == axis)
 
 
-def boundary_census(source) -> Census:
+def boundary_census(tower: EuclidTower) -> Census:
     """List every boundary label with its membership in the two unions.
 
-    Accepts a config or a prebuilt tower.  The plane at infinity belongs to
-    both unions by definition; the hyperplane sentinels to neither.
+    The plane at infinity belongs to both unions by definition; the
+    hyperplane sentinels to neither.
     """
-    tower = source if isinstance(source, EuclidTower) else euclid_tower(source)
     rows: list[CensusRow] = [CensusRow(None, None, "B", True, True)]
     equal = True
     for i in AXES:
@@ -279,17 +274,12 @@ class RegionPullbackReport:
     pole_set_equals_j2: bool
 
 
-def region_inequality_pullback(axis: int, config: KurodaConfig) -> RegionPullbackReport:
-    tower = euclid_tower(config)
-    ax = tower.axis(axis)
+def region_inequality_pullback(axis: int, tower: EuclidTower) -> RegionPullbackReport:
+    ax = _axis_tower(tower, axis)
     d_i = tower.constants.d[axis - 1]
-    dii = config.magnitude(axis, axis)
+    dii = tower.config.magnitude(axis, axis)
     terms = (ChartTriple(2 * d_i, 0, 2 * dii), ChartTriple(0, 0, 2 * dii))
-    traces = tuple(pullback_trace(t, tower, axis) for t in terms)
-    _assert_distinct_traces(traces, axis)
-    poles: set[int] = set()
-    for trace in traces:
-        poles.update(pole_profile(trace, tower).pole_set())
+    traces, poles = _trace_terms(terms, tower, axis)
     j2 = tuple(sorted(ax.j2))
     pole_tuple = tuple(sorted(poles))
     return RegionPullbackReport(

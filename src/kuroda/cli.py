@@ -9,18 +9,36 @@ that signals an implementation bug, not bad input; 2 for bad input.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import blowup, membership, regions
 from .algebra import System
-from .config import ConfigError, KurodaConfig, euclid_tower, validate
+from .config import ConfigError, KurodaConfig, euclid_tower, load_json, validate
 from .exprparse import ExpressionError, parse_polynomial, polynomial_to_text
 from .reports import emit_report, jsonable
 from .regions import RegionKind, RegionSpec, SamplingError
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text and require ``ok`` of the value (else exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_scale = _checked(lambda t: float(Fraction(t)), lambda v: v > 0, "a finite positive rational")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "text", "csv")):
@@ -44,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generators", help="minimal monoid generators up to a degree bound")
     _add_common(p)
-    p.add_argument("--degree-bound", type=int, required=True)
+    p.add_argument("--degree-bound", type=_count, required=True)
 
     p = sub.add_parser("member", help="ring membership by both routes, with agreement check")
     _add_common(p)
@@ -70,18 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--region", choices=[k.value for k in RegionKind], default=None)
-    p.add_argument("--lambda", dest="lam", default="1", help="scale, a rational like 1/2")
+    p.add_argument("--lambda", dest="lam", type=_scale, default="1", help="scale, a rational like 1/2")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--radius", type=float, default=50.0)
+    p.add_argument("--radius", type=_finite, default=50.0)
     p.add_argument("--kmax", type=int, default=10000, help="escape index cap (0 disables)")
 
     p = sub.add_parser("sandwich", help="far-zone inclusion check around the basic open set")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=10000, help="points per direction")
+    p.add_argument("--samples", type=_count, default=10000, help="points per direction")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--radius", type=float, default=50.0)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--radius", type=_finite, default=50.0)
+    p.add_argument("--tolerance", type=_finite, default=1e-6)
 
     p = sub.add_parser("cloud", help="near-boundary grid cloud as CSV")
     _add_common(p, formats=("json", "text"))
@@ -91,43 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--radius", type=float, default=5.0)
-    p.add_argument("--band", type=float, default=0.25)
+    p.add_argument("--radius", type=_finite, default=5.0)
+    p.add_argument("--band", type=_finite, default=0.25)
     p.add_argument("--cloud-out", required=True, help="CSV file for the point cloud")
 
     return parser
 
 
-def _load_config(path: str) -> KurodaConfig:
-    return KurodaConfig.from_json_file(path)
-
-
-def _triple_rows(trace, tower):
+def _triple_rows(trace, profile, tower):
     ax = tower.axis(trace.axis)
-    profile = blowup.pole_profile(trace, tower)
-    rows = []
-    for n, t in enumerate(trace.triples):
-        rows.append(
-            {
-                "n": n,
-                "k": ax.block_of(n),
-                "r1": t.r1,
-                "r3": t.r3,
-                "pole": profile.pole_at[n],
-            }
-        )
-    return rows
+    return [
+        {"n": n, "k": ax.block_of(n), "r1": t.r1, "r3": t.r3, "pole": profile.pole_at[n]}
+        for n, t in enumerate(trace.triples)
+    ]
 
 
 def _cmd_validate(args):
     # validate consumes the raw document: a broken sign pattern must come
     # back as a verdict, not as a loading error
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-    report = validate(raw)
+    report = validate(load_json(args.config))
     data = {
         "config": report.config.to_dict() if report.config else None,
         "sign_ok": report.sign_ok,
@@ -152,7 +152,7 @@ def _cmd_validate(args):
 
 
 def _cmd_tower(args):
-    config = _load_config(args.config)
+    config = KurodaConfig.from_json_file(args.config)
     tower = euclid_tower(config)
     census = blowup.boundary_census(tower)
     axes = []
@@ -190,9 +190,7 @@ def _cmd_tower(args):
 
 
 def _cmd_generators(args):
-    config = _load_config(args.config)
-    if args.degree_bound < 0:
-        raise ConfigError("--degree-bound must be >= 0")
+    config = KurodaConfig.from_json_file(args.config)
     listing = membership.enumerate_t_generators(config, args.degree_bound)
     rows = [
         {"n1": g[0], "n2": g[1], "n3": g[2], "n4": g[3], "degree": sum(g)}
@@ -209,11 +207,12 @@ def _cmd_generators(args):
 
 
 def _cmd_member(args):
-    config = _load_config(args.config)
+    config = KurodaConfig.from_json_file(args.config)
     f = parse_polynomial(args.expr, System.PI3)
-    star = membership.in_r_star(f, config)
-    oracle = membership.in_r_oracle(f, config)
+    # one evaluation per route; each verdict is "no violations"
     violations = membership.star_violations(f, config)
+    outside = membership.oracle_violations(f, config)
+    star, oracle = not violations, not outside
     rows = [
         {"axis": v.axis, "r1": v.triple[0], "r2": v.triple[1], "r3": v.triple[2],
          "lhs": v.lhs, "rhs": v.rhs}
@@ -226,14 +225,13 @@ def _cmd_member(args):
         "in_r_oracle": oracle,
         "routes_agree": star == oracle,
         "star_violations": rows,
-        "oracle_violations": [list(n) for n in membership.oracle_violations(f, config)],
+        "oracle_violations": [list(n) for n in outside],
     }
     return data, rows, 0 if star == oracle else 1
 
 
 def _cmd_cond(args):
-    config = _load_config(args.config)
-    tower = euclid_tower(config)
+    tower = euclid_tower(KurodaConfig.from_json_file(args.config))
     triple_given = [v is not None for v in (args.r1, args.r2, args.r3)]
     if args.expr is not None and any(triple_given):
         raise ConfigError("give either --expr or the triple --r1 --r2 --r3, not both")
@@ -245,12 +243,12 @@ def _cmd_cond(args):
         subject = (args.r1, args.r2, args.r3)
         subject_desc = list(subject)
         trace = blowup.pullback_trace(subject, tower, args.axis)
-        rows = _triple_rows(trace, tower)
+        rows = _triple_rows(trace, blowup.pole_profile(trace, tower), tower)
     else:
         raise ConfigError("cond needs --expr or all of --r1 --r2 --r3")
     which_list = (1, 2, 3) if args.which == "all" else (int(args.which),)
     verdicts = {
-        str(w): blowup.cond(subject, args.axis, w, config) for w in which_list
+        str(w): blowup.cond(subject, args.axis, w, tower) for w in which_list
     }
     agree = len(set(verdicts.values())) == 1
     data = {
@@ -266,15 +264,14 @@ def _cmd_cond(args):
 
 
 def _cmd_pullback(args):
-    config = _load_config(args.config)
-    tower = euclid_tower(config)
+    tower = euclid_tower(KurodaConfig.from_json_file(args.config))
     triple_given = [v is not None for v in (args.r1, args.r2, args.r3)]
     if any(triple_given) and not all(triple_given):
         raise ConfigError("give all of --r1 --r2 --r3 or none")
     if all(triple_given):
         trace = blowup.pullback_trace((args.r1, args.r2, args.r3), tower, args.axis)
-        rows = _triple_rows(trace, tower)
         profile = blowup.pole_profile(trace, tower)
+        rows = _triple_rows(trace, profile, tower)
         data = {
             "axis": args.axis,
             "triple": [args.r1, args.r2, args.r3],
@@ -285,10 +282,10 @@ def _cmd_pullback(args):
             "pole_set": list(profile.pole_set()),
         }
         return data, rows, 0
-    report = blowup.region_inequality_pullback(args.axis, config)
+    report = blowup.region_inequality_pullback(args.axis, tower)
     rows = []
     for term, trace in zip(report.terms, report.traces):
-        for row in _triple_rows(trace, tower):
+        for row in _triple_rows(trace, blowup.pole_profile(trace, tower), tower):
             rows.append({"term_r1": term.r1, "term_r3": term.r3, **row})
     data = {
         "axis": report.axis,
@@ -302,34 +299,25 @@ def _cmd_pullback(args):
 
 
 def _cmd_probe(args):
-    config = _load_config(args.config)
+    config = KurodaConfig.from_json_file(args.config)
     f = parse_polynomial(args.expr)
-    lam = float(Fraction(args.lam))
     if args.region is not None:
         kind = RegionKind(args.region)
     else:
         kind = RegionKind.S_PRIME4 if f.system.arity == 4 else RegionKind.S3
-    spec = RegionSpec(kind, lam)
+    spec = RegionSpec(kind, args.lam)
     ks = list(range(16, args.kmax + 1)) if args.kmax >= 16 else None
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_ks=ks
     )
-    data = jsonable(report)
-    data = {"expr": args.expr, **data}
-    rows = None
-    if ks:
-        points = []
-        for k in ks:
-            ep = regions.escape_point(k, config)
-            points.append(ep.y if f.system.arity == 4 else ep.pi)
-        values = regions.evaluate_abs(f, np.asarray(points, dtype=float))
-        rows = [{"k": k, "abs_value": float(v)} for k, v in zip(ks, values)]
+    data = {"expr": args.expr, **jsonable(report)}
+    rows = [{"k": k, "abs_value": v} for k, v in zip(ks, report.escape_values)] if ks else None
     code = 0 if report.bound_ok in (None, True) else 1
     return data, rows, code
 
 
 def _cmd_sandwich(args):
-    config = _load_config(args.config)
+    config = KurodaConfig.from_json_file(args.config)
     report = regions.sandwich_check(
         config, args.samples, args.seed, radius=args.radius, tolerance=args.tolerance
     )
@@ -344,7 +332,7 @@ def _cmd_sandwich(args):
 
 
 def _cmd_cloud(args):
-    config = _load_config(args.config)
+    config = KurodaConfig.from_json_file(args.config)
     report = regions.export_surface_cloud(
         config,
         RegionKind(args.which),

@@ -38,10 +38,29 @@ class ConfigError(ValueError):
 class SignPatternError(ConfigError):
     """Signed matrix whose entries do not follow the required sign pattern."""
 
+    def __init__(self, issues: Sequence[str]):
+        self.issues = tuple(issues)
+        super().__init__("; ".join(self.issues))
+
+
+def load_json(path):
+    """The parsed JSON document in ``path``; invalid JSON is a :class:`ConfigError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
 
 def _check_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_gamma(value) -> int:
+    if _check_int(value, "gamma") < 1:
+        raise ConfigError(f"gamma must be >= 1, got {value}")
     return value
 
 
@@ -93,8 +112,7 @@ class KurodaConfig:
                     raise ConfigError(f"magnitude delta[{i}][{j}] must be >= 1, got {v}")
                 if j == 4 and v < 0:
                     raise ConfigError(f"delta[{i}][4] must be >= 0, got {v}")
-        if _check_int(self.gamma, "gamma") < 1:
-            raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
+        _check_gamma(self.gamma)
 
     def magnitude(self, i: int, j: int) -> int:
         """Magnitude of entry (i, j), axes 1-based, j in 1..4."""
@@ -110,9 +128,10 @@ class KurodaConfig:
     def from_signed(cls, rows, gamma: int) -> "KurodaConfig":
         """Build from the as-displayed matrix (negative diagonal entries)."""
         signed = _check_shape(rows)
+        _check_gamma(gamma)  # before the signs: a malformed document is never a sign verdict
         issues = _sign_issues(signed)
         if issues:
-            raise SignPatternError("; ".join(issues))
+            raise SignPatternError(issues)
         magnitudes = tuple(
             tuple(abs(v) for v in row) for row in signed
         )
@@ -124,16 +143,11 @@ class KurodaConfig:
             raise ConfigError("config document must be a JSON object")
         if "delta" not in data or "gamma" not in data:
             raise ConfigError('config document needs "delta" and "gamma" fields')
-        return cls.from_signed(data["delta"], _check_int(data["gamma"], "gamma"))
+        return cls.from_signed(data["delta"], data["gamma"])
 
     @classmethod
     def from_json_file(cls, path) -> "KurodaConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(path))
 
     def to_dict(self) -> dict:
         return {"delta": [list(self.signed_row(i)) for i in AXES], "gamma": self.gamma}
@@ -227,21 +241,13 @@ def validate(source) -> ValidationReport:
     """
     if isinstance(source, KurodaConfig):
         config = source
-        sign_issues: tuple[str, ...] = ()
     else:
-        if not isinstance(source, Mapping):
-            raise ConfigError("validate expects a KurodaConfig or a config mapping")
-        if "delta" not in source or "gamma" not in source:
-            raise ConfigError('config document needs "delta" and "gamma" fields')
-        signed = _check_shape(source["delta"])
-        gamma = _check_int(source["gamma"], "gamma")
-        if gamma < 1:
-            raise ConfigError(f"gamma must be >= 1, got {gamma}")
-        sign_issues = tuple(_sign_issues(signed))
-        if sign_issues:
+        try:
+            config = KurodaConfig.from_dict(source)
+        except SignPatternError as exc:
             return ValidationReport(
                 sign_ok=False,
-                sign_issues=sign_issues,
+                sign_issues=exc.issues,
                 condition_value=None,
                 condition_holds=None,
                 valid=False,
@@ -249,7 +255,6 @@ def validate(source) -> ValidationReport:
                 pair_checks=(),
                 config=None,
             )
-        config = KurodaConfig.from_signed(signed, gamma)
 
     value = condition_value(config)
     holds = value < 1
@@ -312,12 +317,14 @@ class AxisTower:
       j2 = union of odd-position blocks, minus {N}
 
     The sentinel block at position 0 is {-1} so that the previous-block-end
-    lookup is total on the first block.
+    lookup is total on the first block.  ``positions[n]`` is the block
+    position k(n) of index n in 0..N.
     """
 
     axis: int
     q: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
+    positions: tuple[int, ...]
 
     @property
     def m_count(self) -> int:
@@ -349,14 +356,15 @@ class AxisTower:
         """Block position k(n) holding index n; n = -1 hits the sentinel block 0."""
         if n == -1:
             return 0
-        for m, block in enumerate(self.blocks, start=1):
-            if block[0] <= n <= block[-1]:
-                return m
-        raise ValueError(f"index {n} outside 0..{self.n_total} on axis {self.axis}")
+        if not 0 <= n < len(self.positions):
+            raise ValueError(f"index {n} outside -1..{self.n_total} on axis {self.axis}")
+        return self.positions[n]
 
     def prev_block_end(self, n: int) -> int:
         """Last index of the block before the one holding n; -1 on the first block."""
         k = self.block_of(n)
+        if k == 0:
+            raise ValueError(f"the sentinel index -1 on axis {self.axis} has no previous block")
         if k == 1:
             return -1
         return self.blocks[k - 2][-1]
@@ -370,7 +378,8 @@ class AxisTower:
             end = start + qm if m > 1 else qm
             blocks.append(tuple(range(start, end + 1)) if m == 1 else tuple(range(start + 1, end + 1)))
             start = end
-        return cls(axis, q, tuple(blocks))
+        positions = tuple(m for m, block in enumerate(blocks, start=1) for _ in block)
+        return cls(axis, q, tuple(blocks), positions)
 
 
 @dataclass(frozen=True)

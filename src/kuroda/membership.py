@@ -80,7 +80,6 @@ class GeneratorList:
 
     degree_bound: int
     generators: tuple[tuple[int, int, int, int], ...]
-    complete_up_to: int
     growing_at_bound: bool
 
     def count(self) -> int:
@@ -115,7 +114,7 @@ def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> Generator
             generators.append(n)
     generators.sort(key=lambda g: (sum(g), g))
     growing = any(sum(g) == degree_bound for g in generators)
-    return GeneratorList(degree_bound, tuple(generators), degree_bound, growing)
+    return GeneratorList(degree_bound, tuple(generators), growing)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -510,7 +510,8 @@ class ProbeReport:
     ``bound`` and ``bound_ok`` are set only when the probed function is a
     plain monomial of the exponent monoid over the 4-dimensional region, in
     which case the sampled sup must stay below scale**degree.  Escape fields
-    are set when escape indices were supplied.  Always evidence, never proof.
+    are set when escape indices were supplied; ``escape_values`` (|f| at each
+    escape point, ascending k) stays out of the report body.  Evidence only.
     """
 
     seed: int
@@ -521,12 +522,12 @@ class ProbeReport:
     bound: float | None
     bound_ok: bool | None
     pole_count: int
-    uncertain_count: int
     escape_k_range: tuple[int, int] | None
     escape_final_value: float | None
     escape_monotone_from_k: int | None
     monotone_tail: bool | None
     divergence: bool | None
+    escape_values: tuple[float, ...] | None = field(repr=False, metadata={"json": False})
     note: str = "sampled evidence; not a proof"
 
 
@@ -586,7 +587,7 @@ def boundedness_probe(
             if max_abs is not None:
                 bound_ok = max_abs <= bound + 1e-9
 
-    k_range = final = monotone_from_k = None
+    k_range = final = monotone_from_k = escape_values = None
     monotone_tail = divergence = None
     if escape_ks:
         ks = sorted(int(k) for k in escape_ks)
@@ -601,6 +602,7 @@ def boundedness_probe(
         monotone_from_k = ks[start]
         monotone_tail = (len(ks) - start) >= max(2, len(ks) // 4)
         divergence = bool(monotone_tail and final > divergence_threshold)
+        escape_values = tuple(values.tolist())
 
     return ProbeReport(
         seed=seed,
@@ -611,12 +613,12 @@ def boundedness_probe(
         bound=bound,
         bound_ok=bound_ok,
         pole_count=pole_count,
-        uncertain_count=0,
         escape_k_range=k_range,
         escape_final_value=final,
         escape_monotone_from_k=monotone_from_k,
         monotone_tail=monotone_tail,
         divergence=divergence,
+        escape_values=escape_values,
     )
 
 

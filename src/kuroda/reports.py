@@ -3,7 +3,8 @@
 Exact rationals are serialized as ``"p/q"`` strings (plain ``"n"`` for
 integers), never as floats, so values survive round trips.  Ordering is
 deterministic everywhere: dicts render in insertion order, which report
-builders keep canonical.
+builders keep canonical.  Dataclass fields marked
+``metadata={"json": False}`` stay out of the report body.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ def jsonable(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {
+            f.name: jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("json", True)
+        }
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

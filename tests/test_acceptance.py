@@ -162,11 +162,11 @@ def test_criterion_06_block_formula(concrete, family72):
 
 
 def test_criterion_07_region_pullback_poles(concrete, family72):
-    cc = region_inequality_pullback(1, concrete)
+    cc = region_inequality_pullback(1, euclid_tower(concrete))
     cc_ok = cc.pole_set == (0, 1, 2) and cc.pole_set == cc.j2 and cc.z2_covered
     f2_ok = True
     for axis in (1, 2, 3):
-        rep = region_inequality_pullback(axis, family72)
+        rep = region_inequality_pullback(axis, euclid_tower(family72))
         f2_ok = f2_ok and rep.pole_set == (0, 1, 2, 3) == rep.j2 and rep.z2_covered
     _verdict(
         7,

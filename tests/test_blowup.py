@@ -117,8 +117,8 @@ def test_even_block_pole_rule(family72):
     # (8,0,2) ends with r3 = -2 inside the even block: pole at the last divisor
     profile = pole_profile(pullback_trace((8, 0, 2), tower, 1), tower)
     assert profile.pole_set() == (0, 1, 2, 3, 5)
-    assert not cond((8, 0, 2), 1, 1, tower.config)
-    assert not cond((8, 0, 2), 1, 2, tower.config)
+    assert not cond((8, 0, 2), 1, 1, tower)
+    assert not cond((8, 0, 2), 1, 2, tower)
 
 
 def test_trace_linearity(concrete, family72):
@@ -140,14 +140,14 @@ def test_trace_linearity(concrete, family72):
 
 def test_cond_examples(concrete):
     for which in (1, 2, 3):
-        assert cond((1, 0, 1), 1, which, concrete)
-        assert not cond((1, 0, 0), 1, which, concrete)
+        assert cond((1, 0, 1), 1, which, euclid_tower(concrete))
+        assert not cond((1, 0, 0), 1, which, euclid_tower(concrete))
     for axis in (1, 2, 3):
         for which in (1, 2, 3):
-            assert cond(ANTISYM, axis, which, concrete)
-    assert not cond(P1, 1, 1, concrete)
+            assert cond(ANTISYM, axis, which, euclid_tower(concrete))
+    assert not cond(P1, 1, 1, euclid_tower(concrete))
     with pytest.raises(ValueError):
-        cond((1, 0, 1), 1, 4, concrete)
+        cond((1, 0, 1), 1, 4, euclid_tower(concrete))
 
 
 def test_cond_equivalence_small_sweep(concrete, family72):
@@ -155,7 +155,7 @@ def test_cond_equivalence_small_sweep(concrete, family72):
         for axis in (1, 2, 3):
             for r1 in range(0, 26):
                 for r3 in range(0, 26):
-                    verdicts = {cond((r1, 0, r3), axis, w, config) for w in (1, 2, 3)}
+                    verdicts = {cond((r1, 0, r3), axis, w, euclid_tower(config)) for w in (1, 2, 3)}
                     assert len(verdicts) == 1, (config, axis, r1, r3)
 
 
@@ -214,7 +214,7 @@ def test_polynomial_pole_set(concrete):
 
 
 def test_census_concrete(concrete):
-    census = boundary_census(concrete)
+    census = boundary_census(euclid_tower(concrete))
     assert census.z1_equals_z2
     for axis in (1, 2, 3):
         rows = census.axis_rows(axis)
@@ -229,7 +229,7 @@ def test_census_concrete(concrete):
 
 
 def test_census_family72(family72):
-    census = boundary_census(family72)
+    census = boundary_census(euclid_tower(family72))
     assert not census.z1_equals_z2
     by_n = {r.n: r for r in census.axis_rows(1)}
     assert by_n[4].in_z1 and not by_n[4].in_z2  # in the first union only
@@ -241,7 +241,7 @@ def test_census_single_blowup_axis():
     config = KurodaConfig.from_signed(
         [[-4, 9, 9, 0], [4, -1, 9, 0], [4, 9, -1, 0]], 1
     )
-    census = boundary_census(config)
+    census = boundary_census(euclid_tower(config))
     by_n = {r.n: r for r in census.axis_rows(1)}
     assert set(by_n) == {-1, 0, 1}
     assert by_n[0].in_z1 and by_n[0].in_z2
@@ -249,7 +249,7 @@ def test_census_single_blowup_axis():
 
 
 def test_region_pullback_concrete(concrete):
-    report = region_inequality_pullback(1, concrete)
+    report = region_inequality_pullback(1, euclid_tower(concrete))
     assert report.terms == (ChartTriple(6, 0, 2), ChartTriple(0, 0, 2))
     assert report.pole_set == (0, 1, 2)
     assert report.j2 == (0, 1, 2)
@@ -262,7 +262,7 @@ def test_region_pullback_concrete(concrete):
 
 def test_region_pullback_family72(family72):
     for axis in (1, 2, 3):
-        report = region_inequality_pullback(axis, family72)
+        report = region_inequality_pullback(axis, euclid_tower(family72))
         assert report.terms[0] == ChartTriple(14, 0, 4)
         assert report.pole_set == (0, 1, 2, 3)
         assert report.pole_set == report.j2
@@ -277,11 +277,11 @@ def test_polynomial_conditions_match_membership_routes(concrete):
     from conftest import seeded_pi_polynomials
 
     for f in seeded_pi_polynomials(60606, 120):
-        slope_all = all(cond(f, axis, 1, concrete) for axis in (1, 2, 3))
+        slope_all = all(cond(f, axis, 1, euclid_tower(concrete)) for axis in (1, 2, 3))
         assert slope_all == in_r_star(f, concrete) == in_r_oracle(f, concrete)
         for axis in (1, 2, 3):
-            one = cond(f, axis, 1, concrete)
-            assert one == cond(f, axis, 2, concrete) == cond(f, axis, 3, concrete)
+            one = cond(f, axis, 1, euclid_tower(concrete))
+            assert one == cond(f, axis, 2, euclid_tower(concrete)) == cond(f, axis, 3, euclid_tower(concrete))
 
 
 def test_intermediate_nonnegativity(concrete, family72):
@@ -290,6 +290,6 @@ def test_intermediate_nonnegativity(concrete, family72):
         for axis in (1, 2, 3):
             for r1 in range(0, 20):
                 for r3 in range(0, 20):
-                    if cond((r1, 0, r3), axis, 1, config):
+                    if cond((r1, 0, r3), axis, 1, tower):
                         trace = pullback_trace((r1, 0, r3), tower, axis)
                         assert all(t.r3 >= 0 for t in trace.triples)

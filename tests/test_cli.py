@@ -277,3 +277,88 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows and rows[0]["axis"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--expr", "P1", "--seed", "1", "--lambda", "1/0"],
+        ["probe", "--expr", "P1", "--seed", "1", "--lambda", "1e400"],
+        ["probe", "--expr", "P1", "--seed", "1", "--lambda=-1/2"],
+        ["probe", "--expr", "P1", "--seed", "1", "--lambda", "0"],
+        ["probe", "--expr", "P1", "--seed", "1", "--radius", "inf"],
+        ["probe", "--expr", "P1", "--seed", "1", "--radius", "nan"],
+        ["sandwich", "--seed", "1", "--radius", "inf"],
+        ["sandwich", "--seed", "1", "--radius", "nan"],
+        ["sandwich", "--seed", "1", "--tolerance", "nan"],
+        ["sandwich", "--seed", "1", "--samples", "-5"],
+        ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--radius", "nan"],
+        ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--band", "inf"],
+    ],
+)
+def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", concrete_path])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch):
+    import kuroda.membership
+
+    monkeypatch.setattr(
+        kuroda.membership, "oracle_violations", lambda f, config: ((1, 0, 0, 0),)
+    )
+    code, data = run_json(
+        capsys, "member", "--config", concrete_path, "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"
+    )
+    assert code == 1
+    assert data["in_r_star"] is True and data["in_r_oracle"] is False
+    assert data["routes_agree"] is False
+    assert data["oracle_violations"] == [[1, 0, 0, 0]]
+
+
+def test_member_evaluates_each_route_once(capsys, concrete_path, monkeypatch):
+    import kuroda.algebra
+    import kuroda.membership
+
+    calls = {"expand_pi_to_y": 0, "reexpress_for_axis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        original = getattr(kuroda.algebra, name)
+        for module in (kuroda.algebra, kuroda.membership):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    code = main(
+        ["member", "--config", concrete_path, "--expr", "P1^2*P2 - P3", "--format", "json"]
+    )
+    assert code == 0
+    assert calls == {"expand_pi_to_y": 1, "reexpress_for_axis": 3}
+
+
+def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, monkeypatch):
+    import kuroda.regions
+
+    calls = []
+    original = kuroda.regions.escape_point
+    monkeypatch.setattr(
+        kuroda.regions, "escape_point", lambda k, config: calls.append(k) or original(k, config)
+    )
+    args = ("probe", "--config", concrete_path, "--expr", "P1*P2", "--samples", "0",
+            "--seed", "1", "--kmax", "200")
+    code, out = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert calls == list(range(16, 201))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["k"]) for r in rows] == list(range(16, 201))
+    code, data = run_json(capsys, *args)
+    assert code == 0
+    assert "uncertain_count" not in data and "escape_values" not in data
+    assert float(rows[-1]["abs_value"]) == pytest.approx(data["escape_final_value"], rel=1e-9)

@@ -68,6 +68,24 @@ def test_malformed_matrix_raises():
         validate({"delta": [[-1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0]], "gamma": 0})
 
 
+def test_malformed_document_with_bad_signs_raises_config_error():
+    # gamma 0 is malformed input, not a sign-pattern verdict
+    with pytest.raises(ConfigError) as exc:
+        validate({"delta": [[1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0]], "gamma": 0})
+    assert not isinstance(exc.value, SignPatternError)
+
+
+def test_sign_pattern_error_carries_issues():
+    with pytest.raises(SignPatternError) as exc:
+        KurodaConfig.from_signed([[1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, -2]], 1)
+    assert exc.value.issues == (
+        "delta[1][1] must be <= -1, got 1",
+        "delta[3][4] must be >= 0, got -2",
+    )
+    report = validate({"delta": [[1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, -2]], "gamma": 1})
+    assert report.sign_issues == exc.value.issues
+
+
 def test_from_signed_rejects_bad_signs():
     with pytest.raises(SignPatternError):
         KurodaConfig.from_signed([[1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0]], 1)
@@ -170,6 +188,14 @@ def test_block_lookup_and_sentinel(family72):
     assert ax.prev_block_end(4) == 3
     with pytest.raises(ValueError):
         ax.block_of(6)
+
+
+def test_block_lookup_rejects_indices_outside_the_tower(family72):
+    ax = euclid_tower(family72).axis(1)
+    for n in (-2, ax.n_total + 1):
+        with pytest.raises(ValueError):
+            ax.block_of(n)
+    assert [ax.block_of(n) for n in range(ax.n_total + 1)] == [1, 1, 1, 1, 2, 2]
 
 
 def test_validate_is_pure(concrete):
