@@ -511,7 +511,8 @@ class ProbeReport:
     plain monomial of the exponent monoid over the 4-dimensional region, in
     which case the sampled sup must stay below scale**degree.  Escape fields
     are set when escape indices were supplied; ``escape_values`` (|f| at each
-    escape point, ascending k) stays out of the report body.  Evidence only.
+    escape point, ascending k) stays out of the report body.  Always
+    evidence, never proof.
     """
 
     seed: int

@@ -293,3 +293,13 @@ def test_intermediate_nonnegativity(concrete, family72):
                     if cond((r1, 0, r3), axis, 1, tower):
                         trace = pullback_trace((r1, 0, r3), tower, axis)
                         assert all(t.r3 >= 0 for t in trace.triples)
+
+
+def test_axis_outside_one_to_three_raises(concrete):
+    # axis 0 must not wrap around to the last axis of the tower
+    tower = euclid_tower(concrete)
+    for axis in (0, 4):
+        with pytest.raises(ValueError):
+            cond((1, 0, 1), axis, 1, tower)
+        with pytest.raises(ValueError):
+            region_inequality_pullback(axis, tower)

@@ -196,6 +196,9 @@ def test_block_lookup_rejects_indices_outside_the_tower(family72):
         with pytest.raises(ValueError):
             ax.block_of(n)
     assert [ax.block_of(n) for n in range(ax.n_total + 1)] == [1, 1, 1, 1, 2, 2]
+    # the sentinel block has no predecessor; the lookup must not wrap around
+    with pytest.raises(ValueError):
+        ax.prev_block_end(-1)
 
 
 def test_validate_is_pure(concrete):
