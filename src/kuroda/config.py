@@ -58,10 +58,9 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-def _check_gamma(value) -> int:
+def _check_gamma(value) -> None:
     if _check_int(value, "gamma") < 1:
         raise ConfigError(f"gamma must be >= 1, got {value}")
-    return value
 
 
 def _check_shape(rows) -> tuple[tuple[int, int, int, int], ...]:
