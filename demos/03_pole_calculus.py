@@ -28,7 +28,7 @@ for triple in [(1, 0, 1), (1, 0, 0)]:
     profile = pole_profile(trace, tower)
     print(f"triple {triple}: trace {[tuple(t) for t in trace.triples]}")
     print(f"  poles at {profile.pole_set()}, block formula ok: "
-          f"{block_formula_check(triple, tower, 1)}")
+          f"{block_formula_check(trace, tower)}")
     verdicts = [cond(triple, 1, w, tower) for w in (1, 2, 3)]
     print(f"  slope / union-1 / union-2 verdicts: {verdicts}")
 

@@ -94,14 +94,13 @@ def pullback_trace(triple: Sequence[int], tower: EuclidTower, axis: int) -> Towe
     return TowerTrace(axis, tuple(out))
 
 
-def block_formula_check(triple: Sequence[int], tower: EuclidTower, axis: int) -> bool:
+def block_formula_check(trace: TowerTrace, tower: EuclidTower) -> bool:
     """Aggregated per-block jumps must reproduce the stepwise trace at block ends.
 
     Odd block m multiplies out to ``r1 -> r1 - q_m * r3``; even block m to
     ``r3 -> r3 - q_m * r1``; r2 never moves.
     """
-    ax = _axis_tower(tower, axis)
-    trace = pullback_trace(triple, tower, axis)
+    ax = _axis_tower(tower, trace.axis)
     r1, r2, r3 = trace.triples[0]
     for m, qm in enumerate(ax.q, start=1):
         if m % 2 == 1:
@@ -167,12 +166,13 @@ def _assert_distinct_traces(traces: Sequence[TowerTrace], axis: int) -> None:
 
 def _trace_terms(
     terms: Sequence[Sequence[int]], tower: EuclidTower, axis: int
-) -> tuple[tuple[TowerTrace, ...], frozenset[int]]:
+) -> tuple[tuple[TowerTrace, ...], tuple[PoleProfile, ...], frozenset[int]]:
     """Trace each term, require distinct traces, and union their pole sets."""
     traces = tuple(pullback_trace(t, tower, axis) for t in terms)
     _assert_distinct_traces(traces, axis)
-    poles = frozenset(n for trace in traces for n in pole_profile(trace, tower).pole_set())
-    return traces, poles
+    profiles = tuple(pole_profile(trace, tower) for trace in traces)
+    poles = frozenset(n for profile in profiles for n in profile.pole_set())
+    return traces, profiles, poles
 
 
 def polynomial_pole_set(
@@ -184,7 +184,7 @@ def polynomial_pole_set(
     because invertibility of the step maps rules out cancellation between
     distinct terms (checked via :class:`TraceCollisionError`).
     """
-    return _trace_terms(axis_support(f, axis), tower, axis)[1]
+    return _trace_terms(axis_support(f, axis), tower, axis)[2]
 
 
 def _slope_ok(triple: Sequence[int], tower: EuclidTower, axis: int) -> bool:
@@ -211,7 +211,7 @@ def cond(f_or_triple, axis: int, which: int, tower: EuclidTower) -> bool:
         triples = (ChartTriple(*f_or_triple),)
     if which == 1:
         return all(_slope_ok(t, tower, axis) for t in triples)
-    poles = _trace_terms(triples, tower, axis)[1]
+    poles = _trace_terms(triples, tower, axis)[2]
     return poles <= (ax.j1 if which == 2 else ax.j2)
 
 
@@ -268,6 +268,7 @@ class RegionPullbackReport:
     axis: int
     terms: tuple[ChartTriple, ChartTriple]
     traces: tuple[TowerTrace, TowerTrace]
+    profiles: tuple[PoleProfile, PoleProfile]
     pole_set: tuple[int, ...]
     j2: tuple[int, ...]
     z2_covered: bool
@@ -279,13 +280,14 @@ def region_inequality_pullback(axis: int, tower: EuclidTower) -> RegionPullbackR
     d_i = tower.constants.d[axis - 1]
     dii = tower.config.magnitude(axis, axis)
     terms = (ChartTriple(2 * d_i, 0, 2 * dii), ChartTriple(0, 0, 2 * dii))
-    traces, poles = _trace_terms(terms, tower, axis)
+    traces, profiles, poles = _trace_terms(terms, tower, axis)
     j2 = tuple(sorted(ax.j2))
     pole_tuple = tuple(sorted(poles))
     return RegionPullbackReport(
         axis=axis,
         terms=terms,
         traces=traces,
+        profiles=profiles,
         pole_set=pole_tuple,
         j2=j2,
         z2_covered=set(j2) <= poles,

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--region", choices=[k.value for k in RegionKind], default=None)
     p.add_argument("--lambda", dest="lam", type=_scale, default="1", help="scale, a rational like 1/2")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=_finite, default=50.0)
     p.add_argument("--kmax", type=int, default=10000, help="escape index cap (0 disables)")
@@ -209,10 +209,11 @@ def _cmd_generators(args):
 def _cmd_member(args):
     config = KurodaConfig.from_json_file(args.config)
     f = parse_polynomial(args.expr, System.PI3)
-    # one evaluation per route; each verdict is "no violations"
-    violations = membership.star_violations(f, config)
-    outside = membership.oracle_violations(f, config)
-    star, oracle = not violations, not outside
+    star = membership.in_r_star(f, config)
+    oracle = membership.in_r_oracle(f, config)
+    # a member has no violations; only a non-member's route is run again to list them
+    violations = () if star else membership.star_violations(f, config)
+    outside = () if oracle else membership.oracle_violations(f, config)
     rows = [
         {"axis": v.axis, "r1": v.triple[0], "r2": v.triple[1], "r3": v.triple[2],
          "lhs": v.lhs, "rhs": v.rhs}
@@ -238,17 +239,25 @@ def _cmd_cond(args):
     if args.expr is not None:
         subject = parse_polynomial(args.expr, System.PI3)
         subject_desc = polynomial_to_text(subject)
-        rows = None
+        rows = poles = None
     elif all(triple_given):
         subject = (args.r1, args.r2, args.r3)
         subject_desc = list(subject)
         trace = blowup.pullback_trace(subject, tower, args.axis)
-        rows = _triple_rows(trace, blowup.pole_profile(trace, tower), tower)
+        profile = blowup.pole_profile(trace, tower)
+        rows = _triple_rows(trace, profile, tower)
+        poles = frozenset(profile.pole_set())
     else:
         raise ConfigError("cond needs --expr or all of --r1 --r2 --r3")
-    which_list = (1, 2, 3) if args.which == "all" else (int(args.which),)
+    which_list = ("1", "2", "3") if args.which == "all" else (args.which,)
+    if poles is None and which_list != ("1",):
+        poles = blowup.polynomial_pole_set(subject, tower, args.axis)
+    # conditions 2 and 3 compare the one pole set with j1 and with j2
+    ax = tower.axis(args.axis)
+    unions = {"2": ax.j1, "3": ax.j2}
     verdicts = {
-        str(w): blowup.cond(subject, args.axis, w, tower) for w in which_list
+        w: blowup.cond(subject, args.axis, 1, tower) if w == "1" else poles <= unions[w]
+        for w in which_list
     }
     agree = len(set(verdicts.values())) == 1
     data = {
@@ -275,17 +284,15 @@ def _cmd_pullback(args):
         data = {
             "axis": args.axis,
             "triple": [args.r1, args.r2, args.r3],
-            "block_formula_ok": blowup.block_formula_check(
-                (args.r1, args.r2, args.r3), tower, args.axis
-            ),
+            "block_formula_ok": blowup.block_formula_check(trace, tower),
             "trace": rows,
             "pole_set": list(profile.pole_set()),
         }
         return data, rows, 0
     report = blowup.region_inequality_pullback(args.axis, tower)
     rows = []
-    for term, trace in zip(report.terms, report.traces):
-        for row in _triple_rows(trace, blowup.pole_profile(trace, tower), tower):
+    for term, trace, profile in zip(report.terms, report.traces, report.profiles):
+        for row in _triple_rows(trace, profile, tower):
             rows.append({"term_r1": term.r1, "term_r3": term.r3, **row})
     data = {
         "axis": report.axis,
@@ -310,8 +317,11 @@ def _cmd_probe(args):
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_ks=ks
     )
-    data = {"expr": args.expr, **jsonable(report)}
-    rows = [{"k": k, "abs_value": v} for k, v in zip(ks, report.escape_values)] if ks else None
+    # the escape series goes to the CSV rows, not the report body
+    body = dict(vars(report))
+    values = body.pop("escape_values")
+    data = {"expr": args.expr, **jsonable(body)}
+    rows = [{"k": k, "abs_value": v} for k, v in zip(ks, values)] if ks else None
     code = 0 if report.bound_ok in (None, True) else 1
     return data, rows, code
 

@@ -510,9 +510,8 @@ class ProbeReport:
     ``bound`` and ``bound_ok`` are set only when the probed function is a
     plain monomial of the exponent monoid over the 4-dimensional region, in
     which case the sampled sup must stay below scale**degree.  Escape fields
-    are set when escape indices were supplied; ``escape_values`` (|f| at each
-    escape point, ascending k) stays out of the report body.  Always
-    evidence, never proof.
+    are set when escape indices were supplied; ``escape_values`` holds |f|
+    at each escape point, ascending k.  Always evidence, never proof.
     """
 
     seed: int
@@ -528,7 +527,7 @@ class ProbeReport:
     escape_monotone_from_k: int | None
     monotone_tail: bool | None
     divergence: bool | None
-    escape_values: tuple[float, ...] | None = field(repr=False, metadata={"json": False})
+    escape_values: tuple[float, ...] | None = field(repr=False)
     note: str = "sampled evidence; not a proof"
 
 

@@ -3,8 +3,7 @@
 Exact rationals are serialized as ``"p/q"`` strings (plain ``"n"`` for
 integers), never as floats, so values survive round trips.  Ordering is
 deterministic everywhere: dicts render in insertion order, which report
-builders keep canonical.  Dataclass fields marked
-``metadata={"json": False}`` stay out of the report body.
+builders keep canonical.
 """
 
 from __future__ import annotations
@@ -26,11 +25,7 @@ def jsonable(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.metadata.get("json", True)
-        }
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -156,7 +156,7 @@ def test_criterion_06_block_formula(concrete, family72):
         for axis in (1, 2, 3):
             for triple in _sweep_triples():
                 checked += 1
-                if not block_formula_check(triple, tower, axis):
+                if not block_formula_check(pullback_trace(triple, tower, axis), tower):
                     failures += 1
     _verdict(6, failures == 0, f"{checked} traced triples, block-formula failures: {failures}")
 

@@ -90,15 +90,15 @@ def test_distinctness_guard_raises(concrete):
 
 def test_block_formula_examples(concrete, family72):
     cc_tower = euclid_tower(concrete)
-    assert block_formula_check((6, 0, 2), cc_tower, 1)
+    assert block_formula_check(pullback_trace((6, 0, 2), cc_tower, 1), cc_tower)
     trace = pullback_trace((6, 0, 2), cc_tower, 1)
     assert trace.final() == ChartTriple(0, 0, 2)
     f2_tower = euclid_tower(family72)
-    assert block_formula_check((7, 0, 2), f2_tower, 1)
+    assert block_formula_check(pullback_trace((7, 0, 2), f2_tower, 1), f2_tower)
     trace = pullback_trace((7, 0, 2), f2_tower, 1)
     assert trace.triples[3] == ChartTriple(1, 0, 2)  # end of the first block
     assert trace.final() == ChartTriple(1, 0, 0)
-    assert block_formula_check((0, 0, 0), cc_tower, 2)
+    assert block_formula_check(pullback_trace((0, 0, 0), cc_tower, 2), cc_tower)
 
 
 def test_pole_profiles(concrete):
@@ -186,7 +186,7 @@ def test_equivalence_on_harder_ratios(rows):
                 trace = pullback_trace((r1, 0, r3), tower, axis)
                 poles = set(pole_profile(trace, tower).pole_set())
                 assert slope == (poles <= ax.j1) == (poles <= ax.j2), (axis, r1, r3)
-                assert block_formula_check((r1, 0, r3), tower, axis)
+                assert block_formula_check(trace, tower)
                 if slope:
                     assert all(t.r3 >= 0 for t in trace.triples)
 

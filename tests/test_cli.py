@@ -291,6 +291,7 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
         ["sandwich", "--seed", "1", "--radius", "inf"],
         ["sandwich", "--seed", "1", "--radius", "nan"],
         ["sandwich", "--seed", "1", "--tolerance", "nan"],
+        ["probe", "--expr", "P1", "--seed", "1", "--samples", "-5"],
         ["sandwich", "--seed", "1", "--samples", "-5"],
         ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--radius", "nan"],
         ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--band", "inf"],
@@ -318,7 +319,7 @@ def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch)
     assert data["oracle_violations"] == [[1, 0, 0, 0]]
 
 
-def test_member_evaluates_each_route_once(capsys, concrete_path, monkeypatch):
+def test_member_evaluates_each_route_once_for_a_member(capsys, concrete_path, monkeypatch):
     import kuroda.algebra
     import kuroda.membership
 
@@ -336,10 +337,10 @@ def test_member_evaluates_each_route_once(capsys, concrete_path, monkeypatch):
         for module in (kuroda.algebra, kuroda.membership):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    code = main(
-        ["member", "--config", concrete_path, "--expr", "P1^2*P2 - P3", "--format", "json"]
+    code, data = run_json(
+        capsys, "member", "--config", concrete_path, "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"
     )
-    assert code == 0
+    assert code == 0 and data["in_r_star"] is True and data["in_r_oracle"] is True
     assert calls == {"expand_pi_to_y": 1, "reexpress_for_axis": 3}
 
 
@@ -362,3 +363,28 @@ def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, monkeypatch
     assert code == 0
     assert "uncertain_count" not in data and "escape_values" not in data
     assert float(rows[-1]["abs_value"]) == pytest.approx(data["escape_final_value"], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, traces",
+    [
+        (["cond", "--axis", "1", "--r1", "6", "--r2", "0", "--r3", "2"], 1),
+        (["pullback", "--axis", "1", "--r1", "6", "--r2", "0", "--r3", "2"], 1),
+        (["pullback", "--axis", "2"], 2),
+    ],
+)
+def test_tower_queries_trace_each_term_once(capsys, concrete_path, monkeypatch, argv, traces):
+    import kuroda.blowup
+
+    calls = {"pullback_trace": 0, "pole_profile": 0}
+    for name in calls:
+        original = getattr(kuroda.blowup, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(kuroda.blowup, name, counted)
+    code, _ = run_json(capsys, *argv, "--config", concrete_path)
+    assert code == 0
+    assert calls == {"pullback_trace": traces, "pole_profile": traces}
