@@ -18,12 +18,10 @@ cli         ``kuroda`` command with one subcommand per capability
 """
 
 from .algebra import (
-    AxisBasis,
     PoleAtPointError,
     SparsePolynomial,
     System,
     SystemMismatchError,
-    axis_basis,
     axis_support,
     axis_to_pi,
     evaluate_numeric,

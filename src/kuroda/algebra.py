@@ -18,18 +18,19 @@ Zero coefficients are never stored, so equal polynomials have identical term
 maps and the representation is canonical.  All ring arithmetic is exact;
 floats appear only in :func:`evaluate_numeric`.
 
-The three change-of-variable maps used downstream are built on one
-substitution primitive: ``PI3 -> Y4`` (each difference expands to
-``y_i - y_4``), ``Y4 -> X4`` on exponent vectors (integer row combinations,
-where the diagonal sign convention of the configuration applies), and
-``PI3 -> AXIS3`` (rewriting in the ordered basis attached to one axis).
+The three change-of-variable maps are closed forms, written once each:
+``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by the binomial theorem (oracle
+route), ``Y4 -> X4`` combines the signed rows on exponent vectors, and
+``PI3 <-> AXIS3`` is one binomial row per term (star route).  The two routes
+share no expansion code; :func:`substitute` is the generic reference for tests.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from .config import AXES, KurodaConfig
@@ -263,8 +264,13 @@ def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
     """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4."""
     if f.system is not System.PI3:
         raise SystemMismatchError("expand_pi_to_y expects a PI3 polynomial")
-    images = [y_variable(i) - y_variable(4) for i in AXES]
-    return substitute(f, images, System.Y4)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for a, coeff in f._terms.items():
+        for k in product(*(range(e + 1) for e in a)):
+            n = (*k, sum(a) - sum(k))
+            c = coeff * prod(map(comb, a, k))
+            out[n] = out.get(n, 0) + (-c if n[3] & 1 else c)
+    return SparsePolynomial(System.Y4, out)
 
 
 def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int, int]:
@@ -283,49 +289,44 @@ def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AxisBasis:
-    """Ordered substitution basis attached to one axis.
+# The basis of axis i is u1 = P_a, u2 = P_b, u3 = P_b - P_c, with the 0-based
+# positions (a, b, c) below; inversely P_a = u1, P_b = u2, P_c = u2 - u3.
+_AXIS_POSITIONS = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 
-    ``u1, u2, u3`` are linear forms in P1..P3; a PI3 polynomial rewritten in
-    them has its exponent triples ordered (r1, r2, r3) = (u1, u2, u3) powers.
-    The inverse images express P1..P3 back in terms of u1..u3.
+
+def _shear(f: SparsePolynomial, source, target, system: System) -> SparsePolynomial:
+    """Send the variables at positions ``source`` to v_a, v_b, v_b - v_c, (a, b, c) = ``target``.
+
+    A term with exponents (r1, r2, r3) at ``source`` becomes the binomial row
+    C(r3, k) (-1)^(r3 - k) v_a^r1 v_b^(r2 + k) v_c^(r3 - k), k = 0..r3.
     """
-
-    axis: int
-    basis: tuple[SparsePolynomial, SparsePolynomial, SparsePolynomial]
-    inverse_images: tuple[SparsePolynomial, SparsePolynomial, SparsePolynomial]
-
-
-def axis_basis(axis: int) -> AxisBasis:
-    if axis not in AXES:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    p1, p2, p3 = (pi_variable(i) for i in AXES)
-    u1, u2, u3 = (SparsePolynomial.variable(System.AXIS3, i) for i in (1, 2, 3))
-    if axis == 1:
-        basis = (p1, p2, p2 - p3)
-        inverse = (u1, u2, u2 - u3)  # P1, P2, P3 in terms of u
-    elif axis == 2:
-        basis = (p2, p1, p1 - p3)
-        inverse = (u2, u1, u2 - u3)
-    else:
-        basis = (p3, p1, p1 - p2)
-        inverse = (u2, u2 - u3, u1)
-    return AxisBasis(axis, basis, inverse)
+    slot = sorted(range(3), key=target.__getitem__)  # slot[j]: row entry at position j
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in f._terms.items():
+        r1, r2, r3 = (exps[p] for p in source)
+        for k in range(r3 + 1):
+            image = tuple((r1, r2 + k, r3 - k)[i] for i in slot)
+            c = coeff * comb(r3, k)
+            out[image] = out.get(image, 0) + (-c if (r3 - k) & 1 else c)
+    return SparsePolynomial(system, out)
 
 
 def reexpress_for_axis(f: SparsePolynomial, axis: int) -> SparsePolynomial:
     """Rewrite a PI3 polynomial in the AXIS3 basis of ``axis``; exact and invertible."""
     if f.system is not System.PI3:
         raise SystemMismatchError("reexpress_for_axis expects a PI3 polynomial")
-    return substitute(f, axis_basis(axis).inverse_images, System.AXIS3)
+    if axis not in _AXIS_POSITIONS:
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    return _shear(f, _AXIS_POSITIONS[axis], (0, 1, 2), System.AXIS3)
 
 
 def axis_to_pi(g: SparsePolynomial, axis: int) -> SparsePolynomial:
     """Inverse of :func:`reexpress_for_axis`."""
     if g.system is not System.AXIS3:
         raise SystemMismatchError("axis_to_pi expects an AXIS3 polynomial")
-    return substitute(g, axis_basis(axis).basis, System.PI3)
+    if axis not in _AXIS_POSITIONS:
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    return _shear(g, (0, 1, 2), _AXIS_POSITIONS[axis], System.PI3)
 
 
 def axis_support(f: SparsePolynomial, axis: int) -> tuple[tuple[int, int, int], ...]:

@@ -759,19 +759,18 @@ def export_surface_cloud(
         raise ValueError("cloud export supports the two 3-dimensional closed-form regions")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    margins_of = s_double_prime_margins if which is RegionKind.S_DOUBLE_PRIME3 else s_tilde_margins
     axis = np.linspace(-radius, radius, grid)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    if which is RegionKind.S_DOUBLE_PRIME3:
-        margins = s_double_prime_margins(pts, 1.0, config)
-    else:
-        margins = s_tilde_margins(pts, 1.0, config)
-    mask = np.abs(margins) < band
+    ys, zs = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
     written = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "margin"])
-        for p, m in zip(pts[mask], margins[mask]):
-            writer.writerow([f"{p[0]:.12g}", f"{p[1]:.12g}", f"{p[2]:.12g}", f"{m:.12g}"])
-            written += 1
+        for x in axis:  # one x-slab at a time keeps memory O(grid**2)
+            pts = np.stack([np.full(ys.size, x), ys, zs], axis=1)
+            margins = margins_of(pts, 1.0, config)
+            mask = np.abs(margins) < band
+            rows = np.column_stack([pts[mask], margins[mask]]).tolist()
+            writer.writerows([f"{v:.12g}" for v in row] for row in rows)
+            written += len(rows)
     return CloudReport(which, grid, float(radius), float(band), written, str(out))

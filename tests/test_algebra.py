@@ -9,7 +9,6 @@ from kuroda import (
     SparsePolynomial,
     System,
     SystemMismatchError,
-    axis_basis,
     axis_support,
     axis_to_pi,
     evaluate_numeric,
@@ -17,10 +16,16 @@ from kuroda import (
     expand_y_to_x,
     pi_variable,
     reexpress_for_axis,
+    substitute,
     y_variable,
 )
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
+U1, U2, U3 = (SparsePolynomial.variable(System.AXIS3, i) for i in (1, 2, 3))
+
+# Axis basis u1, u2, u3 in terms of P1..P3, and P1..P3 in terms of u1, u2, u3.
+AXIS_BASES = {1: (P1, P2, P2 - P3), 2: (P2, P1, P1 - P3), 3: (P3, P1, P1 - P2)}
+AXIS_INVERSES = {1: (U1, U2, U2 - U3), 2: (U2, U1, U2 - U3), 3: (U2, U2 - U3, U1)}
 
 
 def test_additive_inverse_gives_zero():
@@ -121,10 +126,20 @@ def test_reexpress_examples():
 
 def test_axis_bases_are_consistent():
     for axis in (1, 2, 3):
-        basis = axis_basis(axis)
-        # basis elements composed with the inverse give back the plain variables
-        for var, image in zip((P1, P2, P3), basis.inverse_images):
-            assert axis_to_pi(image, axis) == var
+        for var in (P1, P2, P3):
+            assert axis_to_pi(reexpress_for_axis(var, axis), axis) == var
+
+
+def test_axis_out_of_range_raises():
+    for axis in (0, 4):
+        with pytest.raises(ValueError):
+            reexpress_for_axis(P1, axis)
+        with pytest.raises(ValueError):
+            axis_to_pi(U1, axis)
+
+
+def test_expand_pi_to_y_term_count_at_degree_16():
+    assert expand_pi_to_y((P1 + P2 + P3 + 1) ** 16).term_count() == 4845
 
 
 @st.composite
@@ -175,6 +190,44 @@ def test_expand_y_to_x_is_additive(n, m):
 @given(pi_polynomials(), st.sampled_from((1, 2, 3)))
 def test_reexpress_round_trip(f, axis):
     assert axis_to_pi(reexpress_for_axis(f, axis), axis) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi_polynomials(), st.sampled_from((1, 2, 3)))
+def test_closed_forms_match_substitute(f, axis):
+    y_images = [y_variable(i) - y_variable(4) for i in (1, 2, 3)]
+    assert expand_pi_to_y(f) == substitute(f, y_images, System.Y4)
+    g = reexpress_for_axis(f, axis)
+    assert g == substitute(f, AXIS_INVERSES[axis], System.AXIS3)
+    assert axis_to_pi(g, axis) == substitute(g, AXIS_BASES[axis], System.PI3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pi_polynomials(), st.sampled_from((1, 2, 3)))
+def test_closed_forms_match_sympy(f, axis):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.symbols("p1:4")
+    y = sympy.symbols("y1:5")
+    u = sympy.symbols("u1:4")
+
+    def as_sympy(h, names):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(v**e for v, e in zip(names, exps)))
+                for exps, c in h.terms()
+            )
+        )
+
+    positions = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}[axis]
+    a, b, c = (p[i] for i in positions)
+    y_images = {p[i]: y[i] - y[3] for i in range(3)}
+    axis_images = {a: u[0], b: u[1], c: u[1] - u[2]}
+    f_sym = as_sympy(f, p)
+    y_sym = as_sympy(expand_pi_to_y(f), y)
+    assert sympy.expand(y_sym - f_sym.subs(y_images, simultaneous=True)) == 0
+    g_sym = as_sympy(reexpress_for_axis(f, axis), u)
+    assert sympy.expand(g_sym - f_sym.subs(axis_images, simultaneous=True)) == 0
 
 
 def test_evaluate_numeric_basics():

@@ -319,6 +319,25 @@ def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch)
     assert data["oracle_violations"] == [[1, 0, 0, 0]]
 
 
+@pytest.mark.parametrize(
+    "expr, member", [("(P1-P2)*(P2-P3)*(P3-P1)", True), ("P1^2*P2 + P3", False)]
+)
+def test_membership_routes_do_not_use_substitute(capsys, concrete_path, monkeypatch, expr, member):
+    import kuroda.algebra
+    from kuroda import concrete_example, in_r_oracle, in_r_star, parse_polynomial
+
+    def refuse(*args):
+        raise AssertionError("a membership route called substitute")
+
+    monkeypatch.setattr(kuroda.algebra, "substitute", refuse)
+    f = parse_polynomial(expr)
+    assert in_r_star(f, concrete_example()) is member
+    assert in_r_oracle(f, concrete_example()) is member
+    code, data = run_json(capsys, "member", "--config", concrete_path, "--expr", expr)
+    assert code == 0 and data["routes_agree"] is True
+    assert data["in_r_star"] is member and data["in_r_oracle"] is member
+
+
 def test_member_evaluates_each_route_once_for_a_member(capsys, concrete_path, monkeypatch):
     import kuroda.algebra
     import kuroda.membership

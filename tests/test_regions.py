@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,22 @@ def test_cloud_export(tmp_path, concrete):
             key = tuple(np.sign(p).astype(int))
             signs[key] = signs.get(key, 0) + 1
     assert len(set(signs.values())) == 1
+
+
+def test_cloud_memory_stays_one_slab(tmp_path, concrete):
+    # The whole grid at once peaks at about 160 MB here (meshgrid, points, margins).
+    out = tmp_path / "fine.csv"
+    tracemalloc.start()
+    try:
+        report = export_surface_cloud(concrete, RegionKind.S_DOUBLE_PRIME3, grid=120, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with open(out, newline="") as fh:
+        points = [tuple(float(r[c]) for c in "xyz") for r in csv.DictReader(fh)]
+    assert len(points) == report.points_written > 0
+    assert points == sorted(points)  # x outermost, then y, then z
 
 
 def test_cloud_tilde_antipodal_symmetry(tmp_path, concrete):
