@@ -219,10 +219,8 @@ def test_closed_forms_match_sympy(f, axis):
             )
         )
 
-    positions = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}[axis]
-    a, b, c = (p[i] for i in positions)
     y_images = {p[i]: y[i] - y[3] for i in range(3)}
-    axis_images = {a: u[0], b: u[1], c: u[1] - u[2]}
+    axis_images = dict(zip(p, (as_sympy(g, u) for g in AXIS_INVERSES[axis])))
     f_sym = as_sympy(f, p)
     y_sym = as_sympy(expand_pi_to_y(f), y)
     assert sympy.expand(y_sym - f_sym.subs(y_images, simultaneous=True)) == 0

@@ -322,17 +322,19 @@ def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch)
 @pytest.mark.parametrize(
     "expr, member", [("(P1-P2)*(P2-P3)*(P3-P1)", True), ("P1^2*P2 + P3", False)]
 )
-def test_membership_routes_do_not_use_substitute(capsys, concrete_path, monkeypatch, expr, member):
+def test_membership_routes_do_not_use_substitute(
+    capsys, concrete, concrete_path, monkeypatch, expr, member
+):
     import kuroda.algebra
-    from kuroda import concrete_example, in_r_oracle, in_r_star, parse_polynomial
+    from kuroda import in_r_oracle, in_r_star, parse_polynomial
 
     def refuse(*args):
         raise AssertionError("a membership route called substitute")
 
     monkeypatch.setattr(kuroda.algebra, "substitute", refuse)
     f = parse_polynomial(expr)
-    assert in_r_star(f, concrete_example()) is member
-    assert in_r_oracle(f, concrete_example()) is member
+    assert in_r_star(f, concrete) is member
+    assert in_r_oracle(f, concrete) is member
     code, data = run_json(capsys, "member", "--config", concrete_path, "--expr", expr)
     assert code == 0 and data["routes_agree"] is True
     assert data["in_r_star"] is member and data["in_r_oracle"] is member
