@@ -37,6 +37,13 @@ def _checked(convert, ok, what: str):
 
 
 _finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_sandwich_radius = _checked(
+    float,
+    lambda v: math.isfinite(v) and v > regions.SANDWICH_MIN_RADIUS,
+    f"a finite number > {regions.SANDWICH_MIN_RADIUS:g}",
+)
 _scale = _checked(lambda t: float(Fraction(t)), lambda v: v > 0, "a finite positive rational")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
@@ -91,15 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_scale, default="1", help="scale, a rational like 1/2")
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--radius", type=_finite, default=50.0)
+    p.add_argument("--radius", type=_positive, default=50.0)
     p.add_argument("--kmax", type=int, default=10000, help="escape index cap (0 disables)")
 
     p = sub.add_parser("sandwich", help="far-zone inclusion check around the basic open set")
     _add_common(p)
     p.add_argument("--samples", type=_count, default=10000, help="points per direction")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--radius", type=_finite, default=50.0)
-    p.add_argument("--tolerance", type=_finite, default=1e-6)
+    p.add_argument("--radius", type=_sandwich_radius, default=50.0)
+    p.add_argument("--tolerance", type=_nonnegative, default=1e-6)
 
     p = sub.add_parser("cloud", help="near-boundary grid cloud as CSV")
     _add_common(p, formats=("json", "text"))

@@ -24,7 +24,11 @@ the scaling identity holds exactly in floating point.
 Membership in ``S3`` quantifies over the diagonal shift and is only
 semi-decided: a grid scan over the shift with two refinement rounds, and a
 tolerance band that returns ``UNCERTAIN`` instead of guessing at the
-boundary.
+boundary.  The scan runs on blocks of points at once, in log form (each
+cross bound as ``e_i*log|q_i| + e_j*log|q_j|``), so large weights cannot
+overflow it; the best value is mapped back to the ordinary margin, so the grid and the band
+mean what they did for one point.  Non-finite points raise ``ValueError``
+rather than reading as outside.
 
 The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
@@ -191,42 +195,78 @@ def in_s_tilde(
     return bool(s_tilde_margins(point, lam, config, spec.rhs())[0] < 0)
 
 
-def s_shift_margin(
-    point, lam: float, config: KurodaConfig, grid: int = 1024, refinements: int = 2
-) -> tuple[float, float]:
-    """Best (lowest) star margin of ``point - (a,a,a)`` over shifts |a| < lam.
+# The shift search: 1024 interior grid shifts of (-lam, lam), then two
+# refinement rounds of 65 shifts around each point's best shift.
+_SHIFT_GRID = 1024
+_REFINE_GRID = 65
+_REFINEMENTS = 2
 
-    Grid scan over the open shift interval followed by ``refinements``
-    refinement rounds around the best shift found; returns (margin, shift).
-    Negative margin certifies membership of the point in the fattened star.
+
+def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Best (lowest) star margin of ``point - (a,a,a)`` over shifts |a| < lam, per point.
+
+    Each row is searched on its own: the interior grid of the shift interval,
+    then refinement rounds around that row's best shift.  The search runs in
+    log form, the max over the cross bounds of ``e_i*log|q_i| + e_j*log|q_j|``
+    with ``log|q| = log|p - a| - log(lam)``: no power is formed, so large
+    weights cannot overflow it.  The best value goes back through ``expm1``,
+    so each margin is the star margin of :func:`s_double_prime_margins` at
+    the best shift.  Returns (margins, shifts), one entry per row; a negative
+    margin certifies membership of the point in the fattened star.
+    Non-finite coordinates and a scale that is not finite and positive raise
+    ``ValueError`` rather than reading as outside.
     """
-    p = np.asarray(point, dtype=float)
-    shifts = np.linspace(-lam, lam, grid + 2)[1:-1]
-    spacing = shifts[1] - shifts[0]
-    best_a = 0.0
-    best = math.inf
-    for _ in range(refinements + 1):
-        q = p[None, :] - shifts[:, None]
-        margins = s_double_prime_margins(q, lam, config)
-        idx = int(np.argmin(margins))
-        if margins[idx] < best:
-            best = float(margins[idx])
-            best_a = float(shifts[idx])
-        lo = max(best_a - spacing, -lam)
-        hi = min(best_a + spacing, lam)
-        shifts = np.linspace(lo, hi, 65)
-        spacing = shifts[1] - shifts[0]
-    return best, best_a
+    pts = _as_points(points, 3)
+    if not np.isfinite(pts).all():
+        raise ValueError("the shift search needs finite coordinates")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"scale must be finite and positive, got {lam}")
+    rows = np.arange(len(pts))
+    coords = pts.T[:, :, None]
+    pairs = _cross_pairs(config)
+    log_lam = math.log(lam)
+    grid = np.linspace(-lam, lam, _SHIFT_GRID + 2)[1:-1]
+    shifts = np.broadcast_to(grid, (len(pts), _SHIFT_GRID))
+    best = np.full(len(pts), np.inf)
+    best_a = np.zeros(len(pts))
+    for round_ in range(_REFINEMENTS + 1):
+        if round_:
+            lo = np.maximum(best_a - spacing, -lam)
+            hi = np.minimum(best_a + spacing, lam)
+            shifts = np.linspace(lo, hi, _REFINE_GRID, axis=1)
+        spacing = shifts[:, 1] - shifts[:, 0]
+        # in place, to keep a block's temporaries near one (3 x points x shifts) array
+        logq = np.subtract(coords, shifts)
+        np.abs(logq, out=logq)
+        # a coordinate hit exactly by the shift gives log 0 = -inf, margin -1
+        with np.errstate(divide="ignore"):
+            np.log(logq, out=logq)
+        logq -= log_lam
+        values = None
+        for i, j, ei, ej in pairs:
+            term = ei * logq[i - 1]
+            term += ej * logq[j - 1]
+            values = term if values is None else np.maximum(values, term, out=values)
+        idx = values.argmin(axis=1)
+        found = values[rows, idx]
+        better = found < best
+        best = np.where(better, found, best)
+        best_a = np.where(better, shifts[rows, idx], best_a)
+    return np.expm1(best), best_a
+
+
+def _shift_verdict(margin: float, tolerance: float) -> Verdict:
+    if abs(margin) <= tolerance:
+        return Verdict.UNCERTAIN
+    return Verdict.IN if margin < 0 else Verdict.OUT
 
 
 def in_s(
     point, lam: float, config: KurodaConfig, tolerance: float = 1e-6
 ) -> Verdict:
     """Semi-decision of membership in the fattened star (see module notes)."""
-    best, _ = s_shift_margin(point, lam, config)
-    if abs(best) <= tolerance:
-        return Verdict.UNCERTAIN
-    return Verdict.IN if best < 0 else Verdict.OUT
+    margins, _ = s_shift_margins(point, lam, config)
+    return _shift_verdict(margins[0], tolerance)
 
 
 # -- escape sequence -------------------------------------------------------
@@ -625,6 +665,16 @@ def boundedness_probe(
 # -- sandwich check --------------------------------------------------------
 
 
+# Far-zone points per shift search in sandwich_check: a block's
+# (points x shifts) temporaries stay near 0.4 MB, so memory does not grow
+# with the sample count.
+_SHIFT_BLOCK = 16
+
+# Half-scaled fattened-star points reach at most (radius + 1)/2, and the far
+# zone starts at 2, so a smaller sampling radius leaves nothing to check.
+SANDWICH_MIN_RADIUS = 3.0
+
+
 def _in_far_zone(points: np.ndarray) -> np.ndarray:
     """Mask of points with some coordinate of absolute value above 2."""
     return (np.abs(points) > 2.0).any(axis=1)
@@ -666,7 +716,15 @@ def sandwich_check(
     radius: float = 50.0,
     tolerance: float = 1e-6,
 ) -> SandwichReport:
-    """Run both inclusion directions on ``count`` far-zone points each."""
+    """Run both inclusion directions on ``count`` far-zone points each.
+
+    ``radius`` must exceed :data:`SANDWICH_MIN_RADIUS`, else no sampled
+    point reaches the far zone and ``ValueError`` is raised.
+    """
+    if not radius > SANDWICH_MIN_RADIUS:
+        raise ValueError(
+            f"sandwich radius must be > {SANDWICH_MIN_RADIUS:g}, got {radius}"
+        )
     rng = np.random.default_rng(seed)
     examples: list[tuple[str, tuple[float, ...]]] = []
 
@@ -706,8 +764,12 @@ def sandwich_check(
         if not len(chunk):
             continue
         chunk = chunk[: count - tilde_checked]
-        for p in chunk:
-            verdict = in_s(p, 2.0, config, tolerance)
+        margins = np.concatenate([
+            s_shift_margins(chunk[start:start + _SHIFT_BLOCK], 2.0, config)[0]
+            for start in range(0, len(chunk), _SHIFT_BLOCK)
+        ])
+        for p, margin in zip(chunk, margins):
+            verdict = _shift_verdict(margin, tolerance)
             tilde_checked += 1
             if verdict is Verdict.UNCERTAIN:
                 uncertain += 1

@@ -209,6 +209,15 @@ def test_sandwich_subcommand(capsys, concrete_path):
     assert data["total_violations"] == 0
 
 
+def test_sandwich_accepts_zero_tolerance(capsys, concrete_path):
+    code, data = run_json(
+        capsys, "sandwich", "--config", concrete_path, "--samples", "50", "--seed", "9",
+        "--tolerance", "0",
+    )
+    assert code == 0
+    assert data["tolerance"] == 0.0 and data["tilde_checked"] == 50
+
+
 def test_subcommands_deterministic_per_seed(capsys, concrete_path):
     args = ("probe", "--config", concrete_path, "--expr", "Y1*Y2*Y3",
             "--samples", "2000", "--seed", "77", "--kmax", "0")
@@ -295,6 +304,14 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
         ["sandwich", "--seed", "1", "--samples", "-5"],
         ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--radius", "nan"],
         ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--band", "inf"],
+        ["sandwich", "--seed", "1", "--radius", "1"],
+        ["sandwich", "--seed", "1", "--radius=-3"],
+        ["sandwich", "--seed", "1", "--radius", "2.5"],
+        ["sandwich", "--seed", "1", "--radius", "3"],
+        ["probe", "--expr", "P1", "--seed", "1", "--radius=-4"],
+        ["probe", "--expr", "P1", "--seed", "1", "--radius", "0"],
+        ["sandwich", "--seed", "1", "--tolerance=-1e-6"],
+        ["sandwich", "--seed", "1", "--tolerance=-inf"],
     ],
 )
 def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):

@@ -1,11 +1,14 @@
 import csv
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kuroda import (
+    KurodaConfig,
     RegionKind,
     RegionSpec,
     SamplingError,
@@ -13,6 +16,7 @@ from kuroda import (
     System,
     Verdict,
     boundedness_probe,
+    concrete_example,
     escape_point,
     escape_threshold,
     export_surface_cloud,
@@ -24,9 +28,11 @@ from kuroda import (
     sample_region,
     sandwich_check,
 )
+from kuroda.config import condition_value
 from kuroda.regions import (
     s_double_prime_margins,
     s_prime_margins,
+    s_shift_margins,
     s_tilde_margins,
 )
 
@@ -89,6 +95,97 @@ def test_in_s_examples(concrete):
     assert in_s((10, 10, 0), 1.0, concrete) is Verdict.OUT
     # exact diagonal boundary point: the best shift leaves margin ~ 0
     assert in_s((1.0, 1.0, 1.0), 1.0, concrete) in (Verdict.UNCERTAIN, Verdict.IN)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _reference_shift_margin(point, lam, config):
+    """The per-point shift scan in pow form, kept as the reference for
+    s_shift_margins: 1024 interior grid shifts, then two refinement rounds
+    of 65 around the best shift."""
+    p = np.asarray(point, dtype=float)
+    shifts = np.linspace(-lam, lam, 1026)[1:-1]
+    spacing = shifts[1] - shifts[0]
+    best_a, best = 0.0, math.inf
+    for _ in range(3):
+        margins = s_double_prime_margins(p[None, :] - shifts[:, None], lam, config)
+        idx = int(np.argmin(margins))
+        if margins[idx] < best:
+            best, best_a = float(margins[idx]), float(shifts[idx])
+        lo, hi = max(best_a - spacing, -lam), min(best_a + spacing, lam)
+        shifts = np.linspace(lo, hi, 65)
+        spacing = shifts[1] - shifts[0]
+    return best
+
+
+def _verdict(margin, tolerance):
+    if abs(margin) <= tolerance:
+        return Verdict.UNCERTAIN
+    return Verdict.IN if margin < 0 else Verdict.OUT
+
+
+def _drawn_asymmetric_config(seed):
+    """A valid config with diagonals in 1..7 and off-diagonals in 1..60."""
+    rng = random.Random(seed)
+    while True:
+        rows = []
+        for i in range(3):
+            row = [rng.randint(1, 60) for _ in range(3)] + [rng.randint(0, 4)]
+            row[i] = -rng.randint(1, 7)
+            rows.append(row)
+        config = KurodaConfig.from_signed(rows, rng.randint(1, 3))
+        if condition_value(config) < 1:
+            return config
+
+
+SHIFT_SEARCH_CONFIGS = {
+    "concrete": concrete_example(),
+    "min2_7": KurodaConfig.from_json_file(CONFIGS / "min2_7.json"),
+    "symmetric_1_6": KurodaConfig.from_signed([[-1, 6, 6, 0], [6, -1, 6, 0], [6, 6, -1, 0]], 1),
+    "drawn": _drawn_asymmetric_config(2024),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_SEARCH_CONFIGS))
+def test_shift_search_matches_pow_reference(name):
+    config = SHIFT_SEARCH_CONFIGS[name]
+    tolerance = 1e-6
+    spec = RegionSpec(RegionKind.S_TILDE3, 1.0)
+    points = sample_region(config, spec, 1200, seed=61, radius=50.0).points
+    far = points[(np.abs(points) > 2.0).any(axis=1)][:300]
+    assert len(far) == 300
+    margins, shifts = s_shift_margins(far, 2.0, config)
+    assert margins.shape == shifts.shape == (300,)
+    assert (np.abs(shifts) <= 2.0).all()
+    reference = np.array([_reference_shift_margin(p, 2.0, config) for p in far])
+    # log form reorders the float arithmetic: equal margins up to rounding
+    assert np.allclose(margins, reference, rtol=1e-9, atol=1e-12)
+    clear = np.minimum(np.abs(reference - tolerance), np.abs(reference + tolerance)) > 1e-9
+    assert clear.sum() >= 290
+    verdicts = [_verdict(m, tolerance) for m in margins]
+    for verdict, ref, ok in zip(verdicts, reference, clear):
+        if ok:
+            assert verdict is _verdict(ref, tolerance)
+    for p, verdict in zip(far[:40], verdicts):
+        assert in_s(p, 2.0, config, tolerance) is verdict
+    if name in ("symmetric_1_6", "drawn"):
+        # both reach known defect b, so OUT verdicts are compared too
+        assert {Verdict.IN, Verdict.OUT} <= set(verdicts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shift_search_rejects_non_finite_points(concrete, bad):
+    with pytest.raises(ValueError, match="finite"):
+        in_s((bad, 0.0, 0.0), 2.0, concrete)
+    with pytest.raises(ValueError, match="finite"):
+        s_shift_margins([(10.0, 0.4, 0.4), (0.0, bad, 0.0)], 2.0, concrete)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -2.0])
+def test_shift_search_rejects_bad_scale(concrete, lam):
+    with pytest.raises(ValueError, match="scale"):
+        in_s((10.0, 0.4, 0.4), lam, concrete)
 
 
 def test_escape_point_values(concrete):
@@ -289,6 +386,27 @@ def test_sandwich_small_run(concrete):
     assert report.tilde_checked == 400
     assert report.total_violations == 0
     assert report.uncertain_fraction < 0.02
+
+
+@pytest.mark.parametrize("radius", [3.0, 2.5, 1.0, -3.0])
+def test_sandwich_needs_radius_above_three(concrete, radius):
+    # half-scaled points reach at most (radius + 1)/2 <= 2: none in the far zone
+    with pytest.raises(ValueError, match="radius"):
+        sandwich_check(concrete, 10, seed=1, radius=radius)
+
+
+@pytest.mark.parametrize("count", [200, 2000])
+def test_sandwich_memory_stays_one_block(concrete, count):
+    # The shift search runs on blocks of points; 2000 points at once would
+    # hold about 50 MB of (points x shifts) temporaries.
+    tracemalloc.start()
+    try:
+        report = sandwich_check(concrete, count, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.tilde_checked == count
+    assert peak < 2 * 2**20
 
 
 def test_cloud_export(tmp_path, concrete):
