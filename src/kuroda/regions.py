@@ -30,6 +30,12 @@ overflow it; the best value is mapped back to the ordinary margin, so the grid a
 mean what they did for one point.  Non-finite points raise ``ValueError``
 rather than reading as outside.
 
+The margin filters and ``evaluate_abs`` form integer powers by
+multiplication (square-and-multiply, and per-coordinate power tables), not
+by libm ``pow``; only the samplers' fractional powers use ``pow``.  The
+candidate generators are untouched, so each seed draws the same candidates,
+and margins and ``|f|`` may differ from ``pow`` only in the last bits.
+
 The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
 1 for k > 16, so membership of the sequence in the 4-dimensional region
@@ -137,11 +143,32 @@ def _as_points(points, dim: int) -> np.ndarray:
     return arr
 
 
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """``x**n`` for an integer ``n >= 0`` by square-and-multiply.
+
+    About log2(n) array multiplications instead of one libm ``pow`` per
+    element; the relative error stays below ``(n - 1) * 2**-53`` to first
+    order.  No square beyond the top bit of ``n`` is formed, so the result
+    overflows to ``inf`` and underflows to 0 where ``pow`` does, up to
+    rounding at the edge of the double range.  May return ``x`` itself.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            break
+        x = x * x
+    return np.ones_like(x) if result is None else result
+
+
 def _cross_margins(q3_abs: np.ndarray, config: KurodaConfig) -> np.ndarray:
     """Max over the six cross bounds of q_i**e_i * q_j**e_j - 1 (q prescaled, abs)."""
     margin = np.full(len(q3_abs), -np.inf)
     for i, j, ei, ej in _cross_pairs(config):
-        margin = np.maximum(margin, q3_abs[:, i - 1] ** ei * q3_abs[:, j - 1] ** ej - 1.0)
+        bound = _int_power(q3_abs[:, i - 1], ei) * _int_power(q3_abs[:, j - 1], ej)
+        margin = np.maximum(margin, bound - 1.0)
     return margin
 
 
@@ -173,8 +200,11 @@ def s_tilde_margins(
     for i in AXES:
         j, k = (t for t in AXES if t != i)
         qi, qj, qk = q[:, i - 1], q[:, j - 1], q[:, k - 1]
-        arm = (qi ** (2 * d[i - 1]) - 1.0) * (qj - qk) ** (2 * config.magnitude(i, i))
-        cap = (qi**2 - 1.0) * ((qj + qk) ** 2 - 4.0)
+        arm = (_int_power(qi, 2 * d[i - 1]) - 1.0) * _int_power(
+            qj - qk, 2 * config.magnitude(i, i)
+        )
+        s = qj + qk
+        cap = (qi * qi - 1.0) * (s * s - 4.0)
         margin = np.maximum(margin, arm - rhs[2 * (i - 1)])
         margin = np.maximum(margin, cap - rhs[2 * (i - 1) + 1])
     return margin
@@ -448,7 +478,7 @@ class _StarSampler:
             n_box = size
         chunks = []
         for name, n, draw in (
-            ("box", n_box, lambda n: self._box(n, max(self.radius, 0.0))),
+            ("box", n_box, lambda n: self._box(n, self.radius)),
             ("core", n_core, lambda n: self._box(n, lam)),
             ("ray", n_ray, self._ray_tilde if self.spec.kind is RegionKind.S_TILDE3 else self._ray_star),
         ):
@@ -492,10 +522,13 @@ def sample_region(
     Every returned point satisfies the region predicate exactly as evaluated
     (candidates from all strata pass through the same margin filter).  The
     fattened star is sampled constructively: star samples plus a uniform
-    diagonal shift.
+    diagonal shift.  ``radius`` must be finite and positive, else
+    ``ValueError`` is raised.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"sampling radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
     kind = spec.kind
     base_spec = (
@@ -527,6 +560,32 @@ def sample_region(
 # -- probes ----------------------------------------------------------------
 
 
+def _power_table(x: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Rows ``x**e`` for the ascending distinct integers ``used``.
+
+    Positive powers chain up from ``x`` and negative ones from ``1/x``: each
+    row is the previous one times :func:`_int_power` of the gap, so
+    consecutive exponents cost one multiplication each.  A zero coordinate
+    gives non-finite rows for negative exponents (a pole), as ``pow`` did.
+    """
+
+    def chain(base, magnitudes):
+        out, last, power = [], 0, None
+        for m in magnitudes:
+            step = _int_power(base, m - last)
+            power = step if power is None else power * step
+            out.append(power)
+            last = m
+        return out
+
+    negative = used[used < 0]
+    rows = chain(1.0 / x, (-negative[::-1]).tolist())[::-1] if len(negative) else []
+    if (used == 0).any():
+        rows.append(np.ones_like(x))
+    rows += chain(x, used[used > 0].tolist())
+    return np.stack(rows)
+
+
 def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
     """|f| at each row of ``pts``; poles and overflow come out non-finite."""
     if pts.shape[1] != f.system.arity:
@@ -535,11 +594,22 @@ def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
         )
     if f.is_zero():
         return np.zeros(len(pts))
-    exps = np.array(f.support(), dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    exps = np.array(f.support())
     coeffs = np.array([float(f.coefficient(e)) for e in f.support()])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        powers = pts[:, None, :] ** exps[None, :, :]
-        values = (powers.prod(axis=2) * coeffs[None, :]).sum(axis=1)
+        product = None
+        for x, column in zip(pts.T, exps.T):
+            used, idx = np.unique(column, return_inverse=True)
+            factor = np.take(_power_table(x, used), idx, axis=0)  # terms x points
+            if product is None:
+                product = factor
+            else:
+                product *= factor
+        product *= coeffs[:, None]
+        # sum a C-ordered (points x terms) array, as the pow form did, so the
+        # pairwise summation adds the terms in the same order
+        values = np.ascontiguousarray(product.T).sum(axis=1)
     return np.abs(values)
 
 

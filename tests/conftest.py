@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,16 @@ def family72() -> KurodaConfig:
     return KurodaConfig.from_signed(
         [[-2, 7, 7, 0], [7, -2, 7, 0], [7, 7, -2, 0]], 1
     )
+
+
+# Diagonal 1, off-diagonal 300: valid, and large enough that the float
+# layer's integer powers overflow far out on the arms.
+BIG_WEIGHTS_PATH = Path(__file__).resolve().parents[1] / "configs" / "big_weights.json"
+
+
+@pytest.fixture
+def big_weights() -> KurodaConfig:
+    return KurodaConfig.from_json_file(BIG_WEIGHTS_PATH)
 
 
 def random_pi_polynomial(rng: random.Random) -> SparsePolynomial:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -241,6 +242,29 @@ def test_cloud_subcommand(capsys, tmp_path, concrete_path):
     assert code == 0
     assert data["points_written"] > 0
     assert out.exists()
+
+
+def test_big_weights_probe_and_cloud_on_the_basic_set(capsys, tmp_path):
+    # diagonal 1, off-diagonal 300: the arm bounds' integer powers overflow
+    from conftest import BIG_WEIGHTS_PATH
+
+    code, data = run_json(
+        capsys, "probe", "--config", str(BIG_WEIGHTS_PATH), "--expr", "(P1+2*P2-P3+1)*(P1-P2)*(P3+3)",
+        "--region", "stilde", "--samples", "4000", "--seed", "5", "--kmax", "0",
+    )
+    assert code == 0
+    assert data["sample_count"] == 4000 and data["pole_count"] == 0
+    assert math.isfinite(data["max_abs_value"])
+    out = tmp_path / "big_stilde.csv"
+    code, data = run_json(
+        capsys, "cloud", "--config", str(BIG_WEIGHTS_PATH), "--which", "stilde",
+        "--grid", "48", "--cloud-out", str(out),
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == data["points_written"] > 0
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def test_out_flag_writes_file(capsys, tmp_path, concrete_path):

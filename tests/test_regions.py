@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,19 @@ from kuroda import (
     sample_region,
     sandwich_check,
 )
-from kuroda.config import condition_value
+from kuroda.config import column_minima, condition_value
 from kuroda.regions import (
+    _cross_pairs,
+    _int_power,
+    _StarSampler,
+    evaluate_abs,
     s_double_prime_margins,
     s_prime_margins,
     s_shift_margins,
     s_tilde_margins,
 )
+
+from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials
 
 
 def test_s_prime_examples(concrete):
@@ -481,3 +488,183 @@ def test_cloud_tilde_contains_far_arm_points(tmp_path, concrete):
     with open(out, newline="") as fh:
         far = [r for r in csv.DictReader(fh) if abs(float(r["x"])) > 4.0]
     assert far
+
+
+# -- integer powers by multiplication, against the pow forms ---------------
+#
+# The margin filters and evaluate_abs used to form integer powers with
+# ``**`` (libm pow).  Those forms are kept here, test-only, as the reference.
+
+
+def _pow_cross_margins(q3_abs, config):
+    margin = np.full(len(q3_abs), -np.inf)
+    for i, j, ei, ej in _cross_pairs(config):
+        margin = np.maximum(margin, q3_abs[:, i - 1] ** ei * q3_abs[:, j - 1] ** ej - 1.0)
+    return margin
+
+
+def _pow_s_prime_margins(pts, lam, config):
+    margin = _pow_cross_margins(np.abs(pts[:, :3]) / lam, config)
+    return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
+
+
+def _pow_s_double_prime_margins(pts, lam, config):
+    return _pow_cross_margins(np.abs(pts) / lam, config)
+
+
+def _pow_s_tilde_margins(pts, lam, config, rhs=(1.0, 4.0, 1.0, 4.0, 1.0, 4.0)):
+    q = pts / lam
+    d = column_minima(config)
+    margin = np.full(len(q), -np.inf)
+    for i in (1, 2, 3):
+        j, k = (t for t in (1, 2, 3) if t != i)
+        qi, qj, qk = q[:, i - 1], q[:, j - 1], q[:, k - 1]
+        arm = (qi ** (2 * d[i - 1]) - 1.0) * (qj - qk) ** (2 * config.magnitude(i, i))
+        cap = (qi**2 - 1.0) * ((qj + qk) ** 2 - 4.0)
+        margin = np.maximum(margin, arm - rhs[2 * (i - 1)])
+        margin = np.maximum(margin, cap - rhs[2 * (i - 1) + 1])
+    return margin
+
+
+def _pow_terms(f, pts):
+    """(points x terms) array of c_t * p**e_t in the pow form."""
+    exps = np.array(f.support(), dtype=float)
+    coeffs = np.array([float(f.coefficient(e)) for e in f.support()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) * coeffs[None, :]
+
+
+def test_int_power_matches_pow():
+    rng = np.random.default_rng(1200)
+    x = np.concatenate([
+        rng.uniform(-1.8, 1.8, 2000),
+        rng.uniform(-60.0, 60.0, 200),
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1e-3, -7.0],
+    ])
+    tiny = np.finfo(float).tiny
+    seen = {"inf": 0, "zero": 0, "subnormal": 0}
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for n in range(0, 1201):
+            ours = _int_power(x, n)
+            ref = np.power(x, n)
+            assert (np.signbit(ours) == np.signbit(ref)).all(), n
+            inf = np.isinf(ref)
+            assert (ours[inf] == ref[inf]).all(), n
+            assert (ours[ref == 0] == 0).all(), n
+            normal = np.isfinite(ref) & (np.abs(ref) >= tiny)
+            # first-order bound of n - 1 roundings, plus one ulp for pow itself;
+            # below 1e-13 up to n = 900, 1.33e-13 at n = 1200
+            rtol = (n + 1) * 2.0**-53
+            assert (np.abs(ours - ref)[normal] <= rtol * np.abs(ref[normal])).all(), n
+            subnormal = (ref != 0) & ~normal & ~inf
+            assert (np.abs(ours - ref)[subnormal] <= tiny).all(), n
+            seen["inf"] += int(inf.sum())
+            seen["zero"] += int((ref == 0).sum())
+            seen["subnormal"] += int(subnormal.sum())
+    assert np.array_equal(_int_power(x, 0), np.ones_like(x))
+    assert min(seen.values()) > 0, seen
+
+
+MARGIN_CONFIGS = {
+    "concrete": concrete_example(),
+    "min2_7": KurodaConfig.from_json_file(CONFIGS / "min2_7.json"),
+    "drawn": _drawn_asymmetric_config(2024),
+    "big_weights": KurodaConfig.from_json_file(BIG_WEIGHTS_PATH),
+}
+
+_POW_MARGINS = {
+    RegionKind.S_PRIME4: _pow_s_prime_margins,
+    RegionKind.S_DOUBLE_PRIME3: _pow_s_double_prime_margins,
+    RegionKind.S_TILDE3: _pow_s_tilde_margins,
+}
+
+
+@pytest.mark.parametrize("kind", list(_POW_MARGINS))
+@pytest.mark.parametrize("name", list(MARGIN_CONFIGS))
+def test_margin_filters_match_pow_reference(name, kind):
+    config = MARGIN_CONFIGS[name]
+    spec = RegionSpec(kind, 1.0)
+    sampler = _StarSampler(config, spec, 50.0, np.random.default_rng(17))
+    ray = sampler._ray_tilde if kind is RegionKind.S_TILDE3 else sampler._ray_star
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the sampler's own strata: box, core box and rays
+        candidates = np.vstack([sampler._box(4000, 50.0), sampler._box(4000, 1.0), ray(12000)])
+        margins = sampler._margins(candidates)
+        reference = _POW_MARGINS[kind](candidates, 1.0, config)
+    # overflow lands where pow's did: same inf and nan (inf * 0) pattern
+    assert (np.isnan(margins) == np.isnan(reference)).all()
+    assert (np.isinf(margins) == np.isinf(reference)).all()
+    clear = np.abs(reference) > 1e-9
+    assert ((margins < 0) == (reference < 0))[clear].all()
+    assert (reference[clear] < 0).any() and (reference[clear] > 0).any()
+
+
+def _laurent_x4():
+    return SparsePolynomial(
+        System.X4, {(2, -1, 0, 0): 1, (0, 0, 1, -3): Fraction(1, 2), (1, 0, 0, 0): 3}
+    )
+
+
+def _evaluate_abs_cases():
+    rng = np.random.default_rng(4)
+    box3 = rng.uniform(-50.0, 50.0, size=(3000, 3))
+    unit4 = rng.uniform(-1.5, 1.5, size=(3000, 4))
+    cases = [(f, box3) for f in seeded_pi_polynomials(31, 12)]
+    cases.append(((pi_variable(1) + 2 * pi_variable(2) - pi_variable(3) + 1) ** 3, box3))
+    cases.append((SparsePolynomial(System.Y4, {(40, 0, 3, 1): 1, (7, 12, 0, 0): -2, (0, 0, 0, 0): 5}), unit4))
+    cases.append((_laurent_x4(), unit4))
+    cases.append((SparsePolynomial(System.CHART3, {(-4, 2, 0): 3, (1, -1, -2): -1, (0, 5, 1): 2}), box3))
+    return cases
+
+
+def test_evaluate_abs_matches_pow_reference():
+    for f, pts in _evaluate_abs_cases():
+        terms = _pow_terms(f, pts)
+        reference = np.abs(terms.sum(axis=1))
+        scale = np.abs(terms).sum(axis=1)
+        values = evaluate_abs(f, pts)
+        assert np.isfinite(scale).all()
+        assert (np.abs(values - reference) <= 1e-12 * scale).all(), f
+
+
+def test_laurent_pole_is_non_finite(monkeypatch, concrete):
+    f = _laurent_x4()
+    pts = np.array([
+        [2.0, 0.0, 1.0, 1.0],
+        [2.0, 1.0, 1.0, 0.0],
+        [2.0, 4.0, 1.0, 2.0],
+        [-1.5, -0.0, 0.5, 3.0],
+    ])
+    values = evaluate_abs(f, pts)
+    assert np.isfinite(values).tolist() == [False, False, True, False]
+    assert values[2] == 4.0 / 4.0 + 0.5 / 8.0 + 6.0
+    chart = SparsePolynomial(System.CHART3, {(0, -2, 1): 1, (3, 0, 0): 1})
+    assert np.isfinite(evaluate_abs(chart, np.array([[1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))).tolist() == [
+        False,
+        True,
+    ]
+
+    # the probe counts poles among its samples: put exact zeros in a few rows
+    import kuroda.regions as regions
+
+    real_sample_region = regions.sample_region
+    zeroed = [0, 5, 17, 99]
+
+    def with_zeros(*args, **kwargs):
+        samples = real_sample_region(*args, **kwargs)
+        samples.points[zeroed[:2], 1] = 0.0
+        samples.points[zeroed[2:], 3] = -0.0
+        return samples
+
+    monkeypatch.setattr(regions, "sample_region", with_zeros)
+    report = boundedness_probe(concrete, f, RegionSpec(RegionKind.S_PRIME4, 1.0), 500, seed=3)
+    assert report.sample_count == 500
+    assert report.pole_count == len(zeroed)
+    assert math.isfinite(report.max_abs_value)
+
+
+@pytest.mark.parametrize("radius", [-4.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_sample_region_rejects_bad_radius(concrete, radius):
+    for kind in (RegionKind.S3, RegionKind.S_TILDE3):
+        with pytest.raises(ValueError, match="radius"):
+            sample_region(concrete, RegionSpec(kind, 1.0), 5, seed=1, radius=radius)
