@@ -22,12 +22,19 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIG = str(ROOT / "configs" / "concrete.json")
 CUBIC = "(P1-P2)*(P2-P3)*(P3-P1)"
+# Degree-8 product of linear forms, one coefficient fractional: a non-member
+# with long violation lists on both routes (the costliest benchmark slot).
+DENSE8 = (
+    "(P1 - 2*P2 + 3*P3 + 1/2)*(2*P1 + P2 - P3)*(-P1 + 3*P2 + 2*P3)*(3*P1 - P2 + P3)"
+    "*(P1 + 2*P2 - 3*P3)*(-2*P1 - P2 + P3)*(P1 - 3*P2 - 2*P3)*(2*P1 + 3*P2 + P3)"
+)
 
 CASES = {
     "validate": ["validate"],
     "tower": ["tower"],
     "generators": ["generators", "--degree-bound", "4"],
     "member": ["member", "--expr", f"{CUBIC} + P1^2*P2"],
+    "member_dense8": ["member", "--expr", DENSE8],
     "cond_triple": ["cond", "--axis", "1", "--r1", "1", "--r2", "0", "--r3", "1"],
     "cond_expr": ["cond", "--axis", "2", "--expr", CUBIC],
     "pullback_triple": ["pullback", "--axis", "1", "--r1", "2", "--r2", "1", "--r3", "1"],
