@@ -18,6 +18,13 @@ Zero coefficients are never stored, so equal polynomials have identical term
 maps and the representation is canonical.  All ring arithmetic is exact;
 floats appear only in :func:`evaluate_numeric`.
 
+The inner loops of ``+``, ``-``, ``*``, ``**`` and the change-of-variable maps
+run on Python ``int`` numerators over one common denominator (the lcm of the
+operands' denominators) and divide once, at the end.  Their results go
+through a private trusted constructor that skips the exponent checks, since
+the library built those exponents itself; the public constructor keeps every
+check.
+
 The three change-of-variable maps are closed forms, written once each:
 ``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by the binomial theorem (oracle
 route), ``Y4 -> X4`` combines the signed rows on exponent vectors, and
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from functools import lru_cache
+from math import comb, lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .config import AXES, KurodaConfig
@@ -101,6 +109,32 @@ class SparsePolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
 
+    @classmethod
+    def _from_numerators(
+        cls, system: System, numerators: Mapping[tuple[int, ...], int], den: int
+    ) -> "SparsePolynomial":
+        """Trusted constructor: coefficient ``numerators[e] / den`` at each ``e``.
+
+        ``den`` must be a positive int and the keys int tuples of the
+        system's arity; they are not revalidated.  Zero numerators are dropped.
+        """
+        if den == 1:
+            terms = {e: Fraction(n) for e, n in numerators.items() if n}
+        else:
+            terms = {e: Fraction(n, den) for e, n in numerators.items() if n}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "system", system)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    def _numerators(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """``(numerators, den)``: each coefficient is ``numerators[e] / den``, den the lcm."""
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        if den == 1:
+            return {e: c.numerator for e, c in self._terms.items()}, 1
+        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -167,15 +201,23 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return SparsePolynomial(self.system, out)
+        a, da = self._numerators()
+        b, db = other._numerators()
+        den = lcm(da, db)
+        scale_a, scale_b = den // da, den // db
+        out = {e: n * scale_a for e, n in a.items()} if scale_a != 1 else a
+        get = out.get
+        for e, n in b.items():
+            out[e] = get(e, 0) + n * scale_b
+        return SparsePolynomial._from_numerators(self.system, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePolynomial(self.system, {e: -c for e, c in self._terms.items()})
+        nums, den = self._numerators()
+        return SparsePolynomial._from_numerators(
+            self.system, {e: -n for e, n in nums.items()}, den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -190,12 +232,16 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return SparsePolynomial(self.system, out)
+        a, da = self._numerators()
+        b, db = other._numerators()
+        right = tuple(b.items())
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return SparsePolynomial._from_numerators(self.system, out, da * db)
 
     __rmul__ = __mul__
 
@@ -260,17 +306,46 @@ def substitute(
     return out
 
 
+@lru_cache(maxsize=256)
+def _signed_binomials(e: int) -> tuple[int, ...]:
+    """Coefficients of ``(v - w)^e`` by the power of ``v``: ``(-1)^(e - k) C(e, k)``, k = 0..e."""
+    return tuple(comb(e, k) if (e - k) % 2 == 0 else -comb(e, k) for k in range(e + 1))
+
+
 def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
-    """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4."""
+    """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4.
+
+    A term ``P^a`` gives ``y1^k1 y2^k2 y3^k3 y4^n4``, ``n4 = |a| - |k|``,
+    with coefficient the product of the three signed binomials.
+    """
     if f.system is not System.PI3:
         raise SystemMismatchError("expand_pi_to_y expects a PI3 polynomial")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for a, coeff in f._terms.items():
-        for k in product(*(range(e + 1) for e in a)):
-            n = (*k, sum(a) - sum(k))
-            c = coeff * prod(map(comb, a, k))
-            out[n] = out.get(n, 0) + (-c if n[3] & 1 else c)
-    return SparsePolynomial(System.Y4, out)
+    nums, den = f._numerators()
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for (a1, a2, a3), c in nums.items():
+        row3 = tuple(enumerate(_signed_binomials(a3)))
+        for k1, b1 in enumerate(_signed_binomials(a1)):
+            c1 = c * b1
+            for k2, b2 in enumerate(_signed_binomials(a2)):
+                c2 = c1 * b2
+                rest = a1 + a2 + a3 - k1 - k2
+                for k3, b3 in row3:
+                    key = (k1, k2, k3, rest - k3)
+                    out[key] = get(key, 0) + c2 * b3
+    return SparsePolynomial._from_numerators(System.Y4, out, den)
+
+
+def ambient_columns(config: KurodaConfig) -> tuple[tuple[int, int, int, int], ...]:
+    """The ``Y4 -> X4`` exponent map by columns: X4 exponent ``j`` of ``y^n`` is ``n . column j``.
+
+    Column ``j`` holds entry ``j`` of the three signed rows, then ``gamma``
+    for the last slot and 0 elsewhere.
+    """
+    rows = [config.signed_row(i) for i in AXES]
+    return tuple(
+        (rows[0][j], rows[1][j], rows[2][j], config.gamma if j == 3 else 0) for j in range(4)
+    )
 
 
 def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int, int]:
@@ -280,13 +355,7 @@ def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int
     slot; entries of the result may be negative.
     """
     exps = check_exponents(System.Y4, n)
-    out = [0, 0, 0, 0]
-    for i in AXES:
-        row = config.signed_row(i)
-        for j in range(4):
-            out[j] += exps[i - 1] * row[j]
-    out[3] += exps[3] * config.gamma
-    return tuple(out)
+    return tuple(sum(map(mul, exps, column)) for column in ambient_columns(config))
 
 
 # The basis of axis i is u1 = P_a, u2 = P_b, u3 = P_b - P_c, with the 0-based
@@ -300,15 +369,18 @@ def _shear(f: SparsePolynomial, source, target, system: System) -> SparsePolynom
     A term with exponents (r1, r2, r3) at ``source`` becomes the binomial row
     C(r3, k) (-1)^(r3 - k) v_a^r1 v_b^(r2 + k) v_c^(r3 - k), k = 0..r3.
     """
-    slot = sorted(range(3), key=target.__getitem__)  # slot[j]: row entry at position j
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in f._terms.items():
-        r1, r2, r3 = (exps[p] for p in source)
-        for k in range(r3 + 1):
-            image = tuple((r1, r2 + k, r3 - k)[i] for i in slot)
-            c = coeff * comb(r3, k)
-            out[image] = out.get(image, 0) + (-c if (r3 - k) & 1 else c)
-    return SparsePolynomial(system, out)
+    read = itemgetter(*source)
+    # entry j of an image is row entry place[j]
+    place = itemgetter(*sorted(range(3), key=target.__getitem__))
+    nums, den = f._numerators()
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for exps, c in nums.items():
+        r1, r2, r3 = read(exps)
+        for k, b in enumerate(_signed_binomials(r3)):
+            image = place((r1, r2 + k, r3 - k))
+            out[image] = get(image, 0) + c * b
+    return SparsePolynomial._from_numerators(system, out, den)
 
 
 def reexpress_for_axis(f: SparsePolynomial, axis: int) -> SparsePolynomial:

@@ -16,6 +16,11 @@ syntax error rather than a Laurent term.  ``/`` occurs only inside numeric
 literals; there is no division operator.  An expression must stay within one
 variable family (P* or Y*); constants alone default to the P-system when
 lowered.
+
+Lowering first bounds the total degree on the parse tree (see
+:func:`degree_bound`) and raises :class:`ExpressionError` when the whole
+expression or any subexpression may exceed :data:`MAX_DEGREE`, so that no
+input can ask for an expansion that does not fit in time or memory.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ class Neg:
 
 Node = Union[Const, Var, Sum, Product, Power, Neg]
 
+# Largest degree bound that lowering accepts, for every subexpression.
+MAX_DEGREE = 64
+
 
 def variables_of(node: Node) -> set[str]:
     if isinstance(node, Var):
@@ -96,6 +104,35 @@ def variables_of(node: Node) -> set[str]:
     if isinstance(node, Power):
         return variables_of(node.base)
     return variables_of(node.operand)
+
+
+def degree_bound(node: Node) -> int:
+    """Upper bound on the total degree of ``node``, read off the parse tree.
+
+    A variable counts 1 and a constant 0; sums take the maximum, products
+    add, and a power multiplies its base's bound by the absolute value of
+    its exponent.  A power of a constant counts as if the constant had
+    degree 1, which bounds the size of the number it builds.  Raises
+    :class:`ExpressionError` as soon as a subexpression's bound exceeds
+    :data:`MAX_DEGREE`.
+    """
+    if isinstance(node, Const):
+        bound = 0
+    elif isinstance(node, Var):
+        bound = 1
+    elif isinstance(node, Sum):
+        bound = max(map(degree_bound, node.terms))
+    elif isinstance(node, Product):
+        bound = sum(map(degree_bound, node.factors))
+    elif isinstance(node, Power):
+        bound = max(degree_bound(node.base), 1) * abs(node.exponent)
+    else:
+        bound = degree_bound(node.operand)
+    if bound > MAX_DEGREE:
+        raise ExpressionError(
+            f"degree may reach {bound}, above the limit {MAX_DEGREE}", 1, 1
+        )
+    return bound
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -255,9 +292,13 @@ def _system_of(node: Node) -> System:
 
 
 def to_polynomial(node: Node, system: System | None = None) -> SparsePolynomial:
-    """Lower an AST to a sparse polynomial (system inferred when omitted)."""
+    """Lower an AST to a sparse polynomial (system inferred when omitted).
+
+    Raises :class:`ExpressionError` above the degree limit (:func:`degree_bound`).
+    """
     if system is None:
         system = _system_of(node)
+    degree_bound(node)
 
     def lower(n: Node) -> SparsePolynomial:
         if isinstance(n, Const):

@@ -27,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     SparsePolynomial,
     System,
+    ambient_columns,
     axis_support,
     check_exponents,
     expand_pi_to_y,
@@ -154,10 +156,15 @@ def in_r_star(f: SparsePolynomial, config: KurodaConfig) -> bool:
 def oracle_violations(
     f: SparsePolynomial, config: KurodaConfig
 ) -> tuple[tuple[int, int, int, int], ...]:
-    """Monomials of the Y4 expansion of ``f`` that fall outside the monoid."""
-    expanded = expand_pi_to_y(f)
+    """Monomials of the Y4 expansion of ``f`` that fall outside the monoid.
+
+    The test is :func:`monoid_member_oracle`'s, with the map's columns read
+    once per call instead of once per monomial.
+    """
+    columns = ambient_columns(config)
     return tuple(
-        n for n in expanded.support() if not monoid_member_oracle(n, config)
+        n for n in expand_pi_to_y(f).support()
+        if any(sum(map(mul, n, column)) < 0 for column in columns)
     )
 
 

@@ -202,6 +202,16 @@ def test_closed_forms_match_substitute(f, axis):
     assert axis_to_pi(g, axis) == substitute(g, AXIS_BASES[axis], System.PI3)
 
 
+def _as_sympy(sympy, h, names):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**e for v, e in zip(names, exps)))
+            for exps, c in h.terms()
+        )
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(pi_polynomials(), st.sampled_from((1, 2, 3)))
 def test_closed_forms_match_sympy(f, axis):
@@ -211,13 +221,7 @@ def test_closed_forms_match_sympy(f, axis):
     u = sympy.symbols("u1:4")
 
     def as_sympy(h, names):
-        return sympy.Add(
-            *(
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*(v**e for v, e in zip(names, exps)))
-                for exps, c in h.terms()
-            )
-        )
+        return _as_sympy(sympy, h, names)
 
     y_images = {p[i]: y[i] - y[3] for i in range(3)}
     axis_images = dict(zip(p, (as_sympy(g, u) for g in AXIS_INVERSES[axis])))
@@ -226,6 +230,67 @@ def test_closed_forms_match_sympy(f, axis):
     assert sympy.expand(y_sym - f_sym.subs(y_images, simultaneous=True)) == 0
     g_sym = as_sympy(reexpress_for_axis(f, axis), u)
     assert sympy.expand(g_sym - f_sym.subs(axis_images, simultaneous=True)) == 0
+
+
+@st.composite
+def rational_pi_polynomials(draw):
+    """Up to 5 terms of degree <= 4, coefficients n/d with d up to 100.
+
+    Coprime denominators this large make the common denominators of sums,
+    products and expansions large, unlike the {1, 2, 3} of ``pi_polynomials``.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 4)) for _ in range(3))
+        terms[exps] = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 100)))
+    return SparsePolynomial(System.PI3, terms)
+
+
+def assert_canonical(h, system):
+    """Nonzero ``Fraction`` values on int tuples of the system's arity, as the public constructor builds."""
+    assert h.system is system
+    for exps, c in h.terms():
+        assert type(c) is Fraction and c != 0
+        assert type(exps) is tuple and len(exps) == system.arity
+        assert all(type(e) is int for e in exps)
+    rebuilt = SparsePolynomial(system, dict(h.terms()))
+    assert h == rebuilt and hash(h) == hash(rebuilt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rational_pi_polynomials(),
+    rational_pi_polynomials(),
+    st.integers(0, 3),
+    st.sampled_from((1, 2, 3)),
+)
+def test_rational_arithmetic_matches_sympy(f, g, k, axis):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.symbols("p1:4")
+    y = sympy.symbols("y1:5")
+    u = sympy.symbols("u1:4")
+    f_sym, g_sym = _as_sympy(sympy, f, p), _as_sympy(sympy, g, p)
+    h = SparsePolynomial(System.AXIS3, dict(g.terms()))  # g's terms read in the axis basis
+    h_sym = _as_sympy(sympy, h, u)
+
+    y_images = {p[i]: y[i] - y[3] for i in range(3)}
+    axis_images = dict(zip(p, (_as_sympy(sympy, b, u) for b in AXIS_INVERSES[axis])))
+    basis_images = dict(zip(u, (_as_sympy(sympy, b, p) for b in AXIS_BASES[axis])))
+    cases = [
+        (f + g, f_sym + g_sym, p),
+        (f - g, f_sym - g_sym, p),
+        (-f, -f_sym, p),
+        (f * g, f_sym * g_sym, p),
+        (f**k, f_sym**k, p),
+        (3 * f + Fraction(1, 7), 3 * f_sym + sympy.Rational(1, 7), p),
+        (expand_pi_to_y(f), f_sym.subs(y_images, simultaneous=True), y),
+        (reexpress_for_axis(f, axis), f_sym.subs(axis_images, simultaneous=True), u),
+        (axis_to_pi(h, axis), h_sym.subs(basis_images, simultaneous=True), p),
+    ]
+    for result, expected, names in cases:
+        assert sympy.expand(_as_sympy(sympy, result, names) - expected) == 0
+        system = {p: System.PI3, y: System.Y4, u: System.AXIS3}[names]
+        assert_canonical(result, system)
 
 
 def test_evaluate_numeric_basics():

@@ -345,6 +345,29 @@ def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--expr", "P1^99999999999"],
+        ["member", "--expr", "2^99999999999"],
+        ["member", "--expr", "P1^65"],
+        ["member", "--expr", "P1^32*P2^33"],
+        ["member", "--expr", "(P1+P2+P3+1)^8^9"],
+        ["member", "--expr", "(P1^100)^0"],
+        ["member", "--expr", "Y1^99999999999"],
+        ["cond", "--axis", "1", "--expr", "P1^99999999999"],
+    ],
+)
+def test_expression_above_degree_limit_exits_two(capsys, concrete_path, argv):
+    assert main([*argv, "--config", concrete_path]) == 2
+    assert "above the limit 64" in capsys.readouterr().err
+
+
+def test_expression_at_degree_limit_runs(capsys, concrete_path):
+    code, data = run_json(capsys, "member", "--config", concrete_path, "--expr", "P1^32*P2^32")
+    assert code == 0 and data["routes_agree"] is True
+
+
 def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch):
     import kuroda.membership
 

@@ -13,7 +13,7 @@ from kuroda import (
     polynomial_to_text,
     y_variable,
 )
-from kuroda.exprparse import Const, Neg, Power, Product, Sum, Var
+from kuroda.exprparse import MAX_DEGREE, Const, Neg, Power, Product, Sum, Var, degree_bound
 
 from conftest import seeded_pi_polynomials
 
@@ -34,6 +34,41 @@ def test_negative_power_is_a_syntax_error():
     with pytest.raises(ExpressionError) as err:
         parse_expression("P1^-1")
     assert "exponent" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("7/3", 0),
+        ("P1", 1),
+        ("P1 + P2^3 - 4", 3),
+        ("(P1 + 1)*(P2 - P3)^2", 3),
+        ("-(P1*P2)^3", 6),
+        ("(P1^2)^3", 6),
+        ("P1^0", 0),
+        ("2^5", 5),
+        ("(P1 - P1)^7", 7),
+        ("Y1^2*Y4", 3),
+    ],
+)
+def test_degree_bound(text, bound):
+    assert degree_bound(parse_expression(text)) == bound
+
+
+def test_degree_bound_counts_negative_exponents_by_absolute_value():
+    assert degree_bound(Power(Var("P1"), -3)) == 3
+    with pytest.raises(ExpressionError):
+        degree_bound(Power(Var("P1"), -(MAX_DEGREE + 1)))
+
+
+def test_lowering_rejects_degree_above_the_limit():
+    assert parse_polynomial(f"P1^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    for text in (f"P1^{MAX_DEGREE + 1}", "P1^40*(P2 + 1)^40", "(P1^100)^0", "3^65"):
+        with pytest.raises(ExpressionError) as err:
+            parse_polynomial(text)
+        assert "above the limit" in str(err.value)
+    # parsing alone builds only the tree
+    assert parse_expression("P1^99999999999") == Power(Var("P1"), 99999999999)
 
 
 def test_rational_coefficients():

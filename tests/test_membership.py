@@ -229,3 +229,29 @@ def test_ring_census_rejects_negative_bound(concrete):
     with pytest.raises(ValueError):
         ring_generator_census(concrete, -1)
     assert ring_generator_census(concrete, 0).pieces == ()
+
+
+@pytest.mark.parametrize(
+    "f, member",
+    [
+        (ANTISYM, True),
+        (Fraction(2, 7) * ANTISYM * (P1 - P3) + Fraction(5, 3) * ANTISYM**2, True),
+        (P1**2 * P2 + P3, False),
+        ((P1 - Fraction(1, 2) * P2 + 3 * P3 + 1) ** 4, False),
+    ],
+)
+def test_routes_never_call_each_others_expansion(concrete, monkeypatch, f, member):
+    """The star route runs without the Y4 expansion, the oracle route without the axis bases."""
+
+    def refuse(*args):
+        raise AssertionError("a membership route called the other route's expansion")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(membership, "expand_pi_to_y", refuse)
+        assert in_r_star(f, concrete) is member
+        assert bool(star_violations(f, concrete)) is not member
+    with monkeypatch.context() as patch:
+        patch.setattr(membership, "reexpress_for_axis", refuse)
+        patch.setattr(membership, "axis_support", refuse)
+        assert in_r_oracle(f, concrete) is member
+        assert bool(oracle_violations(f, concrete)) is not member
