@@ -205,7 +205,7 @@ class SparsePolynomial:
         b, db = other._numerators()
         den = lcm(da, db)
         scale_a, scale_b = den // da, den // db
-        out = {e: n * scale_a for e, n in a.items()} if scale_a != 1 else a
+        out = {e: n * scale_a for e, n in a.items()}
         get = out.get
         for e, n in b.items():
             out[e] = get(e, 0) + n * scale_b
