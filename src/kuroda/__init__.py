@@ -56,6 +56,8 @@ from .config import (
     DerivedConstants,
     EuclidTower,
     KurodaConfig,
+    RegionKind,
+    SamplingError,
     SignPatternError,
     ValidationReport,
     column_minima,
@@ -89,27 +91,38 @@ from .membership import (
     ring_generator_census,
     star_violations,
 )
-from .regions import (
-    CloudReport,
-    EscapePoint,
-    ProbeReport,
-    RegionKind,
-    RegionSpec,
-    SampleSet,
-    SamplingError,
-    SandwichReport,
-    Verdict,
-    boundedness_probe,
-    diagonal_projection,
-    escape_point,
-    escape_threshold,
-    export_surface_cloud,
-    in_s,
-    in_s_double_prime,
-    in_s_prime,
-    in_s_tilde,
-    sample_region,
-    sandwich_check,
+# The float layer needs numpy, which the exact subcommands never use, so its
+# names are loaded from kuroda.regions on first access (PEP 562).
+_REGIONS_NAMES = frozenset(
+    {
+        "CloudReport",
+        "EscapePoint",
+        "ProbeReport",
+        "RegionSpec",
+        "SampleSet",
+        "SandwichReport",
+        "Verdict",
+        "boundedness_probe",
+        "diagonal_projection",
+        "escape_point",
+        "escape_threshold",
+        "export_surface_cloud",
+        "in_s",
+        "in_s_double_prime",
+        "in_s_prime",
+        "in_s_tilde",
+        "sample_region",
+        "sandwich_check",
+    }
 )
+
+
+def __getattr__(name):
+    if name in _REGIONS_NAMES:
+        from . import regions
+
+        return getattr(regions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -4,6 +4,9 @@ Exit codes: 0 when the query ran (verdicts, true or false, live in the
 report); 1 when a checked property that must always hold was violated
 (route disagreement, uncovered divisor union, sampled counterexample) --
 that signals an implementation bug, not bad input; 2 for bad input.
+
+The exact subcommands never import numpy: :mod:`kuroda.regions` is imported
+only by the float subcommands (``probe``, ``sandwich``, ``cloud``).
 """
 
 from __future__ import annotations
@@ -13,12 +16,24 @@ import math
 import sys
 from fractions import Fraction
 
-from . import blowup, membership, regions
+from . import blowup, membership
 from .algebra import System
-from .config import ConfigError, KurodaConfig, euclid_tower, load_json, validate
-from .exprparse import ExpressionError, parse_polynomial, polynomial_to_text
+from .config import (
+    SANDWICH_MIN_RADIUS,
+    ConfigError,
+    KurodaConfig,
+    RegionKind,
+    SamplingError,
+    euclid_tower,
+    load_json,
+    validate,
+)
+from .exprparse import MAX_DEGREE, ExpressionError, parse_polynomial, polynomial_to_text
 from .reports import emit_report, jsonable
-from .regions import RegionKind, RegionSpec, SamplingError
+
+# Largest accepted ``probe --kmax``: the escape series holds one float per
+# index, and each index is one Python-level escape point.
+MAX_KMAX = 10**6
 
 
 def _checked(convert, ok, what: str):
@@ -41,11 +56,13 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite numb
 _nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _sandwich_radius = _checked(
     float,
-    lambda v: math.isfinite(v) and v > regions.SANDWICH_MIN_RADIUS,
-    f"a finite number > {regions.SANDWICH_MIN_RADIUS:g}",
+    lambda v: math.isfinite(v) and v > SANDWICH_MIN_RADIUS,
+    f"a finite number > {SANDWICH_MIN_RADIUS:g}",
 )
 _scale = _checked(lambda t: float(Fraction(t)), lambda v: v > 0, "a finite positive rational")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_degree_bound = _checked(int, lambda v: 0 <= v <= MAX_DEGREE, f"an integer in 0..{MAX_DEGREE}")
+_kmax = _checked(int, lambda v: v <= MAX_KMAX, f"an integer <= {MAX_KMAX}")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "text", "csv")):
@@ -69,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generators", help="minimal monoid generators up to a degree bound")
     _add_common(p)
-    p.add_argument("--degree-bound", type=_count, required=True)
+    p.add_argument("--degree-bound", type=_degree_bound, required=True)
 
     p = sub.add_parser("member", help="ring membership by both routes, with agreement check")
     _add_common(p)
@@ -99,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=_positive, default=50.0)
-    p.add_argument("--kmax", type=int, default=10000, help="escape index cap (0 disables)")
+    p.add_argument("--kmax", type=_kmax, default=10000, help="escape index cap (0 disables)")
 
     p = sub.add_parser("sandwich", help="far-zone inclusion check around the basic open set")
     _add_common(p)
@@ -313,13 +330,15 @@ def _cmd_pullback(args):
 
 
 def _cmd_probe(args):
+    from . import regions
+
     config = KurodaConfig.from_json_file(args.config)
     f = parse_polynomial(args.expr)
     if args.region is not None:
         kind = RegionKind(args.region)
     else:
         kind = RegionKind.S_PRIME4 if f.system.arity == 4 else RegionKind.S3
-    spec = RegionSpec(kind, args.lam)
+    spec = regions.RegionSpec(kind, args.lam)
     ks = list(range(16, args.kmax + 1)) if args.kmax >= 16 else None
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_ks=ks
@@ -334,6 +353,8 @@ def _cmd_probe(args):
 
 
 def _cmd_sandwich(args):
+    from . import regions
+
     config = KurodaConfig.from_json_file(args.config)
     report = regions.sandwich_check(
         config, args.samples, args.seed, radius=args.radius, tolerance=args.tolerance
@@ -349,6 +370,8 @@ def _cmd_sandwich(args):
 
 
 def _cmd_cloud(args):
+    from . import regions
+
     config = KurodaConfig.from_json_file(args.config)
     report = regions.export_surface_cloud(
         config,
@@ -374,9 +397,16 @@ _HANDLERS = {
 }
 
 
+# The parser of this process, built by the first :func:`main` call.  Each
+# ``parse_args`` call fills a fresh namespace, so calls share no state.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         data, rows, code = _HANDLERS[args.command](args)
         emit_report(data, args.format, args.out, csv_rows=rows)

@@ -22,6 +22,7 @@ the ratios ``Q_i = d_i / delta_ii`` produce the per-axis tower bookkeeping
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +30,31 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 AXES = (1, 2, 3)
+
+# The region names, the sampler's error and the sandwich radius floor live
+# here rather than in :mod:`kuroda.regions`, so that the CLI can parse its
+# arguments and catch its errors without importing numpy; ``regions``
+# re-exports all three.
+
+
+class RegionKind(enum.Enum):
+    S_PRIME4 = "sprime"
+    S_DOUBLE_PRIME3 = "sdoubleprime"
+    S3 = "s"
+    S_TILDE3 = "stilde"
+
+    @property
+    def dim(self) -> int:
+        return 4 if self is RegionKind.S_PRIME4 else 3
+
+
+class SamplingError(RuntimeError):
+    """A sampler exhausted its candidate budget without accepting anything."""
+
+
+# Half-scaled fattened-star points reach at most (radius + 1)/2, and the far
+# zone starts at 2, so a smaller sampling radius leaves nothing to check.
+SANDWICH_MIN_RADIUS = 3.0
 
 
 class ConfigError(ValueError):

@@ -12,11 +12,10 @@ suite exercises it exhaustively at desk scale, and the CLI treats any
 disagreement as an implementation bug.
 
 :func:`enumerate_t_generators` lists the minimal generators of the monoid up
-to a degree bound by exhaustive splitting: an element is minimal when no
-componentwise split into two nonzero monoid members exists.  Brute force is
-deliberate here; at desk scale it doubles as its own independent check.
-That basis is finite (Gordan's lemma: the monoid is a rational polyhedral
-cone cut with ``Z^4``), so its counts plateau.  The growth the paper is about
+to a degree bound with a sieve: walking the members by degree, an element is
+minimal when subtracting no smaller generator leaves a member.  That basis is
+finite (Gordan's lemma: the monoid is a rational polyhedral cone cut with
+``Z^4``), so its counts plateau.  The growth the paper is about
 lives in the ring: :func:`ring_generator_census` counts the algebra
 generators of ``R = k[P1,P2,P3] ∩ k[T]`` degree by degree, computing each
 graded piece by both routes.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -64,12 +62,12 @@ def monoid_member_oracle(n: Sequence[int], config: KurodaConfig) -> bool:
     return all(e >= 0 for e in expand_y_to_x(n, config))
 
 
-def _vectors_up_to(degree: int) -> Iterator[tuple[int, int, int, int]]:
+def _vectors_of_degree(degree: int) -> Iterator[tuple[int, int, int, int]]:
+    """The vectors of ``N^4`` with entry sum ``degree``, in lexicographic order."""
     for n1 in range(degree + 1):
         for n2 in range(degree + 1 - n1):
             for n3 in range(degree + 1 - n1 - n2):
-                for n4 in range(degree + 1 - n1 - n2 - n3):
-                    yield (n1, n2, n3, n4)
+                yield (n1, n2, n3, degree - n1 - n2 - n3)
 
 
 @dataclass(frozen=True)
@@ -96,25 +94,38 @@ class GeneratorList:
 
 
 def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> GeneratorList:
-    """All monoid members of degree <= bound that admit no nontrivial splitting."""
+    """All monoid members of degree <= bound that admit no nontrivial splitting.
+
+    The members are walked in ``(degree, lex)`` order, and ``n`` is kept
+    unless ``n - g`` is a member for a generator ``g`` kept before it.  This
+    is exact: the members up to the bound are the lattice points of a cone,
+    so they are closed under addition within the bound, and any splitting
+    ``n = a + b`` has a generator ``g <= a`` with ``n - g = (a - g) + b`` a
+    member.
+    """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    members = {
-        n for n in _vectors_up_to(degree_bound)
-        if n != (0, 0, 0, 0) and monoid_member(n, config)
-    }
-    generators = []
-    for n in members:
-        decomposable = False
-        for a in product(*(range(v + 1) for v in n)):
-            if a == (0, 0, 0, 0) or a == n:
+    # monoid_member's inequalities, one (i, j, k, delta_ii, delta_ji, delta_ki) per axis
+    rows = []
+    for i in AXES:
+        j, k = (t for t in AXES if t != i)
+        rows.append(
+            (i - 1, j - 1, k - 1,
+             config.magnitude(i, i), config.magnitude(j, i), config.magnitude(k, i))
+        )
+    members: set[tuple[int, int, int, int]] = set()
+    generators: list[tuple[int, int, int, int]] = []
+    for degree in range(1, degree_bound + 1):
+        for n in _vectors_of_degree(degree):
+            if any(dii * n[i] > dji * n[j] + dki * n[k] for i, j, k, dii, dji, dki in rows):
                 continue
-            if a in members and tuple(x - y for x, y in zip(n, a)) in members:
-                decomposable = True
-                break
-        if not decomposable:
-            generators.append(n)
-    generators.sort(key=lambda g: (sum(g), g))
+            members.add(n)
+            n1, n2, n3, n4 = n
+            if not any(
+                (n1 - g1, n2 - g2, n3 - g3, n4 - g4) in members
+                for g1, g2, g3, g4 in generators
+            ):
+                generators.append(n)
     growing = any(sum(g) == degree_bound for g in generators)
     return GeneratorList(degree_bound, tuple(generators), growing)
 

@@ -54,23 +54,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import SparsePolynomial, System
-from .config import AXES, KurodaConfig, column_minima
+# RegionKind, SamplingError and SANDWICH_MIN_RADIUS are defined in config and
+# re-exported from here.
+from .config import (  # noqa: F401
+    AXES,
+    SANDWICH_MIN_RADIUS,
+    KurodaConfig,
+    RegionKind,
+    SamplingError,
+    column_minima,
+)
 from .membership import monoid_member
-
-
-class SamplingError(RuntimeError):
-    """A sampler exhausted its candidate budget without accepting anything."""
-
-
-class RegionKind(enum.Enum):
-    S_PRIME4 = "sprime"
-    S_DOUBLE_PRIME3 = "sdoubleprime"
-    S3 = "s"
-    S_TILDE3 = "stilde"
-
-    @property
-    def dim(self) -> int:
-        return 4 if self is RegionKind.S_PRIME4 else 3
 
 
 _RHS_KEYS = ("A1", "B1", "A2", "B2", "A3", "B3")
@@ -739,10 +733,6 @@ def boundedness_probe(
 # (points x shifts) temporaries stay near 0.4 MB, so memory does not grow
 # with the sample count.
 _SHIFT_BLOCK = 16
-
-# Half-scaled fattened-star points reach at most (radius + 1)/2, and the far
-# zone starts at 2, so a smaller sampling radius leaves nothing to check.
-SANDWICH_MIN_RADIUS = 3.0
 
 
 def _in_far_zone(points: np.ndarray) -> np.ndarray:

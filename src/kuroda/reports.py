@@ -3,7 +3,8 @@
 Exact rationals are serialized as ``"p/q"`` strings (plain ``"n"`` for
 integers), never as floats, so values survive round trips.  Ordering is
 deterministic everywhere: dicts render in insertion order, which report
-builders keep canonical.
+builders keep canonical.  numpy arrays and scalars are converted by their
+``tolist`` method, so this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import enum
 import io
 import json
 from fractions import Fraction
-
-import numpy as np
 
 
 def jsonable(obj):
@@ -31,14 +30,11 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [jsonable(v) for v in items]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    # numpy arrays become nested lists, and numpy scalars (np.bool_, integer
+    # and float types) the Python bool, int or float of the same value
+    tolist = getattr(obj, "tolist", None)
+    if tolist is not None:
+        return jsonable(tolist())
     return obj
 
 

@@ -2,10 +2,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from kuroda.cli import main
+from kuroda.cli import MAX_KMAX, build_parser, main
+from kuroda.exprparse import MAX_DEGREE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -336,6 +344,11 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
         ["probe", "--expr", "P1", "--seed", "1", "--radius", "0"],
         ["sandwich", "--seed", "1", "--tolerance=-1e-6"],
         ["sandwich", "--seed", "1", "--tolerance=-inf"],
+        ["generators", "--degree-bound", "-1"],
+        ["generators", "--degree-bound", "65"],
+        ["generators", "--degree-bound", "100000"],
+        ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000001"],
+        ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000000000000"],
     ],
 )
 def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
@@ -343,6 +356,20 @@ def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
         main([*argv, "--config", concrete_path])
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_size_flags_accept_their_limits(concrete_path):
+    # parsed only: running at the limits takes seconds
+    parser = build_parser()
+    args = parser.parse_args(
+        ["generators", "--config", concrete_path, "--degree-bound", str(MAX_DEGREE)]
+    )
+    assert args.degree_bound == MAX_DEGREE == 64
+    args = parser.parse_args(
+        ["probe", "--config", concrete_path, "--expr", "P1", "--seed", "1",
+         "--kmax", str(MAX_KMAX)]
+    )
+    assert args.kmax == MAX_KMAX == 10**6
 
 
 @pytest.mark.parametrize(
@@ -473,3 +500,70 @@ def test_tower_queries_trace_each_term_once(capsys, concrete_path, monkeypatch, 
     code, _ = run_json(capsys, *argv, "--config", concrete_path)
     assert code == 0
     assert calls == {"pullback_trace": traces, "pole_profile": traces}
+
+
+def test_exact_subcommands_never_import_numpy(tmp_path, concrete_path):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from kuroda.cli import main
+
+        config, out = {concrete_path!r}, {str(tmp_path / "out.json")!r}
+        for argv in (
+            ["validate"],
+            ["tower"],
+            ["generators", "--degree-bound", "4"],
+            ["member", "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"],
+            ["cond", "--axis", "1", "--expr", "P1*P2"],
+            ["cond", "--axis", "1", "--r1", "1", "--r2", "0", "--r3", "1"],
+            ["pullback", "--axis", "2"],
+        ):
+            assert main([*argv, "--config", config, "--format", "json", "--out", out]) == 0
+        assert "numpy" not in sys.modules, "an exact subcommand imported numpy"
+
+        import kuroda.regions
+        from kuroda import RegionKind, sample_region
+
+        assert RegionKind is kuroda.regions.RegionKind
+        assert sample_region is kuroda.regions.sample_region
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_reused_parser_keeps_no_flag_between_calls(capsys, concrete_path):
+    # cond --expr, then the triple form: a leftover --expr would make it exit 2
+    code, data = run_json(
+        capsys, "cond", "--config", concrete_path, "--axis", "1", "--expr", "P1*P2"
+    )
+    assert code == 0 and data["subject"] == "P1*P2"
+    code, data = run_json(
+        capsys, "cond", "--config", concrete_path, "--axis", "1",
+        "--r1", "1", "--r2", "0", "--r3", "1",
+    )
+    assert code == 0 and data["subject"] == [1, 0, 1]
+
+    probe = ["probe", "--config", concrete_path, "--expr", "P1*P2", "--seed", "3",
+             "--samples", "50", "--kmax", "0"]
+    code, explicit = run_json(capsys, *probe, "--lambda", "1")
+    assert code == 0 and explicit["region"]["lam"] == 1.0
+    code, scaled = run_json(capsys, *probe, "--lambda", "2")
+    assert code == 0 and scaled["region"]["lam"] == 2.0
+    code, default = run_json(capsys, *probe)
+    assert code == 0 and default == explicit
+
+
+def test_reused_parser_still_rejects_a_bad_flag(capsys, concrete_path):
+    assert run_json(capsys, "validate", "--config", concrete_path)[0] == 0
+    assert run_json(capsys, "generators", "--config", concrete_path, "--degree-bound", "3")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["generators", "--config", concrete_path, "--degree-bound", "-3"])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    code, data = run_json(capsys, "generators", "--config", concrete_path, "--degree-bound", "3")
+    assert code == 0 and data["degree_bound"] == 3

@@ -67,6 +67,16 @@ def test_report_matches_golden(name, tmp_path):
     assert data == expected
 
 
+def test_reports_match_golden_in_one_process_both_orders(tmp_path):
+    # main reuses one parser per process; no case may leak into the next
+    names = sorted(CASES)
+    for name in [*names, *reversed(names)]:
+        code, data = run_case(name, tmp_path)
+        assert code == 0, name
+        expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        assert data == expected, name
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -3,8 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kuroda import (
+    KurodaConfig,
     RouteDisagreementError,
     SparsePolynomial,
     System,
@@ -17,6 +20,7 @@ from kuroda import (
     pi_variable,
     ring_generator_census,
     star_violations,
+    validate,
 )
 from kuroda import membership
 from kuroda.membership import combinations_reach
@@ -90,6 +94,50 @@ def test_generator_counts_are_regression_frozen(concrete):
         1: 1, 2: 4, 3: 11, 4: 17, 5: 17, 6: 17, 7: 17, 8: 17
     }
     assert not listing.growing_at_bound
+
+
+def splitting_generators(config, degree_bound):
+    """Reference: the members of degree <= bound with no split into two nonzero members.
+
+    The exhaustive search that ``enumerate_t_generators`` replaced with a sieve.
+    """
+    members = {
+        n for n in vectors_up_to(degree_bound)
+        if n != (0, 0, 0, 0) and monoid_member(n, config)
+    }
+    generators = []
+    for n in members:
+        decomposable = False
+        for a in product(*(range(v + 1) for v in n)):
+            if a == (0, 0, 0, 0) or a == n:
+                continue
+            if a in members and tuple(x - y for x, y in zip(n, a)) in members:
+                decomposable = True
+                break
+        if not decomposable:
+            generators.append(n)
+    generators.sort(key=lambda g: (sum(g), g))
+    growing = any(sum(g) == degree_bound for g in generators)
+    return tuple(generators), growing
+
+
+@st.composite
+def valid_configs(draw):
+    rows = []
+    for i in range(3):
+        row = [draw(st.integers(1, 12)) for _ in range(3)] + [draw(st.integers(0, 3))]
+        row[i] = -draw(st.integers(1, 4))
+        rows.append(row)
+    config = KurodaConfig.from_signed(rows, draw(st.integers(1, 3)))
+    assume(validate(config).valid)
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs(), st.integers(0, 10))
+def test_sieve_matches_exhaustive_splitting(config, bound):
+    listing = enumerate_t_generators(config, bound)
+    assert (listing.generators, listing.growing_at_bound) == splitting_generators(config, bound)
 
 
 def test_generator_completeness_small_degree(concrete):
