@@ -6,7 +6,7 @@ Capabilities
 config      exact validity condition, derived column minima, continued-
             fraction towers per axis
 algebra     sparse multivariate polynomials over exact rationals and the
-            three change-of-variable maps between the variable systems
+            change-of-variable maps between the variable systems
 membership  exponent-monoid and ring membership by two independent routes,
             minimal-generator enumeration, ring-generator census by degree
 blowup      chart-exponent traces through the blowup tower, pole profiles,
@@ -17,104 +17,85 @@ exprparse   expression parsing and canonical printing (P1..P3 / Y1..Y4)
 cli         ``kuroda`` command with one subcommand per capability
 """
 
-from .algebra import (
-    PoleAtPointError,
-    SparsePolynomial,
-    System,
-    SystemMismatchError,
-    axis_support,
-    axis_to_pi,
-    evaluate_numeric,
-    expand_pi_to_y,
-    expand_y_to_x,
-    pi_variable,
-    reexpress_for_axis,
-    substitute,
-    y_variable,
-)
+from .algebra import SparsePolynomial, System, expand_y_to_x
 from .blowup import (
-    Census,
-    ChartTriple,
-    PoleProfile,
-    RegionPullbackReport,
-    TowerTrace,
-    TraceCollisionError,
     block_formula_check,
-    block_index,
     boundary_census,
-    chart_monomial,
     cond,
     pole_profile,
-    polynomial_pole_set,
-    prev_block_max,
     pullback_trace,
     region_inequality_pullback,
 )
 from .config import (
-    AxisTower,
     ConfigError,
-    DerivedConstants,
-    EuclidTower,
     KurodaConfig,
     RegionKind,
     SamplingError,
-    SignPatternError,
-    ValidationReport,
-    column_minima,
     concrete_example,
-    condition_value,
-    continued_fraction,
     derive_constants,
     euclid_tower,
-    evaluate_continued_fraction,
     validate,
 )
-from .exprparse import (
-    ExpressionError,
-    parse_expression,
-    parse_polynomial,
-    polynomial_to_text,
-    to_polynomial,
-)
+from .exprparse import ExpressionError, parse_polynomial, polynomial_to_text
 from .membership import (
-    GeneratorList,
-    RingCensus,
-    RingDegree,
-    RouteDisagreementError,
-    StarViolation,
     enumerate_t_generators,
     in_r_oracle,
     in_r_star,
     monoid_member,
     monoid_member_oracle,
-    oracle_violations,
     ring_generator_census,
     star_violations,
 )
+
 # The float layer needs numpy, which the exact subcommands never use, so its
 # names are loaded from kuroda.regions on first access (PEP 562).
 _REGIONS_NAMES = frozenset(
     {
-        "CloudReport",
-        "EscapePoint",
-        "ProbeReport",
         "RegionSpec",
-        "SampleSet",
-        "SandwichReport",
-        "Verdict",
         "boundedness_probe",
-        "diagonal_projection",
         "escape_point",
         "escape_threshold",
         "export_surface_cloud",
         "in_s",
-        "in_s_double_prime",
         "in_s_prime",
         "in_s_tilde",
         "sample_region",
         "sandwich_check",
     }
 )
+
+# The names the demos use, the three input errors, and the ring census.
+# Everything else is imported from its submodule.
+__all__ = [
+    "ConfigError",
+    "ExpressionError",
+    "KurodaConfig",
+    "RegionKind",
+    "SamplingError",
+    "SparsePolynomial",
+    "System",
+    "block_formula_check",
+    "boundary_census",
+    "concrete_example",
+    "cond",
+    "derive_constants",
+    "enumerate_t_generators",
+    "euclid_tower",
+    "expand_y_to_x",
+    "in_r_oracle",
+    "in_r_star",
+    "monoid_member",
+    "monoid_member_oracle",
+    "parse_polynomial",
+    "pole_profile",
+    "polynomial_to_text",
+    "pullback_trace",
+    "region_inequality_pullback",
+    "ring_generator_census",
+    "star_violations",
+    "validate",
+    *sorted(_REGIONS_NAMES),
+]
 
 
 def __getattr__(name):

@@ -1,22 +1,19 @@
-"""Sparse multivariate (Laurent) polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a mapping from integer exponent tuples to nonzero
-``Fraction`` coefficients, tagged with the variable system the exponents
-live in:
+A polynomial is a mapping from nonnegative integer exponent tuples to
+nonzero ``Fraction`` coefficients, tagged with the variable system the
+exponents live in:
 
-  ==========  =====  ========================================  =========
-  system      arity  variables                                 exponents
-  ==========  =====  ========================================  =========
-  ``X4``      4      ambient x1..x4                            any int
-  ``Y4``      4      monomial images y1..y4                    >= 0
-  ``PI3``     3      differences P1..P3 (Pi_i = y_i - y_4)     >= 0
-  ``AXIS3``   3      per-axis basis u1, u2, u3                 >= 0
-  ``CHART3``  3      blowup chart coordinates                  any int
-  ==========  =====  ========================================  =========
+  ==========  =====  ========================================
+  system      arity  variables
+  ==========  =====  ========================================
+  ``Y4``      4      monomial images y1..y4
+  ``PI3``     3      differences P1..P3 (Pi_i = y_i - y_4)
+  ``AXIS3``   3      per-axis basis u1, u2, u3
+  ==========  =====  ========================================
 
 Zero coefficients are never stored, so equal polynomials have identical term
-maps and the representation is canonical.  All ring arithmetic is exact;
-floats appear only in :func:`evaluate_numeric`.
+maps and the representation is canonical.  All arithmetic is exact.
 
 The inner loops of ``+``, ``-``, ``*``, ``**`` and the change-of-variable maps
 run on Python ``int`` numerators over one common denominator (the lcm of the
@@ -25,11 +22,13 @@ through a private trusted constructor that skips the exponent checks, since
 the library built those exponents itself; the public constructor keeps every
 check.
 
-The three change-of-variable maps are closed forms, written once each:
+The change-of-variable maps are closed forms, written once each:
 ``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by the binomial theorem (oracle
-route), ``Y4 -> X4`` combines the signed rows on exponent vectors, and
-``PI3 <-> AXIS3`` is one binomial row per term (star route).  The two routes
-share no expansion code; :func:`substitute` is the generic reference for tests.
+route), ``PI3 -> AXIS3`` is one binomial row per term (star route), and
+:func:`expand_y_to_x` sends a ``Y4`` exponent vector to the ambient exponent
+vector ``x1..x4`` by combining the signed rows (a plain tuple whose entries
+may be negative, not a polynomial).  The two routes share no expansion code;
+:func:`substitute` is the generic reference for tests.
 """
 
 from __future__ import annotations
@@ -45,35 +44,26 @@ from .config import AXES, KurodaConfig
 
 
 class System(enum.Enum):
-    """Variable-system tag; fixes arity and whether negative exponents are legal."""
+    """Variable-system tag; fixes the arity."""
 
-    X4 = ("X4", 4, True)
-    Y4 = ("Y4", 4, False)
-    PI3 = ("PI3", 3, False)
-    AXIS3 = ("AXIS3", 3, False)
-    CHART3 = ("CHART3", 3, True)
+    Y4 = ("Y4", 4)
+    PI3 = ("PI3", 3)
+    AXIS3 = ("AXIS3", 3)
 
-    def __init__(self, label: str, arity: int, laurent: bool):
+    def __init__(self, label: str, arity: int):
         self.label = label
         self.arity = arity
-        self.laurent = laurent
 
 
 VARIABLE_NAMES = {
-    System.X4: ("X1", "X2", "X3", "X4"),
     System.Y4: ("Y1", "Y2", "Y3", "Y4"),
     System.PI3: ("P1", "P2", "P3"),
     System.AXIS3: ("U1", "U2", "U3"),
-    System.CHART3: ("A", "B", "C"),
 }
 
 
 class SystemMismatchError(ValueError):
     """Operands (or a point) belong to different variable systems."""
-
-
-class PoleAtPointError(ArithmeticError):
-    """Numeric evaluation hit a negative exponent at a zero coordinate."""
 
 
 def check_exponents(system: System, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -85,7 +75,7 @@ def check_exponents(system: System, exponents: Sequence[int]) -> tuple[int, ...]
     for e in exps:
         if not isinstance(e, int) or isinstance(e, bool):
             raise SystemMismatchError(f"exponents must be integers, got {e!r}")
-        if e < 0 and not system.laurent:
+        if e < 0:
             raise SystemMismatchError(f"negative exponent {e} not allowed in {system.label}")
     return exps
 
@@ -174,15 +164,6 @@ class SparsePolynomial:
 
     def term_count(self) -> int:
         return len(self._terms)
-
-    def total_degree(self) -> int:
-        """Max term degree (0 for the zero polynomial)."""
-        if not self._terms:
-            return 0
-        return max(sum(exps) for exps in self._terms)
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
 
     # -- ring arithmetic ----------------------------------------------
 
@@ -277,22 +258,12 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.system.label}, {polynomial_to_text(self)!r})"
 
 
-def pi_variable(i: int) -> SparsePolynomial:
-    return SparsePolynomial.variable(System.PI3, i)
-
-
-def y_variable(i: int) -> SparsePolynomial:
-    return SparsePolynomial.variable(System.Y4, i)
-
-
 def substitute(
     f: SparsePolynomial, images: Sequence[SparsePolynomial], system: System
 ) -> SparsePolynomial:
     """Replace variable j of ``f`` by ``images[j-1]`` (all images in ``system``)."""
     if len(images) != f.system.arity:
         raise SystemMismatchError("one image per variable required")
-    if f.system.laurent:
-        raise SystemMismatchError("substitution is defined for polynomial systems only")
     for g in images:
         if g.system is not system:
             raise SystemMismatchError("images must live in the target system")
@@ -337,7 +308,7 @@ def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
 
 
 def ambient_columns(config: KurodaConfig) -> tuple[tuple[int, int, int, int], ...]:
-    """The ``Y4 -> X4`` exponent map by columns: X4 exponent ``j`` of ``y^n`` is ``n . column j``.
+    """The ``Y4 ->`` ambient exponent map by columns: exponent ``j`` of ``x`` in ``y^n`` is ``n . column j``.
 
     Column ``j`` holds entry ``j`` of the three signed rows, then ``gamma``
     for the last slot and 0 elsewhere.
@@ -349,7 +320,7 @@ def ambient_columns(config: KurodaConfig) -> tuple[tuple[int, int, int, int], ..
 
 
 def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int, int]:
-    """X4 exponent vector of the y-monomial with exponents ``n`` (entries >= 0).
+    """Ambient exponent vector (x1..x4) of the y-monomial with exponents ``n`` (entries >= 0).
 
     Integer combination of the signed rows plus ``n4 * gamma`` on the last
     slot; entries of the result may be negative.
@@ -392,38 +363,7 @@ def reexpress_for_axis(f: SparsePolynomial, axis: int) -> SparsePolynomial:
     return _shear(f, _AXIS_POSITIONS[axis], (0, 1, 2), System.AXIS3)
 
 
-def axis_to_pi(g: SparsePolynomial, axis: int) -> SparsePolynomial:
-    """Inverse of :func:`reexpress_for_axis`."""
-    if g.system is not System.AXIS3:
-        raise SystemMismatchError("axis_to_pi expects an AXIS3 polynomial")
-    if axis not in _AXIS_POSITIONS:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    return _shear(g, (0, 1, 2), _AXIS_POSITIONS[axis], System.PI3)
-
-
 def axis_support(f: SparsePolynomial, axis: int) -> tuple[tuple[int, int, int], ...]:
     """Exponent triples (r1, r2, r3) of ``f`` in the basis of ``axis``."""
     return reexpress_for_axis(f, axis).support()
 
-
-def evaluate_numeric(f: SparsePolynomial, point: Sequence[float]) -> float:
-    """Standard double-precision evaluation; only as accurate as floats allow.
-
-    Raises :class:`PoleAtPointError` when a negative exponent meets a zero
-    coordinate (Laurent systems only).
-    """
-    if len(point) != f.system.arity:
-        raise SystemMismatchError(
-            f"point arity {len(point)} does not match {f.system.label}"
-        )
-    total = 0.0
-    for exps, coeff in f._terms.items():
-        value = float(coeff)
-        for x, e in zip(point, exps):
-            if e == 0:
-                continue
-            if e < 0 and x == 0:
-                raise PoleAtPointError(f"pole at {tuple(point)}: exponent {e} on zero coordinate")
-            value *= float(x) ** e
-        total += value
-    return total

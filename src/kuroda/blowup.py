@@ -44,29 +44,10 @@ class ChartTriple(NamedTuple):
     r3: int
 
 
-def chart_monomial(triple: Sequence[int]) -> SparsePolynomial:
-    """The CHART3 Laurent monomial a**r2 * b**r3 * c**(-r1) of a triple."""
-    r1, r2, r3 = ChartTriple(*triple)
-    return SparsePolynomial.monomial(System.CHART3, (r2, r3, -r1))
-
-
 def _axis_tower(tower: EuclidTower, axis: int) -> AxisTower:
     if axis not in AXES:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     return tower.axis(axis)
-
-
-def block_index(n: int, tower: EuclidTower, axis: int) -> int:
-    """Position k(n) of the block holding index n; the sentinel {-1} is block 0."""
-    return _axis_tower(tower, axis).block_of(n)
-
-
-def prev_block_max(n: int, tower: EuclidTower, axis: int) -> int:
-    """Largest index of the block before the one holding n (-1 on the first block)."""
-    ax = _axis_tower(tower, axis)
-    if not 0 <= n <= ax.n_total - 1:
-        raise ValueError(f"index {n} outside 0..{ax.n_total - 1} on axis {axis}")
-    return ax.prev_block_end(n)
 
 
 @dataclass(frozen=True)
@@ -75,9 +56,6 @@ class TowerTrace:
 
     axis: int
     triples: tuple[ChartTriple, ...]
-
-    def final(self) -> ChartTriple:
-        return self.triples[-1]
 
 
 def pullback_trace(triple: Sequence[int], tower: EuclidTower, axis: int) -> TowerTrace:
@@ -114,19 +92,14 @@ def block_formula_check(trace: TowerTrace, tower: EuclidTower) -> bool:
 
 @dataclass(frozen=True)
 class PoleProfile:
-    """Per-divisor pole flags for one traced monomial, with boundary labels.
+    """Per-divisor pole flags for one traced monomial.
 
-    ``pole_at[n]`` follows the parity rule at index n.  The hyperplane
-    sentinel and the plane at infinity are carried as labels for census
-    fidelity; traced chart monomials never register poles on them here.
+    ``pole_at[n]`` follows the parity rule at index n.  Membership of each
+    divisor in the two boundary unions is in :class:`CensusRow`.
     """
 
     axis: int
     pole_at: tuple[bool, ...]
-    in_z1: tuple[bool, ...]
-    in_z2: tuple[bool, ...]
-    sentinel_label: str
-    infinity_label: str = "B"
 
     def pole_set(self) -> tuple[int, ...]:
         return tuple(n for n, p in enumerate(self.pole_at) if p)
@@ -142,14 +115,7 @@ def pole_profile(trace: TowerTrace, tower: EuclidTower) -> PoleProfile:
             poles.append(r1 > 0)
         else:
             poles.append(r3 < 0)
-    j1, j2 = ax.j1, ax.j2
-    return PoleProfile(
-        axis=trace.axis,
-        pole_at=tuple(poles),
-        in_z1=tuple(n in j1 for n in range(ax.n_total + 1)),
-        in_z2=tuple(n in j2 for n in range(ax.n_total + 1)),
-        sentinel_label=f"E({trace.axis},-1)",
-    )
+    return PoleProfile(axis=trace.axis, pole_at=tuple(poles))
 
 
 def _assert_distinct_traces(traces: Sequence[TowerTrace], axis: int) -> None:
@@ -232,9 +198,6 @@ class Census:
 
     rows: tuple[CensusRow, ...]
     z1_equals_z2: bool
-
-    def axis_rows(self, axis: int) -> tuple[CensusRow, ...]:
-        return tuple(r for r in self.rows if r.axis == axis)
 
 
 def boundary_census(tower: EuclidTower) -> Census:

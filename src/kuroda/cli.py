@@ -34,6 +34,11 @@ from .reports import emit_report, jsonable
 # Largest accepted ``probe --kmax``: the escape series holds one float per
 # index, and each index is one Python-level escape point.
 MAX_KMAX = 10**6
+# Largest accepted ``probe --samples`` and ``sandwich --samples``: each
+# sample is a row of the float arrays, so memory grows with the count.
+MAX_SAMPLES = 10**6
+# Largest accepted ``cloud --grid``: the grid has grid**3 points.
+MAX_GRID = 512
 
 
 def _checked(convert, ok, what: str):
@@ -60,7 +65,8 @@ _sandwich_radius = _checked(
     f"a finite number > {SANDWICH_MIN_RADIUS:g}",
 )
 _scale = _checked(lambda t: float(Fraction(t)), lambda v: v > 0, "a finite positive rational")
-_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_samples = _checked(int, lambda v: 0 <= v <= MAX_SAMPLES, f"an integer in 0..{MAX_SAMPLES}")
+_grid = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"an integer in 1..{MAX_GRID}")
 _degree_bound = _checked(int, lambda v: 0 <= v <= MAX_DEGREE, f"an integer in 0..{MAX_DEGREE}")
 _kmax = _checked(int, lambda v: v <= MAX_KMAX, f"an integer <= {MAX_KMAX}")
 
@@ -113,14 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--region", choices=[k.value for k in RegionKind], default=None)
     p.add_argument("--lambda", dest="lam", type=_scale, default="1", help="scale, a rational like 1/2")
-    p.add_argument("--samples", type=_count, default=10000)
+    p.add_argument("--samples", type=_samples, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=_positive, default=50.0)
     p.add_argument("--kmax", type=_kmax, default=10000, help="escape index cap (0 disables)")
 
     p = sub.add_parser("sandwich", help="far-zone inclusion check around the basic open set")
     _add_common(p)
-    p.add_argument("--samples", type=_count, default=10000, help="points per direction")
+    p.add_argument("--samples", type=_samples, default=10000, help="points per direction")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radius", type=_sandwich_radius, default=50.0)
     p.add_argument("--tolerance", type=_nonnegative, default=1e-6)
@@ -132,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(RegionKind.S_DOUBLE_PRIME3.value, RegionKind.S_TILDE3.value),
         required=True,
     )
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_grid, default=64)
     p.add_argument("--radius", type=_finite, default=5.0)
     p.add_argument("--band", type=_finite, default=0.25)
     p.add_argument("--cloud-out", required=True, help="CSV file for the point cloud")

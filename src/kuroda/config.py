@@ -320,16 +320,6 @@ def continued_fraction(value: Fraction) -> tuple[int, ...]:
     return tuple(quotients)
 
 
-def evaluate_continued_fraction(quotients: Sequence[int]) -> Fraction:
-    """Exact value of a finite continued fraction [q1; q2, ..., qM]."""
-    if not quotients:
-        raise ValueError("empty continued fraction")
-    acc = Fraction(quotients[-1])
-    for q in reversed(quotients[:-1]):
-        acc = q + 1 / acc
-    return acc
-
-
 @dataclass(frozen=True)
 class AxisTower:
     """Per-axis tower bookkeeping derived from the continued fraction of Q_i.
@@ -341,9 +331,8 @@ class AxisTower:
       j1 = {0, ..., N-1}
       j2 = union of odd-position blocks, minus {N}
 
-    The sentinel block at position 0 is {-1} so that the previous-block-end
-    lookup is total on the first block.  ``positions[n]`` is the block
-    position k(n) of index n in 0..N.
+    The sentinel index -1 (the hyperplane divisor) sits in block position 0.
+    ``positions[n]`` is the block position k(n) of index n in 0..N.
     """
 
     axis: int
@@ -384,15 +373,6 @@ class AxisTower:
         if not 0 <= n < len(self.positions):
             raise ValueError(f"index {n} outside -1..{self.n_total} on axis {self.axis}")
         return self.positions[n]
-
-    def prev_block_end(self, n: int) -> int:
-        """Last index of the block before the one holding n; -1 on the first block."""
-        k = self.block_of(n)
-        if k == 0:
-            raise ValueError(f"the sentinel index -1 on axis {self.axis} has no previous block")
-        if k == 1:
-            return -1
-        return self.blocks[k - 2][-1]
 
     @classmethod
     def from_ratio(cls, axis: int, ratio: Fraction) -> "AxisTower":

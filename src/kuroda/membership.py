@@ -294,7 +294,8 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     kernels are equal:
 
     * expansion: the ``Y4`` coefficients outside ``T``
-      (:func:`expand_pi_to_y` with :func:`monoid_member_oracle`);
+      (:func:`expand_pi_to_y`, with the column test of
+      :func:`oracle_violations`, columns read once per census);
     * star: the ``AXIS3`` coefficients on slope-violating triples on all
       three axes (:func:`reexpress_for_axis` with the :func:`in_r_star`
       bound).
@@ -307,6 +308,7 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     d = column_minima(config)
+    columns = ambient_columns(config)
     pieces: list[RingDegree] = []
     for degree in range(1, degree_bound + 1):
         monomials = _pi_monomials(degree)
@@ -316,7 +318,7 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
         outside: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for j, f in enumerate(images):
             for n, c in expand_pi_to_y(f).terms():
-                if not monoid_member_oracle(n, config):
+                if any(sum(map(mul, n, column)) < 0 for column in columns):
                     outside.setdefault(n, {})[j] = c
         violating: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for i in AXES:
@@ -351,24 +353,3 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
         pieces.append(RingDegree(degree, basis, rank, generators))
     return RingCensus(degree_bound, tuple(pieces))
 
-
-def combinations_reach(
-    generators: Iterable[tuple[int, int, int, int]], degree_bound: int
-) -> set[tuple[int, int, int, int]]:
-    """All nonnegative-integer combinations of ``generators`` with degree <= bound.
-
-    Support routine for completeness checks: breadth-first closure under
-    adding one generator at a time.
-    """
-    reached = {(0, 0, 0, 0)}
-    frontier = [(0, 0, 0, 0)]
-    gens = tuple(generators)
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = tuple(b + e for b, e in zip(base, g))
-            if sum(nxt) <= degree_bound and nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    reached.discard((0, 0, 0, 0))
-    return reached

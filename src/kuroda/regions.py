@@ -49,7 +49,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,49 +67,21 @@ from .config import (  # noqa: F401
 from .membership import monoid_member
 
 
-_RHS_KEYS = ("A1", "B1", "A2", "B2", "A3", "B3")
-_RHS_DEFAULTS = (1.0, 4.0, 1.0, 4.0, 1.0, 4.0)
+# Right-hand sides of the basic open set's arm and cap bounds.
+_ARM_RHS = 1.0
+_CAP_RHS = 4.0
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A region kind with its scale and optional right-hand-side overrides.
-
-    ``rhs_overrides`` (S_TILDE3 only) replaces entries of the default right
-    sides (1 for arm bounds, 4 for cap bounds), ordered A1,B1,A2,B2,A3,B3.
-    Nonpositive arm right sides describe a different ring and are accepted
-    for probing only.
-    """
+    """A region kind with its scale."""
 
     kind: RegionKind
     lam: float = 1.0
-    rhs_overrides: tuple[float, float, float, float, float, float] | None = None
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"scale must be positive, got {self.lam}")
-        if self.rhs_overrides is not None:
-            object.__setattr__(
-                self, "rhs_overrides", tuple(float(v) for v in self.rhs_overrides)
-            )
-            if len(self.rhs_overrides) != 6:
-                raise ValueError("rhs_overrides needs six entries (A1,B1,A2,B2,A3,B3)")
-
-    @classmethod
-    def make(cls, kind: RegionKind, lam: float = 1.0, overrides: Mapping | None = None):
-        rhs = None
-        if overrides:
-            unknown = set(overrides) - set(_RHS_KEYS)
-            if unknown:
-                raise ValueError(f"unknown override keys {sorted(unknown)}")
-            rhs = tuple(
-                float(overrides.get(key, default))
-                for key, default in zip(_RHS_KEYS, _RHS_DEFAULTS)
-            )
-        return cls(kind, float(lam), rhs)
-
-    def rhs(self) -> tuple[float, ...]:
-        return self.rhs_overrides if self.rhs_overrides is not None else _RHS_DEFAULTS
 
 
 class Verdict(enum.Enum):
@@ -178,13 +150,11 @@ def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
 
 
-def s_tilde_margins(
-    points, lam: float, config: KurodaConfig, rhs: Sequence[float] = _RHS_DEFAULTS
-) -> np.ndarray:
+def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     """Max of the six arm/cap constraint values minus their right sides.
 
-    Arm bound for axis i:  (q_i**(2*d_i) - 1) * (q_j - q_k)**(2*delta_ii) < rhs
-    Cap bound for axis i:  (q_i**2 - 1) * ((q_j + q_k)**2 - 4) < rhs
+    Arm bound for axis i:  (q_i**(2*d_i) - 1) * (q_j - q_k)**(2*delta_ii) < 1
+    Cap bound for axis i:  (q_i**2 - 1) * ((q_j + q_k)**2 - 4) < 4
     with (j, k) the other two axes and q = p / lam.
     """
     pts = _as_points(points, 3)
@@ -199,8 +169,8 @@ def s_tilde_margins(
         )
         s = qj + qk
         cap = (qi * qi - 1.0) * (s * s - 4.0)
-        margin = np.maximum(margin, arm - rhs[2 * (i - 1)])
-        margin = np.maximum(margin, cap - rhs[2 * (i - 1) + 1])
+        margin = np.maximum(margin, arm - _ARM_RHS)
+        margin = np.maximum(margin, cap - _CAP_RHS)
     return margin
 
 
@@ -208,15 +178,10 @@ def in_s_prime(point, lam: float, config: KurodaConfig) -> bool:
     return bool(s_prime_margins(point, lam, config)[0] < 0)
 
 
-def in_s_double_prime(point, lam: float, config: KurodaConfig) -> bool:
-    return bool(s_double_prime_margins(point, lam, config)[0] < 0)
-
-
-def in_s_tilde(
-    point, lam: float, config: KurodaConfig, overrides: Mapping | None = None
-) -> bool:
-    spec = RegionSpec.make(RegionKind.S_TILDE3, lam, overrides)
-    return bool(s_tilde_margins(point, lam, config, spec.rhs())[0] < 0)
+def in_s_tilde(point, lam: float, config: KurodaConfig) -> bool:
+    if not lam > 0:
+        raise ValueError(f"scale must be positive, got {lam}")
+    return bool(s_tilde_margins(point, lam, config)[0] < 0)
 
 
 # The shift search: 1024 interior grid shifts of (-lam, lam), then two
@@ -353,29 +318,12 @@ def escape_threshold(config: KurodaConfig, lam: float = 1.0, k_limit: int = 10**
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Accepted sample points plus the bookkeeping that makes them reproducible."""
+    """Accepted sample points and the candidates drawn and accepted per stratum."""
 
-    spec: RegionSpec
-    seed: int
-    requested: int
     points: np.ndarray
     strata: dict[str, dict[str, int]]
-    tube_cap: float
-    ray_length: float
-    constructive: bool = False
-    shortfall: bool = False
 
     def count(self) -> int:
-        return len(self.points)
-
-    def write_csv(self, out) -> int:
-        """One point per line with a coordinate header; returns the row count."""
-        names = ("y1", "y2", "y3", "y4") if self.points.shape[1] == 4 else ("p1", "p2", "p3")
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in self.points:
-                writer.writerow([f"{v:.12g}" for v in row])
         return len(self.points)
 
 
@@ -398,7 +346,7 @@ class _StarSampler:
         if self.spec.kind is RegionKind.S_PRIME4:
             return s_prime_margins(pts, self.spec.lam, self.config)
         if self.spec.kind is RegionKind.S_TILDE3:
-            return s_tilde_margins(pts, self.spec.lam, self.config, self.spec.rhs())
+            return s_tilde_margins(pts, self.spec.lam, self.config)
         return s_double_prime_margins(pts, self.spec.lam, self.config)
 
     def _box(self, n: int, half_width: float) -> np.ndarray:
@@ -429,7 +377,6 @@ class _StarSampler:
 
     def _ray_tilde(self, n: int) -> np.ndarray:
         lam, cfg = self.spec.lam, self.config
-        rhs = self.spec.rhs()
         d = column_minima(cfg)
         axis = self.rng.integers(1, 4, size=n)
         sign = self.rng.integers(0, 2, size=n) * 2.0 - 1.0
@@ -442,16 +389,11 @@ class _StarSampler:
             m = mask.sum()
             ta = t[mask]
             va = ta / lam
-            rhs_arm = rhs[2 * (a - 1)]
-            rhs_cap = rhs[2 * (a - 1) + 1]
             arm_factor = va ** (2 * d[a - 1]) - 1.0
-            if rhs_arm > 0:
-                bound_w = lam * np.minimum(
-                    0.5, (rhs_arm / arm_factor) ** (1.0 / (2 * cfg.magnitude(a, a)))
-                ) * 0.999
-            else:
-                bound_w = np.zeros(m)
-            s_sq = 4.0 + rhs_cap / (va**2 - 1.0)
+            bound_w = lam * np.minimum(
+                0.5, (_ARM_RHS / arm_factor) ** (1.0 / (2 * cfg.magnitude(a, a)))
+            ) * 0.999
+            s_sq = 4.0 + _CAP_RHS / (va**2 - 1.0)
             bound_s = np.minimum(lam * np.sqrt(np.maximum(s_sq, 0.0)) * 0.999, 1.9 * lam)
             w = self.rng.uniform(-1.0, 1.0, size=m) * bound_w
             s = self.rng.uniform(-1.0, 1.0, size=m) * bound_s
@@ -485,7 +427,7 @@ class _StarSampler:
             chunks.append(keep)
         return np.vstack(chunks) if chunks else np.zeros((0, self.dim))
 
-    def collect(self, count: int, cap_candidates: int) -> tuple[np.ndarray, bool]:
+    def collect(self, count: int, cap_candidates: int) -> np.ndarray:
         accepted: list[np.ndarray] = []
         total = 0
         drawn = 0
@@ -500,8 +442,7 @@ class _StarSampler:
             raise SamplingError(
                 f"no {self.spec.kind.value} sample accepted after {drawn} candidates"
             )
-        points = np.vstack(accepted)
-        return points[:count], total < count
+        return np.vstack(accepted)[:count]
 
 
 def sample_region(
@@ -531,57 +472,43 @@ def sample_region(
     sampler = _StarSampler(config, base_spec, radius, rng)
     if count == 0:
         points = np.zeros((0, kind.dim))
-        shortfall = False
     else:
-        cap = max(500_000, 200 * count)
-        points, shortfall = sampler.collect(count, cap)
+        points = sampler.collect(count, max(500_000, 200 * count))
         if kind is RegionKind.S3:
             shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
             points = points + shift[:, None]
-    return SampleSet(
-        spec=spec,
-        seed=seed,
-        requested=count,
-        points=points,
-        strata=sampler.stats,
-        tube_cap=0.5 * spec.lam,
-        ray_length=float(radius),
-        constructive=kind is RegionKind.S3,
-        shortfall=shortfall,
-    )
+    return SampleSet(points, sampler.stats)
 
 
 # -- probes ----------------------------------------------------------------
 
 
 def _power_table(x: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Rows ``x**e`` for the ascending distinct integers ``used``.
+    """Rows ``x**e`` for the ascending distinct integers ``used >= 0``.
 
-    Positive powers chain up from ``x`` and negative ones from ``1/x``: each
-    row is the previous one times :func:`_int_power` of the gap, so
-    consecutive exponents cost one multiplication each.  A zero coordinate
-    gives non-finite rows for negative exponents (a pole), as ``pow`` did.
+    Each row is the previous one times :func:`_int_power` of the gap, so
+    consecutive exponents cost one multiplication each.
     """
-
-    def chain(base, magnitudes):
-        out, last, power = [], 0, None
-        for m in magnitudes:
-            step = _int_power(base, m - last)
-            power = step if power is None else power * step
-            out.append(power)
+    rows, last, power = [], 0, np.ones_like(x)
+    for m in used.tolist():
+        if m > last:
+            power = power * _int_power(x, m - last)
             last = m
-        return out
-
-    negative = used[used < 0]
-    rows = chain(1.0 / x, (-negative[::-1]).tolist())[::-1] if len(negative) else []
-    if (used == 0).any():
-        rows.append(np.ones_like(x))
-    rows += chain(x, used[used > 0].tolist())
+        rows.append(power)
     return np.stack(rows)
 
 
+# Largest (terms x rows) temporary of evaluate_abs, in elements (32 MiB of
+# float64): the rows are evaluated in blocks that fit it.
+_EVAL_BLOCK_ELEMENTS = 2**22
+
+
 def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
-    """|f| at each row of ``pts``; poles and overflow come out non-finite."""
+    """|f| at each row of ``pts``; overflow comes out non-finite.
+
+    The rows go in blocks of at most ``_EVAL_BLOCK_ELEMENTS // terms``; each
+    row's value does not depend on the block it is in.
+    """
     if pts.shape[1] != f.system.arity:
         raise ValueError(
             f"points of dimension {pts.shape[1]} do not match {f.system.label}"
@@ -591,19 +518,23 @@ def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     exps = np.array(f.support())
     coeffs = np.array([float(f.coefficient(e)) for e in f.support()])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        product = None
-        for x, column in zip(pts.T, exps.T):
-            used, idx = np.unique(column, return_inverse=True)
-            factor = np.take(_power_table(x, used), idx, axis=0)  # terms x points
-            if product is None:
-                product = factor
-            else:
-                product *= factor
-        product *= coeffs[:, None]
-        # sum a C-ordered (points x terms) array, as the pow form did, so the
-        # pairwise summation adds the terms in the same order
-        values = np.ascontiguousarray(product.T).sum(axis=1)
+    columns = [np.unique(column, return_inverse=True) for column in exps.T]
+    block_rows = max(1, _EVAL_BLOCK_ELEMENTS // len(coeffs))
+    values = np.empty(len(pts))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, len(pts), block_rows):
+            block = pts[start:start + block_rows]
+            product = None
+            for x, (used, idx) in zip(block.T, columns):
+                factor = np.take(_power_table(x, used), idx, axis=0)  # terms x rows
+                if product is None:
+                    product = factor
+                else:
+                    product *= factor
+            product *= coeffs[:, None]
+            # sum a C-ordered (rows x terms) array, as the pow form did, so the
+            # pairwise summation adds the terms in the same order
+            values[start:start + block_rows] = np.ascontiguousarray(product.T).sum(axis=1)
     return np.abs(values)
 
 

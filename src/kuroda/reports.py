@@ -42,10 +42,6 @@ def render_json(data) -> str:
     return json.dumps(jsonable(data), indent=2)
 
 
-def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list))
-
-
 def _render_table(rows: list[dict], indent: str) -> list[str]:
     headers = list(rows[0].keys())
     cells = [[_scalar_text(r.get(h)) for h in headers] for r in rows]

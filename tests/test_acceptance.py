@@ -23,7 +23,6 @@ from kuroda import (
     in_s_prime,
     monoid_member,
     monoid_member_oracle,
-    pi_variable,
     pole_profile,
     pullback_trace,
     region_inequality_pullback,
@@ -36,6 +35,7 @@ from kuroda.blowup import block_formula_check
 from kuroda.regions import evaluate_abs, s_prime_margins
 
 from conftest import seeded_pi_polynomials
+from reference import pi_variable
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:

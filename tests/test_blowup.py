@@ -1,22 +1,26 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from kuroda import (
-    ChartTriple,
     KurodaConfig,
     block_formula_check,
-    block_index,
     boundary_census,
     cond,
     euclid_tower,
     pole_profile,
-    polynomial_pole_set,
-    prev_block_max,
     pullback_trace,
-    pi_variable,
     region_inequality_pullback,
 )
+from kuroda.blowup import (
+    ChartTriple,
+    TraceCollisionError,
+    _assert_distinct_traces,
+    polynomial_pole_set,
+)
+
+from reference import pi_variable
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 ANTISYM = (P1 - P2) * (P2 - P3) * (P3 - P1)
@@ -24,23 +28,13 @@ ANTISYM = (P1 - P2) * (P2 - P3) * (P3 - P1)
 
 def test_block_index_examples(concrete, family72):
     cc_tower = euclid_tower(concrete)
-    assert block_index(2, cc_tower, 1) == 1
-    assert block_index(0, cc_tower, 2) == 1
-    assert block_index(-1, cc_tower, 1) == 0
+    assert cc_tower.axis(1).block_of(2) == 1
+    assert cc_tower.axis(2).block_of(0) == 1
+    assert cc_tower.axis(1).block_of(-1) == 0
     f2_tower = euclid_tower(family72)
-    assert block_index(4, f2_tower, 1) == 2
+    assert f2_tower.axis(1).block_of(4) == 2
     with pytest.raises(ValueError):
-        block_index(7, f2_tower, 1)
-
-
-def test_prev_block_max(concrete, family72):
-    cc_tower = euclid_tower(concrete)
-    assert prev_block_max(0, cc_tower, 1) == -1
-    assert prev_block_max(2, cc_tower, 1) == -1
-    f2_tower = euclid_tower(family72)
-    assert prev_block_max(4, f2_tower, 1) == 3
-    with pytest.raises(ValueError):
-        prev_block_max(5, f2_tower, 1)  # max index for steps is N-1 = 4
+        f2_tower.axis(1).block_of(7)
 
 
 def test_trace_examples_concrete(concrete):
@@ -64,24 +58,25 @@ def test_trace_keeps_r2(concrete):
     assert all(t.r2 == 7 for t in trace.triples)
 
 
-def test_chart_monomial_semantics():
-    from kuroda import evaluate_numeric
-    from kuroda.blowup import chart_monomial
+def _chart_value(triple, a, b, c):
+    """The chart monomial a**r2 * b**r3 * c**(-r1) of a triple, exactly."""
+    r1, r2, r3 = triple
+    return Fraction(a) ** r2 * Fraction(b) ** r3 * Fraction(c) ** -r1
 
-    m = chart_monomial((1, 0, 1))  # b / c
-    assert evaluate_numeric(m, (5.0, 6.0, 3.0)) == pytest.approx(2.0)
+
+def test_chart_monomial_semantics(concrete):
+    assert _chart_value((1, 0, 1), 5, 6, 3) == 2  # b / c
     # the odd step rule is the substitution b -> b*c on the chart monomial,
     # which is exactly r1 <- r1 - r3 on the triple
-    stepped = chart_monomial((1 - 1, 0, 1))
-    assert evaluate_numeric(stepped, (5.0, 6.0, 3.0)) == pytest.approx(
-        evaluate_numeric(m, (5.0, 6.0 * 3.0, 3.0))
-    )
+    for triple in ((1, 0, 1), (3, 2, 1), (-2, 1, 4), (0, 0, 0)):
+        r1, r2, r3 = triple
+        assert _chart_value((r1 - r3, r2, r3), 5, 6, 3) == _chart_value(triple, 5, 6 * 3, 3)
+    # and the first step of an axis-1 trace (an odd block) is that rule
+    trace = pullback_trace((3, 2, 1), euclid_tower(concrete), 1)
+    assert trace.triples[1] == ChartTriple(3 - 1, 2, 1)
 
 
 def test_distinctness_guard_raises(concrete):
-    from kuroda import TraceCollisionError
-    from kuroda.blowup import _assert_distinct_traces
-
     tower = euclid_tower(concrete)
     t = pullback_trace((1, 0, 1), tower, 1)
     with pytest.raises(TraceCollisionError):
@@ -92,12 +87,12 @@ def test_block_formula_examples(concrete, family72):
     cc_tower = euclid_tower(concrete)
     assert block_formula_check(pullback_trace((6, 0, 2), cc_tower, 1), cc_tower)
     trace = pullback_trace((6, 0, 2), cc_tower, 1)
-    assert trace.final() == ChartTriple(0, 0, 2)
+    assert trace.triples[-1] == ChartTriple(0, 0, 2)
     f2_tower = euclid_tower(family72)
     assert block_formula_check(pullback_trace((7, 0, 2), f2_tower, 1), f2_tower)
     trace = pullback_trace((7, 0, 2), f2_tower, 1)
     assert trace.triples[3] == ChartTriple(1, 0, 2)  # end of the first block
-    assert trace.final() == ChartTriple(1, 0, 0)
+    assert trace.triples[-1] == ChartTriple(1, 0, 0)
     assert block_formula_check(pullback_trace((0, 0, 0), cc_tower, 2), cc_tower)
 
 
@@ -107,7 +102,9 @@ def test_pole_profiles(concrete):
     assert profile.pole_set() == (0,)
     profile = pole_profile(pullback_trace((1, 0, 0), tower, 1), tower)
     assert profile.pole_set() == (0, 1, 2, 3)
-    assert profile.in_z1 == (True, True, True, False)
+    # the census puts divisors 0..2 in the first union, so the pole at 3 is outside it
+    z1 = {r.n for r in boundary_census(tower).rows if r.axis == 1 and r.in_z1}
+    assert z1 == {0, 1, 2}
     profile = pole_profile(pullback_trace((-5, 0, 3), tower, 1), tower)
     assert profile.pole_set() == ()
 
@@ -217,8 +214,7 @@ def test_census_concrete(concrete):
     census = boundary_census(euclid_tower(concrete))
     assert census.z1_equals_z2
     for axis in (1, 2, 3):
-        rows = census.axis_rows(axis)
-        by_n = {r.n: r for r in rows}
+        by_n = {r.n: r for r in census.rows if r.axis == axis}
         assert set(by_n) == {-1, 0, 1, 2, 3}
         assert not by_n[-1].in_z1 and not by_n[-1].in_z2
         for n in (0, 1, 2):
@@ -231,7 +227,7 @@ def test_census_concrete(concrete):
 def test_census_family72(family72):
     census = boundary_census(euclid_tower(family72))
     assert not census.z1_equals_z2
-    by_n = {r.n: r for r in census.axis_rows(1)}
+    by_n = {r.n: r for r in census.rows if r.axis == 1}
     assert by_n[4].in_z1 and not by_n[4].in_z2  # in the first union only
     assert not by_n[5].in_z1 and not by_n[5].in_z2
 
@@ -242,7 +238,7 @@ def test_census_single_blowup_axis():
         [[-4, 9, 9, 0], [4, -1, 9, 0], [4, 9, -1, 0]], 1
     )
     census = boundary_census(euclid_tower(config))
-    by_n = {r.n: r for r in census.axis_rows(1)}
+    by_n = {r.n: r for r in census.rows if r.axis == 1}
     assert set(by_n) == {-1, 0, 1}
     assert by_n[0].in_z1 and by_n[0].in_z2
     assert not by_n[1].in_z1 and not by_n[1].in_z2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kuroda.cli import MAX_KMAX, build_parser, main
+from kuroda.cli import MAX_GRID, MAX_KMAX, MAX_SAMPLES, build_parser, main
 from kuroda.exprparse import MAX_DEGREE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -349,6 +349,13 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
         ["generators", "--degree-bound", "100000"],
         ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000001"],
         ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000000000000"],
+        ["probe", "--expr", "P1", "--seed", "1", "--samples", "1000001"],
+        ["probe", "--expr", "P1", "--seed", "1", "--kmax", "0", "--samples", "1000000000000"],
+        ["sandwich", "--seed", "1", "--samples", "1000001"],
+        ["sandwich", "--seed", "1", "--samples", "1000000000"],
+        ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--grid", "0"],
+        ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--grid", "513"],
+        ["cloud", "--which", "stilde", "--cloud-out", "unused.csv", "--grid", "100000"],
     ],
 )
 def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
@@ -370,6 +377,22 @@ def test_size_flags_accept_their_limits(concrete_path):
          "--kmax", str(MAX_KMAX)]
     )
     assert args.kmax == MAX_KMAX == 10**6
+    args = parser.parse_args(
+        ["probe", "--config", concrete_path, "--expr", "P1", "--seed", "1",
+         "--samples", str(MAX_SAMPLES)]
+    )
+    assert args.samples == MAX_SAMPLES == 10**6
+    args = parser.parse_args(
+        ["sandwich", "--config", concrete_path, "--seed", "1", "--samples", str(MAX_SAMPLES)]
+    )
+    assert args.samples == MAX_SAMPLES
+    for grid in (1, MAX_GRID):
+        args = parser.parse_args(
+            ["cloud", "--config", concrete_path, "--which", "stilde", "--cloud-out", "unused.csv",
+             "--grid", str(grid)]
+        )
+        assert args.grid == grid
+    assert MAX_GRID == 512
 
 
 @pytest.mark.parametrize(

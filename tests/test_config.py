@@ -5,18 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kuroda import (
-    ConfigError,
-    KurodaConfig,
-    SignPatternError,
-    column_minima,
-    condition_value,
-    continued_fraction,
-    derive_constants,
-    euclid_tower,
-    evaluate_continued_fraction,
-    validate,
-)
+from kuroda import ConfigError, KurodaConfig, derive_constants, euclid_tower, validate
+from kuroda.config import SignPatternError, column_minima, condition_value, continued_fraction
+
+from reference import evaluate_continued_fraction
 
 
 def test_concrete_example_is_valid(concrete):
@@ -184,8 +176,6 @@ def test_block_lookup_and_sentinel(family72):
     assert ax.block_of(-1) == 0
     assert ax.block_of(0) == 1
     assert ax.block_of(4) == 2
-    assert ax.prev_block_end(0) == -1
-    assert ax.prev_block_end(4) == 3
     with pytest.raises(ValueError):
         ax.block_of(6)
 
@@ -196,9 +186,6 @@ def test_block_lookup_rejects_indices_outside_the_tower(family72):
         with pytest.raises(ValueError):
             ax.block_of(n)
     assert [ax.block_of(n) for n in range(ax.n_total + 1)] == [1, 1, 1, 1, 2, 2]
-    # the sentinel block has no predecessor; the lookup must not wrap around
-    with pytest.raises(ValueError):
-        ax.prev_block_end(-1)
 
 
 def test_validate_is_pure(concrete):

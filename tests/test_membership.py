@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kuroda import (
     KurodaConfig,
-    RouteDisagreementError,
     SparsePolynomial,
     System,
     enumerate_t_generators,
@@ -16,16 +15,15 @@ from kuroda import (
     in_r_star,
     monoid_member,
     monoid_member_oracle,
-    oracle_violations,
-    pi_variable,
     ring_generator_census,
     star_violations,
     validate,
 )
 from kuroda import membership
-from kuroda.membership import combinations_reach
+from kuroda.membership import RouteDisagreementError, oracle_violations
 
 from conftest import seeded_pi_polynomials
+from reference import combinations_reach, pi_variable
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 ANTISYM = (P1 - P2) * (P2 - P3) * (P3 - P1)
@@ -186,7 +184,7 @@ def test_oracle_violation_diagnostics(concrete):
 
 
 def test_antisym_expansion_monomials_all_in_monoid(concrete):
-    from kuroda import expand_pi_to_y
+    from kuroda.algebra import expand_pi_to_y
 
     expanded = expand_pi_to_y(ANTISYM)
     support = set(expanded.support())
@@ -268,7 +266,8 @@ def test_ring_census_basis_elements_are_in_ring(concrete, family72):
 
 
 def test_ring_census_raises_when_routes_disagree(concrete, monkeypatch):
-    monkeypatch.setattr(membership, "monoid_member_oracle", lambda n, config: True)
+    # all-zero columns put every Y4 monomial in the monoid on the expansion route
+    monkeypatch.setattr(membership, "ambient_columns", lambda config: ((0, 0, 0, 0),) * 4)
     with pytest.raises(RouteDisagreementError):
         ring_generator_census(concrete, 3)
 

@@ -1,6 +1,9 @@
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,22 +18,20 @@ from kuroda import (
     SamplingError,
     SparsePolynomial,
     System,
-    Verdict,
     boundedness_probe,
     concrete_example,
     escape_point,
     escape_threshold,
     export_surface_cloud,
     in_s,
-    in_s_double_prime,
     in_s_prime,
     in_s_tilde,
-    pi_variable,
     sample_region,
     sandwich_check,
 )
 from kuroda.config import column_minima, condition_value
 from kuroda.regions import (
+    Verdict,
     _cross_pairs,
     _int_power,
     _StarSampler,
@@ -42,6 +43,7 @@ from kuroda.regions import (
 )
 
 from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials
+from reference import pi_variable
 
 
 def test_s_prime_examples(concrete):
@@ -54,9 +56,8 @@ def test_s_prime_examples(concrete):
 
 
 def test_s_double_prime_examples(concrete):
-    assert in_s_double_prime((0, 0, 0), 1.0, concrete)
-    assert in_s_double_prime((25, 1e-5, -1e-5), 1.0, concrete)
-    assert not in_s_double_prime((2, 2, 0), 1.0, concrete)
+    inside = s_double_prime_margins([(0, 0, 0), (25, 1e-5, -1e-5), (2, 2, 0)], 1.0, concrete) < 0
+    assert inside.tolist() == [True, True, False]
 
 
 def test_s_tilde_examples(concrete):
@@ -66,16 +67,6 @@ def test_s_tilde_examples(concrete):
     assert not in_s_tilde((0, 0, 0), 1.0, concrete)
     assert in_s_tilde((0.1, 0.0, 0.0), 1.0, concrete)
     assert in_s_tilde((0.3, -0.2, 0.1), 1.0, concrete)
-
-
-def test_s_tilde_overrides(concrete):
-    point = (10, 0, 0)
-    # raising the arm right side keeps the point; collapsing the caps to a
-    # negative right side rejects everything near the arms' base
-    assert in_s_tilde(point, 1.0, concrete, overrides={"A1": 5.0})
-    assert not in_s_tilde((0.5, 0, 0), 1.0, concrete, overrides={"B2": -5.0, "B3": -5.0})
-    with pytest.raises(ValueError):
-        in_s_tilde(point, 1.0, concrete, overrides={"Q9": 1.0})
 
 
 def test_scaling_covariance(concrete):
@@ -195,6 +186,12 @@ def test_shift_search_rejects_bad_scale(concrete, lam):
         in_s((10.0, 0.4, 0.4), lam, concrete)
 
 
+@pytest.mark.parametrize("lam", [math.nan, 0.0, -2.0])
+def test_s_tilde_predicate_rejects_bad_scale(concrete, lam):
+    with pytest.raises(ValueError, match="scale"):
+        in_s_tilde((10.0, 0.0, 0.0), lam, concrete)
+
+
 def test_escape_point_values(concrete):
     with pytest.raises(ValueError):
         escape_point(15, concrete)
@@ -234,7 +231,7 @@ def test_escape_axis_relabelling(concrete):
 
 
 def test_projected_region_samples_land_in_fattened_star(concrete):
-    from kuroda import diagonal_projection
+    from kuroda.regions import diagonal_projection
 
     spec = RegionSpec(RegionKind.S_PRIME4, 1.0)
     samples = sample_region(concrete, spec, 150, seed=88, radius=40.0)
@@ -274,11 +271,9 @@ def test_failing_monomials_eventually_increase_along_escape(concrete):
     assert checked == 27
 
 
-def test_evaluate_numeric_on_escape_projection(concrete):
-    from kuroda import evaluate_numeric
-
+def test_evaluate_abs_on_escape_projection(concrete):
     ep = escape_point(100, concrete)
-    value = evaluate_numeric(pi_variable(1), ep.pi)
+    (value,) = evaluate_abs(pi_variable(1), np.array([ep.pi]))
     assert value == pytest.approx(99.3103298, abs=1e-6)
 
 
@@ -305,21 +300,10 @@ def test_sampler_empty_count(concrete):
     assert samples.points.shape == (0, 3)
 
 
-def test_sample_csv_export(tmp_path, concrete):
-    spec = RegionSpec(RegionKind.S_PRIME4, 1.0)
-    samples = sample_region(concrete, spec, 50, seed=4, radius=20.0)
-    out = tmp_path / "samples.csv"
-    assert samples.write_csv(out) == 50
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 50 and set(rows[0]) == {"y1", "y2", "y3", "y4"}
-
-
-def test_sampler_failure_signal(concrete):
-    # caps forced strongly negative are unsatisfiable inside the unit box
-    spec = RegionSpec.make(
-        RegionKind.S_TILDE3, 1.0, overrides={"B1": -5.0, "B2": -5.0, "B3": -5.0}
-    )
+def test_sampler_failure_signal(monkeypatch, concrete):
+    # a margin filter that rejects every candidate exhausts the candidate budget
+    monkeypatch.setattr(_StarSampler, "_margins", lambda self, pts: np.ones(len(pts)))
+    spec = RegionSpec(RegionKind.S_TILDE3, 1.0)
     with pytest.raises(SamplingError):
         sample_region(concrete, spec, 10, seed=3, radius=1.0)
 
@@ -327,7 +311,6 @@ def test_sampler_failure_signal(concrete):
 def test_s3_sampling_constructive(concrete):
     spec = RegionSpec(RegionKind.S3, 1.0)
     samples = sample_region(concrete, spec, 400, seed=21, radius=30.0)
-    assert samples.constructive
     verdicts = [in_s(p, 1.0, concrete) for p in samples.points[:60]]
     assert all(v in (Verdict.IN, Verdict.UNCERTAIN) for v in verdicts)
     assert verdicts.count(Verdict.UNCERTAIN) <= 2
@@ -512,7 +495,7 @@ def _pow_s_double_prime_margins(pts, lam, config):
     return _pow_cross_margins(np.abs(pts) / lam, config)
 
 
-def _pow_s_tilde_margins(pts, lam, config, rhs=(1.0, 4.0, 1.0, 4.0, 1.0, 4.0)):
+def _pow_s_tilde_margins(pts, lam, config):
     q = pts / lam
     d = column_minima(config)
     margin = np.full(len(q), -np.inf)
@@ -521,8 +504,8 @@ def _pow_s_tilde_margins(pts, lam, config, rhs=(1.0, 4.0, 1.0, 4.0, 1.0, 4.0)):
         qi, qj, qk = q[:, i - 1], q[:, j - 1], q[:, k - 1]
         arm = (qi ** (2 * d[i - 1]) - 1.0) * (qj - qk) ** (2 * config.magnitude(i, i))
         cap = (qi**2 - 1.0) * ((qj + qk) ** 2 - 4.0)
-        margin = np.maximum(margin, arm - rhs[2 * (i - 1)])
-        margin = np.maximum(margin, cap - rhs[2 * (i - 1) + 1])
+        margin = np.maximum(margin, arm - 1.0)
+        margin = np.maximum(margin, cap - 4.0)
     return margin
 
 
@@ -599,12 +582,6 @@ def test_margin_filters_match_pow_reference(name, kind):
     assert (reference[clear] < 0).any() and (reference[clear] > 0).any()
 
 
-def _laurent_x4():
-    return SparsePolynomial(
-        System.X4, {(2, -1, 0, 0): 1, (0, 0, 1, -3): Fraction(1, 2), (1, 0, 0, 0): 3}
-    )
-
-
 def _evaluate_abs_cases():
     rng = np.random.default_rng(4)
     box3 = rng.uniform(-50.0, 50.0, size=(3000, 3))
@@ -612,8 +589,6 @@ def _evaluate_abs_cases():
     cases = [(f, box3) for f in seeded_pi_polynomials(31, 12)]
     cases.append(((pi_variable(1) + 2 * pi_variable(2) - pi_variable(3) + 1) ** 3, box3))
     cases.append((SparsePolynomial(System.Y4, {(40, 0, 3, 1): 1, (7, 12, 0, 0): -2, (0, 0, 0, 0): 5}), unit4))
-    cases.append((_laurent_x4(), unit4))
-    cases.append((SparsePolynomial(System.CHART3, {(-4, 2, 0): 3, (1, -1, -2): -1, (0, 5, 1): 2}), box3))
     return cases
 
 
@@ -627,39 +602,78 @@ def test_evaluate_abs_matches_pow_reference():
         assert (np.abs(values - reference) <= 1e-12 * scale).all(), f
 
 
-def test_laurent_pole_is_non_finite(monkeypatch, concrete):
-    f = _laurent_x4()
+def test_evaluate_abs_blocks_are_bit_identical(monkeypatch):
+    import kuroda.regions as regions
+
+    cases = _evaluate_abs_cases()
+    whole = [evaluate_abs(f, pts) for f, pts in cases]
+    # 97 elements per block: one row per block for the larger polynomials,
+    # a few rows for the small ones, so every case runs in many blocks
+    monkeypatch.setattr(regions, "_EVAL_BLOCK_ELEMENTS", 97)
+    for (f, pts), expected in zip(cases, whole):
+        assert np.array_equal(evaluate_abs(f, pts), expected), f
+
+
+# 64 = 21 + 21 + 22, the degree limit, in 22 * 22 * 23 = 11132 terms: one
+# (terms x samples) array of 20000 samples needs 1.66 GiB.
+_WIDE = "(P1+1)^21*(P2+1)^21*(P3+1)^22"
+
+
+def test_probe_of_a_wide_polynomial_fits_one_gib():
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from kuroda.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = [
+        "probe", "--config", str(CONFIGS / "concrete.json"), "--expr", _WIDE,
+        "--samples", "20000", "--seed", "1", "--kmax", "0", "--format", "json",
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"sample_count": 20000' in result.stdout
+
+
+def test_overflow_counts_as_pole(monkeypatch, concrete):
+    f = SparsePolynomial(
+        System.Y4, {(40, 0, 0, 0): 1, (0, 1, 0, 1): Fraction(1, 2), (1, 0, 0, 0): 3}
+    )
     pts = np.array([
-        [2.0, 0.0, 1.0, 1.0],
-        [2.0, 1.0, 1.0, 0.0],
-        [2.0, 4.0, 1.0, 2.0],
-        [-1.5, -0.0, 0.5, 3.0],
+        [1e10, 0.5, 0.5, 0.5],
+        [2.0, 1.0, 1.0, 1.0],
+        [-1e9, 0.0, 0.0, 0.0],
+        [1e7, 0.0, 0.0, 0.0],
     ])
     values = evaluate_abs(f, pts)
-    assert np.isfinite(values).tolist() == [False, False, True, False]
-    assert values[2] == 4.0 / 4.0 + 0.5 / 8.0 + 6.0
-    chart = SparsePolynomial(System.CHART3, {(0, -2, 1): 1, (3, 0, 0): 1})
-    assert np.isfinite(evaluate_abs(chart, np.array([[1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))).tolist() == [
-        False,
-        True,
-    ]
+    # y1^40 overflows above about 5e7 in absolute value
+    assert np.isfinite(values).tolist() == [False, True, False, True]
+    assert values[1] == 2.0**40 + 0.5 + 6.0
 
-    # the probe counts poles among its samples: put exact zeros in a few rows
+    # the probe counts the non-finite values among its samples: put huge
+    # first coordinates in a few rows
     import kuroda.regions as regions
 
     real_sample_region = regions.sample_region
-    zeroed = [0, 5, 17, 99]
+    huge = [0, 5, 17, 99]
 
-    def with_zeros(*args, **kwargs):
+    def with_huge(*args, **kwargs):
         samples = real_sample_region(*args, **kwargs)
-        samples.points[zeroed[:2], 1] = 0.0
-        samples.points[zeroed[2:], 3] = -0.0
+        samples.points[huge, 0] = [1e10, -1e10, 1e200, -1e9]
         return samples
 
-    monkeypatch.setattr(regions, "sample_region", with_zeros)
+    monkeypatch.setattr(regions, "sample_region", with_huge)
     report = boundedness_probe(concrete, f, RegionSpec(RegionKind.S_PRIME4, 1.0), 500, seed=3)
     assert report.sample_count == 500
-    assert report.pole_count == len(zeroed)
+    assert report.pole_count == len(huge)
     assert math.isfinite(report.max_abs_value)
 
 
