@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a mapping from nonnegative integer exponent tuples to
-nonzero ``Fraction`` coefficients, tagged with the variable system the
-exponents live in:
+A polynomial maps nonnegative integer exponent tuples to nonzero rational
+coefficients, tagged with the variable system the exponents live in:
 
   ==========  =====  ========================================
   system      arity  variables
@@ -12,15 +11,20 @@ exponents live in:
   ``AXIS3``   3      per-axis basis u1, u2, u3
   ==========  =====  ========================================
 
-Zero coefficients are never stored, so equal polynomials have identical term
-maps and the representation is canonical.  All arithmetic is exact.
+Storage is integer numerators over one denominator: ``_nums`` maps each
+exponent tuple to a nonzero ``int`` and ``_den`` is one positive ``int``
+with ``gcd(_den, *_nums.values()) == 1``.  That form is canonical, so
+equality and hashing compare the stored fields.  All arithmetic is exact.
 
 The inner loops of ``+``, ``-``, ``*``, ``**`` and the change-of-variable maps
-run on Python ``int`` numerators over one common denominator (the lcm of the
-operands' denominators) and divide once, at the end.  Their results go
-through a private trusted constructor that skips the exponent checks, since
-the library built those exponents itself; the public constructor keeps every
-check.
+run on the stored numerators and build their results through a private
+trusted constructor, which skips the exponent checks (the library built
+those exponents itself) and divides out one gcd.  ``Fraction`` appears only
+at the edges: the public constructor takes ``Fraction``-compatible
+coefficients and keeps every exponent check, and :meth:`~SparsePolynomial.terms`
+and :meth:`~SparsePolynomial.coefficient` return ``Fraction`` values.
+:meth:`~SparsePolynomial.support`, :meth:`~SparsePolynomial.term_count`,
+``==`` and ``hash`` never build one.
 
 The change-of-variable maps are closed forms, written once each:
 ``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by the binomial theorem (oracle
@@ -36,7 +40,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -81,9 +85,14 @@ def check_exponents(system: System, exponents: Sequence[int]) -> tuple[int, ...]
 
 
 class SparsePolynomial:
-    """Immutable sparse polynomial; supports ``+ - * **`` and scalar mixing."""
+    """Immutable sparse polynomial; supports ``+ - * **`` and scalar mixing.
 
-    __slots__ = ("system", "_terms", "_hash")
+    The coefficient at ``e`` is ``_nums[e] / _den``: ``_nums`` holds nonzero
+    ints, ``_den`` is a positive int and ``gcd(_den, *_nums.values()) == 1``,
+    so equal polynomials have equal fields.
+    """
+
+    __slots__ = ("system", "_nums", "_den", "_hash")
 
     def __init__(self, system: System, terms: Mapping[Sequence[int], Fraction | int]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -92,8 +101,13 @@ class SparsePolynomial:
             if coeff == 0:
                 continue
             clean[check_exponents(system, exps)] = coeff
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(
+            self, "_nums", {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        )
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -101,39 +115,46 @@ class SparsePolynomial:
 
     @classmethod
     def _from_numerators(
-        cls, system: System, numerators: Mapping[tuple[int, ...], int], den: int
+        cls, system: System, numerators: dict[tuple[int, ...], int], den: int
     ) -> "SparsePolynomial":
         """Trusted constructor: coefficient ``numerators[e] / den`` at each ``e``.
 
         ``den`` must be a positive int and the keys int tuples of the
-        system's arity; they are not revalidated.  Zero numerators are dropped.
+        system's arity; they are not revalidated.  Zero numerators are
+        dropped, the rest are divided by their gcd with ``den``, and the dict
+        is stored as given when nothing changes, so the caller must not
+        mutate it afterwards.
         """
-        if den == 1:
-            terms = {e: Fraction(n) for e, n in numerators.items() if n}
-        else:
-            terms = {e: Fraction(n, den) for e, n in numerators.items() if n}
+        if 0 in numerators.values():
+            numerators = {e: n for e, n in numerators.items() if n}
+        if den != 1:
+            g = gcd(den, *numerators.values())
+            if g != 1:
+                numerators = {e: n // g for e, n in numerators.items()}
+                den //= g
         poly = object.__new__(cls)
         object.__setattr__(poly, "system", system)
-        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_nums", numerators)
+        object.__setattr__(poly, "_den", den)
         object.__setattr__(poly, "_hash", None)
         return poly
 
     def _numerators(self) -> tuple[dict[tuple[int, ...], int], int]:
-        """``(numerators, den)``: each coefficient is ``numerators[e] / den``, den the lcm."""
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        if den == 1:
-            return {e: c.numerator for e, c in self._terms.items()}, 1
-        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+        """``(numerators, den)`` as stored, not copied: callers must not mutate the dict."""
+        return self._nums, self._den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, system: System) -> "SparsePolynomial":
-        return cls(system, {})
+        return cls._from_numerators(system, {}, 1)
 
     @classmethod
     def constant(cls, system: System, value) -> "SparsePolynomial":
-        return cls(system, {(0,) * system.arity: Fraction(value)})
+        value = Fraction(value)
+        return cls._from_numerators(
+            system, {(0,) * system.arity: value.numerator}, value.denominator
+        )
 
     @classmethod
     def variable(cls, system: System, index: int) -> "SparsePolynomial":
@@ -141,7 +162,7 @@ class SparsePolynomial:
         if not 1 <= index <= system.arity:
             raise SystemMismatchError(f"{system.label} has no variable {index}")
         exps = tuple(1 if j == index else 0 for j in range(1, system.arity + 1))
-        return cls(system, {exps: Fraction(1)})
+        return cls._from_numerators(system, {exps: 1}, 1)
 
     @classmethod
     def monomial(cls, system: System, exponents: Sequence[int], coeff=1) -> "SparsePolynomial":
@@ -151,19 +172,20 @@ class SparsePolynomial:
 
     def terms(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
         """Term items in canonical (lexicographic) order."""
-        return tuple(sorted(self._terms.items()))
+        nums, den = self._nums, self._den
+        return tuple((e, Fraction(nums[e], den)) for e in sorted(nums))
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._nums))
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     # -- ring arithmetic ----------------------------------------------
 
@@ -182,11 +204,11 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = self._numerators()
-        b, db = other._numerators()
+        a, da = self._nums, self._den
+        b, db = other._nums, other._den
         den = lcm(da, db)
         scale_a, scale_b = den // da, den // db
-        out = {e: n * scale_a for e, n in a.items()}
+        out = dict(a) if scale_a == 1 else {e: n * scale_a for e, n in a.items()}
         get = out.get
         for e, n in b.items():
             out[e] = get(e, 0) + n * scale_b
@@ -195,9 +217,8 @@ class SparsePolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        nums, den = self._numerators()
         return SparsePolynomial._from_numerators(
-            self.system, {e: -n for e, n in nums.items()}, den
+            self.system, {e: -n for e, n in self._nums.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -213,42 +234,44 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = self._numerators()
-        b, db = other._numerators()
-        right = tuple(b.items())
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
-                out[key] = get(key, 0) + c1 * c2
-        return SparsePolynomial._from_numerators(self.system, out, da * db)
+        return SparsePolynomial._from_numerators(
+            self.system, _product(self._nums, other._nums), self._den * other._den
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """``self ** k`` by ``k - 1`` multiplications by ``self``.
+
+        Each step multiplies by the base, never by a large power: for a dense
+        base in three variables the cost grows like ``k^4``, where the last
+        step of repeated squaring alone grows like ``k^6``.
+        """
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = SparsePolynomial.constant(self.system, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return SparsePolynomial.constant(self.system, 1)
+        base = self._nums
+        out = base
+        for _ in range(k - 1):
+            out = _product(out, base)
+        return SparsePolynomial._from_numerators(self.system, out, self._den**k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SparsePolynomial.constant(self.system, other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self.system is other.system and self._terms == other._terms
+        return (
+            self.system is other.system
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(
-                self, "_hash", hash((self.system, frozenset(self._terms.items())))
+                self, "_hash", hash((self.system, self._den, frozenset(self._nums.items())))
             )
         return self._hash
 
@@ -256,6 +279,20 @@ class SparsePolynomial:
         from .exprparse import polynomial_to_text
 
         return f"SparsePolynomial({self.system.label}, {polynomial_to_text(self)!r})"
+
+
+def _product(
+    a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Numerators of the product of two numerator maps (zeros not yet dropped)."""
+    right = tuple(b.items())
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in right:
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return out
 
 
 def substitute(
@@ -268,7 +305,7 @@ def substitute(
         if g.system is not system:
             raise SystemMismatchError("images must live in the target system")
     out = SparsePolynomial.zero(system)
-    for exps, coeff in f._terms.items():
+    for exps, coeff in f.terms():
         term = SparsePolynomial.constant(system, coeff)
         for g, e in zip(images, exps):
             if e:

@@ -311,13 +311,13 @@ def to_polynomial(node: Node, system: System | None = None) -> SparsePolynomial:
                 )
             return SparsePolynomial.variable(system, index)
         if isinstance(n, Sum):
-            out = SparsePolynomial.zero(system)
-            for t in n.terms:
+            out = lower(n.terms[0])
+            for t in n.terms[1:]:
                 out = out + lower(t)
             return out
         if isinstance(n, Product):
-            out = SparsePolynomial.constant(system, 1)
-            for f in n.factors:
+            out = lower(n.factors[0])
+            for f in n.factors[1:]:
                 out = out * lower(f)
             return out
         if isinstance(n, Power):

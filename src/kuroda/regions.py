@@ -28,7 +28,8 @@ boundary.  The scan runs on blocks of points at once, in log form (each
 cross bound as ``e_i*log|q_i| + e_j*log|q_j|``), so large weights cannot
 overflow it; the best value is mapped back to the ordinary margin, so the grid and the band
 mean what they did for one point.  Non-finite points raise ``ValueError``
-rather than reading as outside.
+rather than reading as outside, and so does a scale ``lam`` that is not
+finite and positive, in every predicate and margin function.
 
 The margin filters and ``evaluate_abs`` form integer powers by
 multiplication (square-and-multiply, and per-coordinate power tables), not
@@ -80,8 +81,7 @@ class RegionSpec:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"scale must be positive, got {self.lam}")
+        _check_scale(self.lam)
 
 
 class Verdict(enum.Enum):
@@ -98,6 +98,11 @@ def _cross_pairs(config: KurodaConfig) -> tuple[tuple[int, int, int, int], ...]:
         for j in AXES
         if i != j
     )
+
+
+def _check_scale(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"scale must be finite and positive, got {lam}")
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -140,11 +145,13 @@ def _cross_margins(q3_abs: np.ndarray, config: KurodaConfig) -> np.ndarray:
 
 def s_double_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     """Negative exactly on the inside of the scaled star."""
+    _check_scale(lam)
     pts = _as_points(points, 3)
     return _cross_margins(np.abs(pts) / lam, config)
 
 
 def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
+    _check_scale(lam)
     pts = _as_points(points, 4)
     margin = _cross_margins(np.abs(pts[:, :3]) / lam, config)
     return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
@@ -157,6 +164,7 @@ def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     Cap bound for axis i:  (q_i**2 - 1) * ((q_j + q_k)**2 - 4) < 4
     with (j, k) the other two axes and q = p / lam.
     """
+    _check_scale(lam)
     pts = _as_points(points, 3)
     q = pts / lam
     d = column_minima(config)
@@ -179,8 +187,6 @@ def in_s_prime(point, lam: float, config: KurodaConfig) -> bool:
 
 
 def in_s_tilde(point, lam: float, config: KurodaConfig) -> bool:
-    if not lam > 0:
-        raise ValueError(f"scale must be positive, got {lam}")
     return bool(s_tilde_margins(point, lam, config)[0] < 0)
 
 
@@ -208,8 +214,7 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
         raise ValueError("the shift search needs finite coordinates")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"scale must be finite and positive, got {lam}")
+    _check_scale(lam)
     rows = np.arange(len(pts))
     coords = pts.T[:, :, None]
     pairs = _cross_pairs(config)

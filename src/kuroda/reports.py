@@ -5,6 +5,13 @@ integers), never as floats, so values survive round trips.  Ordering is
 deterministic everywhere: dicts render in insertion order, which report
 builders keep canonical.  numpy arrays and scalars are converted by their
 ``tolist`` method, so this module never imports numpy.
+
+:func:`render_json` writes ``json.dumps(jsonable(data), indent=2)`` byte for
+byte in one recursive pass: exact ``str``, ``int``, ``float``, ``bool``,
+``None``, ``dict``, ``list`` and ``tuple`` values are written directly, and
+every other value goes through :func:`jsonable` first.  ``Fraction`` values
+become their ``"p/q"`` text there, and a value that json cannot encode
+raises ``TypeError`` as it would in json.
 """
 
 from __future__ import annotations
@@ -38,8 +45,61 @@ def jsonable(obj):
     return obj
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# Exact leaf types and their JSON text, as json.dumps writes them.
+_LEAVES = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, newline: str) -> str:
+    """JSON text of ``jsonable(obj)``, nested lines indented as after ``newline``."""
+    kind = type(obj)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if any(type(k) is not str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        inner = newline + "  "
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    value = jsonable(obj)
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    # json itself encodes (or rejects with TypeError) what jsonable left
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def render_json(data) -> str:
-    return json.dumps(jsonable(data), indent=2)
+    """``json.dumps(jsonable(data), indent=2)``, written in one pass."""
+    return _json_text(data, "\n")
 
 
 def _render_table(rows: list[dict], indent: str) -> list[str]:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import gcd
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -245,14 +247,24 @@ def rational_pi_polynomials(draw):
 
 
 def assert_canonical(h, system):
-    """Nonzero ``Fraction`` values on int tuples of the system's arity, as the public constructor builds."""
+    """Nonzero int numerators over a positive int denominator in lowest terms.
+
+    Keys are int tuples of the system's arity, and the public constructor
+    rebuilds the same stored form from the ``Fraction`` terms.
+    """
     assert h.system is system
-    for exps, c in h.terms():
-        assert type(c) is Fraction and c != 0
+    nums, den = h._numerators()
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums.values()) == 1
+    for exps, n in nums.items():
+        assert type(n) is int and n != 0
         assert type(exps) is tuple and len(exps) == system.arity
         assert all(type(e) is int for e in exps)
+    for exps, c in h.terms():
+        assert type(c) is Fraction and c != 0
     rebuilt = SparsePolynomial(system, dict(h.terms()))
     assert h == rebuilt and hash(h) == hash(rebuilt)
+    assert rebuilt._numerators() == (nums, den)
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,6 +301,32 @@ def test_rational_arithmetic_matches_sympy(f, g, k, axis):
         assert sympy.expand(_as_sympy(sympy, result, names) - expected) == 0
         system = {p: System.PI3, y: System.Y4, u: System.AXIS3}[names]
         assert_canonical(result, system)
+
+
+def _snapshot(h):
+    nums, den = h._numerators()
+    return h.system, dict(nums), den
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_pi_polynomials(), rational_pi_polynomials(), st.integers(0, 3))
+def test_operands_unchanged_by_arithmetic(f, g, k):
+    # a result may hold its operand's numerator dict (f**1 does), so no
+    # kernel may write into a dict it reads
+    operands = [f, g]
+    before = [_snapshot(h) for h in operands]
+    results = [
+        f + g, g + f, f - g, -f, f * g, g * f, f**k, f**1, f + 0, 0 + f,
+        Fraction(3, 7) * f, f - Fraction(1, 2), expand_pi_to_y(f),
+        *(reexpress_for_axis(f, axis) for axis in (1, 2, 3)),
+    ]
+    operands += results
+    before += [_snapshot(h) for h in results]
+    derived = (lambda h: h + h, lambda h: h * h, neg, lambda h: h**2)
+    results += [op(h) for h in results for op in derived]
+    assert [_snapshot(h) for h in operands] == before
+    for h in results:
+        assert_canonical(h, h.system)
 
 
 def test_canonical_form_unique():

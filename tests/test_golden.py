@@ -1,9 +1,10 @@
 """Golden JSON reports: fixed-argument runs of every subcommand.
 
 Each case runs ``kuroda.cli.main`` on ``configs/concrete.json`` with small
-sample counts and fixed seeds and compares the parsed JSON report with the
-stored one in ``tests/golden/<case>.json``.  The only field dropped before
-the comparison is ``cloud``'s ``path``, which names a temporary file.
+sample counts and fixed seeds and compares the bytes of the emitted JSON
+report with the stored ``tests/golden/<case>.json``, so whitespace and float
+text are pinned too.  The only field dropped before the comparison is
+``cloud``'s ``path`` (its last key), which names a temporary file.
 
 To re-record after an intended report change, run from the repository root:
 
@@ -47,34 +48,36 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> tuple[int, dict]:
+def run_case(name: str, workdir: Path) -> tuple[int, bytes]:
+    """Exit code and emitted report bytes (``cloud`` without its ``path`` key)."""
     out = workdir / f"{name}.json"
     argv = [*CASES[name], "--config", CONFIG, "--format", "json", "--out", str(out)]
     if CASES[name][0] == "cloud":
-        argv += ["--cloud-out", str(workdir / f"{name}.csv")]
+        cloud_csv = workdir / f"{name}.csv"
+        argv += ["--cloud-out", str(cloud_csv)]
     code = main(argv)
-    data = json.loads(out.read_text(encoding="utf-8"))
+    text = out.read_bytes()
     if CASES[name][0] == "cloud":
-        del data["path"]
-    return code, data
+        path_entry = f',\n  "path": {json.dumps(str(cloud_csv))}\n}}\n'.encode()
+        assert text.endswith(path_entry), text
+        text = text[: -len(path_entry)] + b"\n}\n"
+    return code, text
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
-    code, data = run_case(name, tmp_path)
+    code, text = run_case(name, tmp_path)
     assert code == 0
-    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    assert data == expected
+    assert text == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_reports_match_golden_in_one_process_both_orders(tmp_path):
     # main reuses one parser per process; no case may leak into the next
     names = sorted(CASES)
     for name in [*names, *reversed(names)]:
-        code, data = run_case(name, tmp_path)
+        code, text = run_case(name, tmp_path)
         assert code == 0, name
-        expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-        assert data == expected, name
+        assert text == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
 if __name__ == "__main__":
@@ -83,9 +86,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            exit_code, report = run_case(case, Path(tmp))
+            exit_code, text = run_case(case, Path(tmp))
             if exit_code != 0:
                 sys.exit(f"{case}: exit {exit_code}")
-            text = json.dumps(report, indent=2) + "\n"
-            (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+            (GOLDEN / f"{case}.json").write_bytes(text)
             print(f"recorded {case}")

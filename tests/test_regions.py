@@ -192,6 +192,22 @@ def test_s_tilde_predicate_rejects_bad_scale(concrete, lam):
         in_s_tilde((10.0, 0.0, 0.0), lam, concrete)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "check, point",
+    [
+        (in_s_prime, (0.5, 0.0, 0.0, 0.5)),
+        (s_prime_margins, (0.5, 0.0, 0.0, 0.5)),
+        (s_double_prime_margins, (0.5, 0.0, 0.0)),
+        (s_tilde_margins, (0.5, 0.0, 0.0)),
+    ],
+)
+def test_margins_reject_bad_scale(concrete, check, point, lam):
+    # a bad scale must raise, never answer inside or outside
+    with pytest.raises(ValueError, match="scale"):
+        check(point, lam, concrete)
+
+
 def test_escape_point_values(concrete):
     with pytest.raises(ValueError):
         escape_point(15, concrete)
