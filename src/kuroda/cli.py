@@ -31,8 +31,9 @@ from .config import (
 from .exprparse import MAX_DEGREE, ExpressionError, parse_polynomial, polynomial_to_text
 from .reports import emit_report, jsonable
 
-# Largest accepted ``probe --kmax``: the escape series holds one float per
-# index, and each index is one Python-level escape point.
+# Largest accepted ``probe --kmax``: the escape series is one row of a float
+# array per index (its four coordinates, then |f| there), so time and memory
+# grow with the index range.
 MAX_KMAX = 10**6
 # Largest accepted ``probe --samples`` and ``sandwich --samples``: each
 # sample is a row of the float arrays, so memory grows with the count.
@@ -349,11 +350,14 @@ def _cmd_probe(args):
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_ks=ks
     )
-    # the escape series goes to the CSV rows, not the report body
+    # the escape series goes to the CSV rows, not the report body; the rows
+    # are built only when they are written
     body = dict(vars(report))
     values = body.pop("escape_values")
     data = {"expr": args.expr, **jsonable(body)}
-    rows = [{"k": k, "abs_value": v} for k, v in zip(ks, values)] if ks else None
+    rows = None
+    if ks and args.format == "csv":
+        rows = [{"k": k, "abs_value": v} for k, v in zip(ks, values)]
     code = 0 if report.bound_ok in (None, True) else 1
     return data, rows, code
 

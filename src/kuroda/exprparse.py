@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Union
 
 from .algebra import VARIABLE_NAMES, SparsePolynomial, System
@@ -335,33 +336,33 @@ def parse_polynomial(text: str, system: System | None = None) -> SparsePolynomia
 # -- canonical printing ----------------------------------------------------
 
 
-def _format_monomial(system: System, exps: tuple[int, ...], coeff: Fraction) -> str:
-    names = VARIABLE_NAMES[system]
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    if not parts:
-        return str(abs(coeff))
-    body = "*".join(parts)
-    mag = abs(coeff)
-    return body if mag == 1 else f"{mag}*{body}"
-
-
 def polynomial_to_text(p: SparsePolynomial) -> str:
     """Canonical text form: terms in lexicographic exponent order.
 
     Output for P/Y systems re-parses to an equal polynomial; other systems
     print with their display names but are not part of the parser vocabulary.
+    Each coefficient ``num / den`` is printed from the stored integers,
+    reduced as ``str(Fraction(num, den))`` would print it.
     """
     if p.is_zero():
         return "0"
+    names = VARIABLE_NAMES[p.system]
+    nums, den = p._numerators()
     pieces = []
-    for idx, (exps, coeff) in enumerate(p.terms()):
-        rendered = _format_monomial(p.system, exps, coeff)
-        if idx == 0:
-            pieces.append(rendered if coeff > 0 else f"-{rendered}")
+    for exps in sorted(nums):
+        num = nums[exps]
+        mag = abs(num)
+        body = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+        )
+        if body and mag == den:
+            rendered = body
         else:
-            pieces.append(f"+ {rendered}" if coeff > 0 else f"- {rendered}")
+            g = gcd(mag, den)
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+            rendered = f"{text}*{body}" if body else text
+        if pieces:
+            pieces.append(f"+ {rendered}" if num > 0 else f"- {rendered}")
+        else:
+            pieces.append(rendered if num > 0 else f"-{rendered}")
     return " ".join(pieces)

@@ -12,8 +12,9 @@ suite exercises it exhaustively at desk scale, and the CLI treats any
 disagreement as an implementation bug.
 
 :func:`enumerate_t_generators` lists the minimal generators of the monoid up
-to a degree bound with a sieve: walking the members by degree, an element is
-minimal when subtracting no smaller generator leaves a member.  That basis is
+to a degree bound: ``e4`` and, found by a sieve over the 3-dimensional cone
+of ``(n1, n2, n3)`` (``n4`` enters no inequality), the members from which
+subtracting no smaller generator leaves a member.  That basis is
 finite (Gordan's lemma: the monoid is a rational polyhedral cone cut with
 ``Z^4``), so its counts plateau.  The growth the paper is about
 lives in the ring: :func:`ring_generator_census` counts the algebra
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     SparsePolynomial,
@@ -62,14 +63,6 @@ def monoid_member_oracle(n: Sequence[int], config: KurodaConfig) -> bool:
     return all(e >= 0 for e in expand_y_to_x(n, config))
 
 
-def _vectors_of_degree(degree: int) -> Iterator[tuple[int, int, int, int]]:
-    """The vectors of ``N^4`` with entry sum ``degree``, in lexicographic order."""
-    for n1 in range(degree + 1):
-        for n2 in range(degree + 1 - n1):
-            for n3 in range(degree + 1 - n1 - n2):
-                yield (n1, n2, n3, degree - n1 - n2 - n3)
-
-
 @dataclass(frozen=True)
 class GeneratorList:
     """Minimal monoid generators of total degree <= ``degree_bound``.
@@ -96,36 +89,44 @@ class GeneratorList:
 def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> GeneratorList:
     """All monoid members of degree <= bound that admit no nontrivial splitting.
 
-    The members are walked in ``(degree, lex)`` order, and ``n`` is kept
-    unless ``n - g`` is a member for a generator ``g`` kept before it.  This
-    is exact: the members up to the bound are the lattice points of a cone,
-    so they are closed under addition within the bound, and any splitting
-    ``n = a + b`` has a generator ``g <= a`` with ``n - g = (a - g) + b`` a
-    member.
+    ``n4`` enters none of :func:`monoid_member`'s three inequalities, so the
+    members are the vectors ``(m, n4)`` with ``n4 >= 0`` and ``m`` in the
+    3-dimensional cone they cut out.  A member with ``n4 > 0`` other than
+    ``e4`` splits as ``e4 + (n - e4)``, and the parts of a member with
+    ``n4 = 0`` have ``n4 = 0`` too.  So the generators are ``e4`` and the
+    minimal members of the 3-dimensional cone, with ``n4 = 0``.
+
+    Those are sieved: the cone members ``m`` are walked in ``(degree, lex)``
+    order, and ``m`` is kept unless ``m - g`` is a member for a generator
+    ``g`` kept before it.  This is exact: the members up to the bound are
+    the lattice points of a cone, so they are closed under addition within
+    the bound, and any splitting ``m = a + b`` has a generator ``g <= a``
+    with ``m - g = (a - g) + b`` a member.  The list comes out in the
+    ``(degree, lex)`` order of the 4-vectors, ``e4`` first.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    # monoid_member's inequalities, one (i, j, k, delta_ii, delta_ji, delta_ki) per axis
-    rows = []
-    for i in AXES:
-        j, k = (t for t in AXES if t != i)
-        rows.append(
-            (i - 1, j - 1, k - 1,
-             config.magnitude(i, i), config.magnitude(j, i), config.magnitude(k, i))
-        )
-    members: set[tuple[int, int, int, int]] = set()
-    generators: list[tuple[int, int, int, int]] = []
+    mag = config.magnitude
+    d11, d21, d31 = mag(1, 1), mag(2, 1), mag(3, 1)
+    d22, d12, d32 = mag(2, 2), mag(1, 2), mag(3, 2)
+    d33, d13, d23 = mag(3, 3), mag(1, 3), mag(2, 3)
+    members: set[tuple[int, int, int]] = set()
+    cone: list[tuple[int, int, int]] = []
+    generators = [(0, 0, 0, 1)] if degree_bound >= 1 else []
     for degree in range(1, degree_bound + 1):
-        for n in _vectors_of_degree(degree):
-            if any(dii * n[i] > dji * n[j] + dki * n[k] for i, j, k, dii, dji, dki in rows):
-                continue
-            members.add(n)
-            n1, n2, n3, n4 = n
-            if not any(
-                (n1 - g1, n2 - g2, n3 - g3, n4 - g4) in members
-                for g1, g2, g3, g4 in generators
-            ):
-                generators.append(n)
+        for n1 in range(degree + 1):
+            for n2 in range(degree + 1 - n1):
+                n3 = degree - n1 - n2
+                if (
+                    d11 * n1 > d21 * n2 + d31 * n3
+                    or d22 * n2 > d12 * n1 + d32 * n3
+                    or d33 * n3 > d13 * n1 + d23 * n2
+                ):
+                    continue
+                members.add((n1, n2, n3))
+                if not any((n1 - g1, n2 - g2, n3 - g3) in members for g1, g2, g3 in cone):
+                    cone.append((n1, n2, n3))
+                    generators.append((n1, n2, n3, 0))
     growing = any(sum(g) == degree_bound for g in generators)
     return GeneratorList(degree_bound, tuple(generators), growing)
 

@@ -41,7 +41,12 @@ The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
 1 for k > 16, so membership of the sequence in the 4-dimensional region
 starts at a small config-dependent threshold (17 for the standard symmetric
-instance; index 16 sits exactly on the boundary).
+instance; index 16 sits exactly on the boundary).  One helper builds the
+series of a probe as a single ``(len(ks), 4)`` array, and
+:func:`escape_point` is a one-row call of it: the logarithms come from
+``math.log2`` and the integer powers from ``float(k ** m)``, so every row
+has the bits of the per-index computation in Python floats, and a power past
+the double range raises ``OverflowError`` as ``float`` does.
 """
 
 from __future__ import annotations
@@ -266,10 +271,6 @@ def in_s(
 # -- escape sequence -------------------------------------------------------
 
 
-def _lg(x: float) -> float:
-    return math.log2(x)
-
-
 def diagonal_projection(point: Sequence[float]) -> tuple[float, float, float]:
     """Project parallel to the diagonal: subtract the fourth coordinate from
     the first three.  This is the map carrying the 4-dim region onto the
@@ -285,6 +286,40 @@ class EscapePoint:
     pi: tuple[float, float, float]
 
 
+def _escape_series(ks: Sequence[int], config: KurodaConfig, axis: int = 1) -> np.ndarray:
+    """The escape points of the indices ``ks``, one row ``y`` each: a ``(len(ks), 4)`` array.
+
+    The logarithms come from ``math.log2`` and each integer power is the
+    correctly rounded ``float(k ** m)``; the products and divisions are
+    whole-array ops.  So every row has the bits of a per-index computation
+    in Python floats, and a power past the double range raises
+    ``OverflowError("int too large to convert to float")`` as ``float`` does.
+    """
+    for k in ks:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 16:
+            raise ValueError(f"escape index must be an integer >= 16, got {k!r}")
+    if axis not in AXES:
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+
+    def powers(m: int) -> np.ndarray:
+        return np.array([float(k ** m) for k in ks])
+
+    lg1 = list(map(math.log2, map(float, ks)))
+    lg2 = list(map(math.log2, lg1))
+    lg3 = list(map(math.log2, lg2))
+    lg1, lg2, lg3 = np.array(lg1), np.array(lg2), np.array(lg3)
+    other1, other2 = (j for j in AXES if j != axis)
+    rows = np.empty((len(ks), 4))
+    rows[:, 3] = 1.0 / lg3
+    rows[:, axis - 1] = powers(config.magnitude(axis, axis))
+    # a product past the double range is inf and its reciprocal 0, silently,
+    # as in Python float arithmetic
+    with np.errstate(over="ignore"):
+        rows[:, other1 - 1] = 1.0 / (powers(config.magnitude(other1, axis)) * lg1)
+        rows[:, other2 - 1] = 1.0 / (powers(config.magnitude(other2, axis)) * lg2)
+    return rows
+
+
 def escape_point(k: int, config: KurodaConfig, axis: int = 1) -> EscapePoint:
     """The k-th escape point and its diagonal projection.
 
@@ -293,20 +328,9 @@ def escape_point(k: int, config: KurodaConfig, axis: int = 1) -> EscapePoint:
     logarithms; requires k >= 16 so the triple logarithm is defined and
     positive.  ``axis`` relabels which coordinate dominates (the remaining
     two take the single- and double-log damping in ascending axis order).
+    One row of :func:`_escape_series`.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 16:
-        raise ValueError(f"escape index must be an integer >= 16, got {k!r}")
-    if axis not in AXES:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    lg1 = _lg(float(k))
-    lg2 = _lg(lg1)
-    lg3 = _lg(lg2)
-    other1, other2 = (j for j in AXES if j != axis)
-    y = [0.0, 0.0, 0.0, 1.0 / lg3]
-    y[axis - 1] = float(k ** config.magnitude(axis, axis))
-    y[other1 - 1] = 1.0 / (k ** config.magnitude(other1, axis) * lg1)
-    y[other2 - 1] = 1.0 / (k ** config.magnitude(other2, axis) * lg2)
-    point = tuple(y)
+    point = tuple(_escape_series([k], config, axis)[0].tolist())
     return EscapePoint(k, point, diagonal_projection(point))
 
 
@@ -363,21 +387,21 @@ class _StarSampler:
         sign = self.rng.integers(0, 2, size=n) * 2.0 - 1.0
         t = self.rng.uniform(lam, self.radius, size=n)
         pts = np.zeros((n, self.dim))
+        columns = pts.T
         v = t / lam
         for a in AXES:
-            mask = axis == a
-            if not mask.any():
+            idx = np.flatnonzero(axis == a)
+            if not len(idx):
                 continue
-            pts[mask, a - 1] = sign[mask] * t[mask]
+            va = v[idx]
+            columns[a - 1][idx] = sign[idx] * t[idx]
             for j in (x for x in AXES if x != a):
                 e_fwd = cfg.magnitude(j, a) / cfg.magnitude(a, a)
                 e_rev = cfg.magnitude(j, j) / cfg.magnitude(a, j)
-                bound = lam * np.minimum(
-                    0.5, np.minimum(v[mask] ** -e_fwd, v[mask] ** -e_rev)
-                ) * 0.999
-                pts[mask, j - 1] = self.rng.uniform(-1.0, 1.0, size=mask.sum()) * bound
+                bound = lam * np.minimum(0.5, np.minimum(va ** -e_fwd, va ** -e_rev)) * 0.999
+                columns[j - 1][idx] = self.rng.uniform(-1.0, 1.0, size=len(idx)) * bound
         if self.dim == 4:
-            pts[:, 3] = self.rng.uniform(-lam, lam, size=n)
+            columns[3] = self.rng.uniform(-lam, lam, size=n)
         return pts
 
     def _ray_tilde(self, n: int) -> np.ndarray:
@@ -387,12 +411,13 @@ class _StarSampler:
         sign = self.rng.integers(0, 2, size=n) * 2.0 - 1.0
         t = self.rng.uniform(lam * (1 + 1e-9), self.radius, size=n)
         pts = np.zeros((n, 3))
+        columns = pts.T
         for a in AXES:
-            mask = axis == a
-            if not mask.any():
+            idx = np.flatnonzero(axis == a)
+            m = len(idx)
+            if not m:
                 continue
-            m = mask.sum()
-            ta = t[mask]
+            ta = t[idx]
             va = ta / lam
             arm_factor = va ** (2 * d[a - 1]) - 1.0
             bound_w = lam * np.minimum(
@@ -403,9 +428,9 @@ class _StarSampler:
             w = self.rng.uniform(-1.0, 1.0, size=m) * bound_w
             s = self.rng.uniform(-1.0, 1.0, size=m) * bound_s
             j, k = (x for x in AXES if x != a)
-            pts[mask, a - 1] = sign[mask] * ta
-            pts[mask, j - 1] = (s + w) / 2.0
-            pts[mask, k - 1] = (s - w) / 2.0
+            columns[a - 1][idx] = sign[idx] * ta
+            columns[j - 1][idx] = (s + w) / 2.0
+            columns[k - 1][idx] = (s - w) / 2.0
         return pts
 
     def batch(self, size: int) -> np.ndarray:
@@ -571,7 +596,7 @@ class ProbeReport:
     note: str = "sampled evidence; not a proof"
 
 
-def _monotone_from(values: np.ndarray) -> int:
+def _monotone_from(values: list[float]) -> int:
     """Smallest index from which the sequence strictly increases to the end."""
     idx = len(values) - 1
     while idx > 0 and values[idx] > values[idx - 1]:
@@ -631,18 +656,17 @@ def boundedness_probe(
     monotone_tail = divergence = None
     if escape_ks:
         ks = sorted(int(k) for k in escape_ks)
-        pts = []
-        for k in ks:
-            ep = escape_point(k, config)
-            pts.append(ep.y if f.system.arity == 4 else ep.pi)
-        values = evaluate_abs(f, np.asarray(pts, dtype=float))
+        pts = _escape_series(ks, config)
+        if f.system.arity != 4:
+            pts = pts[:, :3] - pts[:, 3:]  # the diagonal projections
+        values = evaluate_abs(f, pts).tolist()
         k_range = (ks[0], ks[-1])
-        final = float(values[-1])
+        final = values[-1]
         start = _monotone_from(values)
         monotone_from_k = ks[start]
         monotone_tail = (len(ks) - start) >= max(2, len(ks) // 4)
         divergence = bool(monotone_tail and final > divergence_threshold)
-        escape_values = tuple(values.tolist())
+        escape_values = tuple(values)
 
     return ProbeReport(
         seed=seed,

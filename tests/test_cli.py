@@ -479,21 +479,24 @@ def test_member_evaluates_each_route_once_for_a_member(capsys, concrete_path, mo
     assert calls == {"expand_pi_to_y": 1, "reexpress_for_axis": 3}
 
 
-def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, monkeypatch):
-    import kuroda.regions
+def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, concrete):
+    import numpy as np
 
-    calls = []
-    original = kuroda.regions.escape_point
-    monkeypatch.setattr(
-        kuroda.regions, "escape_point", lambda k, config: calls.append(k) or original(k, config)
-    )
+    from kuroda.exprparse import parse_polynomial
+    from kuroda.regions import escape_point, evaluate_abs
+    from kuroda.reports import _scalar_text
+
     args = ("probe", "--config", concrete_path, "--expr", "P1*P2", "--samples", "0",
             "--seed", "1", "--kmax", "200")
     code, out = run(capsys, *args, "--format", "csv")
     assert code == 0
-    assert calls == list(range(16, 201))
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [int(r["k"]) for r in rows] == list(range(16, 201))
+    ks = list(range(16, 201))
+    assert [int(r["k"]) for r in rows] == ks
+    # each row is |f| at the projected escape point of its index, as CSV text
+    f = parse_polynomial("P1*P2")
+    values = evaluate_abs(f, np.array([escape_point(k, concrete).pi for k in ks]))
+    assert [r["abs_value"] for r in rows] == [_scalar_text(v) for v in values.tolist()]
     code, data = run_json(capsys, *args)
     assert code == 0
     assert "uncertain_count" not in data and "escape_values" not in data

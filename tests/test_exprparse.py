@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuroda import ExpressionError, SparsePolynomial, System, parse_polynomial, polynomial_to_text
 from kuroda.exprparse import (
@@ -17,7 +19,7 @@ from kuroda.exprparse import (
 )
 
 from conftest import seeded_pi_polynomials
-from reference import pi_variable, y_variable
+from reference import pi_variable, polynomial_to_text_via_fractions, y_variable
 
 
 def test_parse_antisymmetric_product():
@@ -161,6 +163,39 @@ def test_print_parse_round_trip_random():
     for f in seeded_pi_polynomials(777, 120):
         printed = polynomial_to_text(f)
         assert parse_polynomial(printed, System.PI3) == f
+
+
+@st.composite
+def polynomials(draw):
+    system = draw(st.sampled_from([System.PI3, System.Y4, System.AXIS3]))
+    exps = st.tuples(*[st.integers(0, 4)] * system.arity)
+    coeffs = st.builds(
+        Fraction,
+        st.integers(-60, 60) | st.integers(-10**30, 10**30),
+        st.integers(1, 36) | st.sampled_from([1, 2, 3**40]),
+    )
+    return SparsePolynomial(system, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomials())
+def test_text_from_numerators_matches_fraction_terms(f):
+    # the common denominator is often not the one a term prints with
+    assert polynomial_to_text(f) == polynomial_to_text_via_fractions(f)
+
+
+def test_text_from_numerators_fixed_cases():
+    cases = {
+        "1/2*P1 + P2": "P2 + 1/2*P1",
+        "2/4*P1 - 3/6*P2 + 1/3": "1/3 - 1/2*P2 + 1/2*P1",
+        "-P1 + 4/2": "2 - P1",
+        "-6/4": "-3/2",
+    }
+    for text, printed in cases.items():
+        f = parse_polynomial(text)
+        assert polynomial_to_text(f) == polynomial_to_text_via_fractions(f) == printed
+    zero = SparsePolynomial(System.Y4, {})
+    assert polynomial_to_text(zero) == polynomial_to_text_via_fractions(zero) == "0"
 
 
 def test_random_y_polynomials_round_trip():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,9 @@ from kuroda import membership
 from kuroda.membership import RouteDisagreementError, oracle_violations
 
 from conftest import seeded_pi_polynomials
-from reference import combinations_reach, pi_variable
+from reference import combinations_reach, pi_variable, sieve_over_four_coordinates
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 ANTISYM = (P1 - P2) * (P2 - P3) * (P3 - P1)
@@ -120,11 +123,11 @@ def splitting_generators(config, degree_bound):
 
 
 @st.composite
-def valid_configs(draw):
+def valid_configs(draw, off=12, diag=4):
     rows = []
     for i in range(3):
-        row = [draw(st.integers(1, 12)) for _ in range(3)] + [draw(st.integers(0, 3))]
-        row[i] = -draw(st.integers(1, 4))
+        row = [draw(st.integers(1, off)) for _ in range(3)] + [draw(st.integers(0, 3))]
+        row[i] = -draw(st.integers(1, diag))
         rows.append(row)
     config = KurodaConfig.from_signed(rows, draw(st.integers(1, 3)))
     assume(validate(config).valid)
@@ -136,6 +139,23 @@ def valid_configs(draw):
 def test_sieve_matches_exhaustive_splitting(config, bound):
     listing = enumerate_t_generators(config, bound)
     assert (listing.generators, listing.growing_at_bound) == splitting_generators(config, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs(off=60, diag=7), st.sampled_from([0, 1, 2, 5, 10, 12]))
+def test_cone_sieve_matches_four_coordinate_sieve(config, bound):
+    # GeneratorList equality: the same tuple in the same order, and growing_at_bound
+    assert enumerate_t_generators(config, bound) == sieve_over_four_coordinates(config, bound)
+
+
+@pytest.mark.parametrize("name", ["concrete", "min2_7", "big_weights"])
+def test_cone_sieve_matches_four_coordinate_sieve_on_fixtures(name):
+    config = KurodaConfig.from_json_file(CONFIGS / f"{name}.json")
+    for bound in (10, 20, 40):
+        listing = enumerate_t_generators(config, bound)
+        assert listing == sieve_over_four_coordinates(config, bound)
+        assert listing.generators[0] == (0, 0, 0, 1)
+        assert all(g[3] == 0 for g in listing.generators[1:])
 
 
 def test_generator_completeness_small_degree(concrete):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from kuroda.config import column_minima, condition_value
 from kuroda.regions import (
     Verdict,
     _cross_pairs,
+    _escape_series,
     _int_power,
     _StarSampler,
     evaluate_abs,
@@ -43,7 +45,12 @@ from kuroda.regions import (
 )
 
 from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials
-from reference import pi_variable
+from reference import (
+    escape_rows_one_by_one,
+    pi_variable,
+    ray_star_by_masks,
+    ray_tilde_by_masks,
+)
 
 
 def test_s_prime_examples(concrete):
@@ -596,6 +603,88 @@ def test_margin_filters_match_pow_reference(name, kind):
     clear = np.abs(reference) > 1e-9
     assert ((margins < 0) == (reference < 0))[clear].all()
     assert (reference[clear] < 0).any() and (reference[clear] > 0).any()
+
+
+ESCAPE_CONFIGS = ("concrete", "min2_7", "drawn")
+
+
+def _outcome(call):
+    """``None`` when ``call()`` returns, else the type and text of what it raised."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("axis", (1, 2, 3))
+@pytest.mark.parametrize("name", ESCAPE_CONFIGS)
+def test_escape_series_matches_one_index_at_a_time(name, axis):
+    config = MARGIN_CONFIGS[name]
+    ks = list(range(16, 5001))
+    rows = _escape_series(ks, config, axis)
+    reference = escape_rows_one_by_one(ks, config, axis)
+    # bit for bit: compare the float64 words as integers
+    assert rows.shape == (len(ks), 4)
+    assert np.array_equal(rows.view(np.int64), reference.view(np.int64))
+    for k in (16, 17, 1000, 5000):
+        ep = escape_point(k, config, axis)
+        assert ep.y == tuple(reference[k - 16].tolist())
+        assert ep.pi == tuple((reference[k - 16, :3] - reference[k - 16, 3]).tolist())
+
+
+# symmetric, diagonal -1, off-diagonal 100: k**100 leaves the double range at k = 1210
+_OVERFLOW_MIDWAY = KurodaConfig.from_dict(
+    {"delta": [[-1, 100, 100, 0], [100, -1, 100, 0], [100, 100, -1, 0]], "gamma": 1}
+)
+
+
+@pytest.mark.parametrize("axis", (1, 2, 3))
+@pytest.mark.parametrize("config, first_bad", [
+    (MARGIN_CONFIGS["big_weights"], 16),
+    (_OVERFLOW_MIDWAY, 1210),
+])
+def test_escape_series_overflows_at_the_same_index(config, first_bad, axis):
+    ks = list(range(16, 2001))
+    per_index = [_outcome(lambda k=k: escape_rows_one_by_one([k], config, axis)) for k in ks]
+    first = next(i for i, outcome in enumerate(per_index) if outcome)
+    assert ks[first] == first_bad
+    assert per_index[first] == (OverflowError, "int too large to convert to float")
+    with warnings.catch_warnings():
+        # an inf product whose reciprocal is 0 passes silently, as in Python floats
+        warnings.simplefilter("error")
+        assert _outcome(lambda: _escape_series(ks[:first], config, axis)) is None
+    assert _outcome(lambda: _escape_series(ks[:first + 1], config, axis)) == per_index[first]
+    assert _outcome(lambda: _escape_series(ks, config, axis)) == per_index[first]
+    assert _outcome(lambda: escape_point(first_bad, config, axis)) == per_index[first]
+
+
+def test_escape_series_rejects_bad_indices(concrete):
+    with pytest.raises(ValueError, match="got 15"):
+        _escape_series([15, 16], concrete)
+    with pytest.raises(ValueError, match="got True"):
+        _escape_series([True], concrete)
+    with pytest.raises(ValueError, match="axis"):
+        _escape_series([16], concrete, axis=0)
+    assert _escape_series([], concrete).shape == (0, 4)
+
+
+@pytest.mark.parametrize("n", (1, 7, 12000))
+@pytest.mark.parametrize("kind", list(_POW_MARGINS))
+@pytest.mark.parametrize("name", list(MARGIN_CONFIGS))
+def test_ray_strata_match_mask_indexed_reference(name, kind, n):
+    config = MARGIN_CONFIGS[name]
+    spec = RegionSpec(kind, 1.5)
+    ours = _StarSampler(config, spec, 50.0, np.random.default_rng(29))
+    ref = _StarSampler(config, spec, 50.0, np.random.default_rng(29))
+    tilde = kind is RegionKind.S_TILDE3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(2):
+            points = ours._ray_tilde(n) if tilde else ours._ray_star(n)
+            expected = ray_tilde_by_masks(ref, n) if tilde else ray_star_by_masks(ref, n)
+            assert points.shape == expected.shape == (n, kind.dim)
+            assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+            assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def _evaluate_abs_cases():
