@@ -24,12 +24,18 @@ the scaling identity holds exactly in floating point.
 Membership in ``S3`` quantifies over the diagonal shift and is only
 semi-decided: a grid scan over the shift with two refinement rounds, and a
 tolerance band that returns ``UNCERTAIN`` instead of guessing at the
-boundary.  The scan runs on blocks of points at once, in log form (each
-cross bound as ``e_i*log|q_i| + e_j*log|q_j|``), so large weights cannot
-overflow it; the best value is mapped back to the ordinary margin, so the grid and the band
-mean what they did for one point.  Non-finite points raise ``ValueError``
-rather than reading as outside, and so does a scale ``lam`` that is not
-finite and positive, in every predicate and margin function.
+boundary.  The search takes any number of points and runs in log form
+(each cross bound as ``e_i*log|q_i| + e_j*log|q_j|``), so large weights
+cannot overflow it; each round takes the points in blocks whose log arrays
+fit one element budget, and a point's result does not depend on the other
+points.  The grid round is a bounded scan: it evaluates every 32nd grid
+shift, bounds each interval between them from below, and evaluates every
+shift only where the bound can hold the minimum, with exactly the answer of
+the full scan.  The best value is mapped back to the ordinary margin, so the
+grid and the band mean what they did for one point.  Non-finite points raise
+``ValueError`` rather than reading as outside, and so does a scale ``lam``
+that is not finite and positive, in every predicate and margin function, and
+a shift search whose shifted coordinates would pass the double range.
 
 The margin filters and ``evaluate_abs`` form integer powers by
 multiplication (square-and-multiply, and per-coordinate power tables), not
@@ -200,6 +206,126 @@ def in_s_tilde(point, lam: float, config: KurodaConfig) -> bool:
 _SHIFT_GRID = 1024
 _REFINE_GRID = 65
 _REFINEMENTS = 2
+# The grid round evaluates every _STRIDE-th grid shift and the last one (the
+# interval ends), then the other shifts of the intervals whose lower bound
+# can hold the minimum.
+_STRIDE = 32
+_ENDS = np.append(np.arange(0, _SHIFT_GRID, _STRIDE), _SHIFT_GRID - 1)
+# Taken off every log|q| of an interval's lower bound: far more than the
+# few units in the last place by which np.log may round out of order, since
+# |log|q|| stays below 1500 for finite q and scale.
+_LOG_SLACK = 1e-9
+# Largest (3 x rows x shifts) log arrays alive at once in the shift search, in
+# elements: each round takes the rows of a call in blocks that fit it, and the
+# grid round its surviving intervals too, so memory does not grow with the
+# number of rows.
+_SHIFT_ELEMENTS = 3 * 16 * 1024
+
+
+def _row_blocks(count: int, width: int):
+    """Slices of ``count`` rows in blocks whose (3 x rows x width) array fits the budget."""
+    step = max(1, _SHIFT_ELEMENTS // (3 * width))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _shifted_logs(coords: np.ndarray, shifts: np.ndarray, log_lam: float) -> np.ndarray:
+    """``log|p_c - a| - log(lam)`` for coordinates (3 x rows x 1) and shifts (rows x k or k)."""
+    # in place, to keep the temporaries near one (3 x rows x shifts) array
+    logq = np.subtract(coords, shifts)
+    np.abs(logq, out=logq)
+    # a coordinate hit exactly by the shift gives log 0 = -inf, margin -1
+    with np.errstate(divide="ignore"):
+        np.log(logq, out=logq)
+    logq -= log_lam
+    return logq
+
+
+def _cross_max(logq: np.ndarray, pairs) -> np.ndarray:
+    """Max over the cross bounds of ``e_i*logq_i + e_j*logq_j``, elementwise."""
+    values = None
+    for i, j, ei, ej in pairs:
+        term = ei * logq[i - 1]
+        term += ej * logq[j - 1]
+        values = term if values is None else np.maximum(values, term, out=values)
+    return values
+
+
+def _row_linspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(lo[r], hi[r], num)`` for each row r, as a (rows x num) array.
+
+    On arrays ``np.linspace`` takes its ``step == 0`` branch (a span so small
+    that ``span / (num - 1)`` underflows) for the whole batch when one row
+    needs it, which moves the other rows' last bits; here each row takes the
+    branch a one-row call would take.
+    """
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    y = np.arange(num, dtype=float)
+    shifts = y * step[:, None]
+    zero = step == 0
+    if zero.any():
+        shifts[zero] = (y / div) * delta[zero, None]
+    shifts += lo[:, None]
+    shifts[:, -1] = hi
+    return shifts
+
+
+def _grid_round(coords: np.ndarray, grid: np.ndarray, pairs, log_lam: float):
+    """First minimum (value, shift) of the log-form margin over the grid, per row.
+
+    ``coords`` is a (3 x rows x 1) block.  Gives the value and shift that
+    ``argmin`` over all grid shifts gives; see :func:`s_shift_margins`.
+    """
+    n = coords.shape[1]
+    logq = _shifted_logs(coords, grid[_ENDS], log_lam)
+    at_ends = _cross_max(logq, pairs)
+    # the end and bound logs go before the surviving intervals' logs come,
+    # so no more than one budget of logs is alive at a time
+    lower = np.minimum(logq[:, :, :-1], logq[:, :, 1:])
+    del logq
+    lower -= _LOG_SLACK
+    lower[(grid[_ENDS[:-1]] <= coords) & (coords <= grid[_ENDS[1:]])] = -np.inf
+    rows, cells = np.nonzero(_cross_max(lower, pairs) <= at_ends.min(axis=1)[:, None])
+    del lower
+    inner = np.full((n, len(_ENDS) - 1), np.inf)
+    inner_idx = np.zeros(inner.shape, dtype=np.intp)
+    # the shifts of interval k after its first end; the last interval's
+    # include its other end, which changes neither value nor first index
+    interiors = grid.reshape(-1, _STRIDE)[:, 1:]
+    for block in _row_blocks(len(rows), _STRIDE - 1):
+        r, c = rows[block], cells[block]
+        values = _cross_max(_shifted_logs(coords[:, r], interiors[c], log_lam), pairs)
+        first = values.argmin(axis=1)
+        inner[r, c] = values[np.arange(len(r)), first]
+        inner_idx[r, c] = _ENDS[c] + 1 + first
+    # candidates in grid order: end 0, interval 0, end 1, ..., interval 31, end 32
+    cand = np.empty((n, 2 * len(_ENDS) - 1))
+    cand[:, 0::2] = at_ends
+    cand[:, 1::2] = inner
+    cand_idx = np.empty(cand.shape, dtype=np.intp)
+    cand_idx[:, 0::2] = _ENDS
+    cand_idx[:, 1::2] = inner_idx
+    col = cand.argmin(axis=1)
+    k = np.arange(n)
+    return cand[k, col], grid[cand_idx[k, col]]
+
+
+def _refine(coords, best, best_a, spacing, lam: float, pairs, log_lam: float):
+    """The refinement rounds on one (3 x rows x 1) block, from the grid round's best."""
+    k = np.arange(len(best))
+    for _ in range(_REFINEMENTS):
+        lo = np.maximum(best_a - spacing, -lam)
+        hi = np.minimum(best_a + spacing, lam)
+        shifts = _row_linspace(lo, hi, _REFINE_GRID)
+        spacing = shifts[:, 1] - shifts[:, 0]
+        values = _cross_max(_shifted_logs(coords, shifts, log_lam), pairs)
+        idx = values.argmin(axis=1)
+        found = values[k, idx]
+        better = found < best
+        best = np.where(better, found, best)
+        best_a = np.where(better, shifts[k, idx], best_a)
+    return best, best_a
 
 
 def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -212,60 +338,70 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
     weights cannot overflow it.  The best value goes back through ``expm1``,
     so each margin is the star margin of :func:`s_double_prime_margins` at
     the best shift.  Returns (margins, shifts), one entry per row; a negative
-    margin certifies membership of the point in the fattened star.
+    margin certifies membership of the point in the fattened star.  A row's
+    result does not depend on the other rows of the call.
     Non-finite coordinates and a scale that is not finite and positive raise
-    ``ValueError`` rather than reading as outside.
+    ``ValueError`` rather than reading as outside, and so do points and a
+    scale whose shifted coordinates ``p - a`` or grid could pass the double
+    range (``max|p| + lam`` or ``2*lam`` not finite).
+
+    The grid round is a bounded scan with exactly the full scan's answer.
+    Call ``F(a)`` the log-form value at shift ``a``.  ``F`` is evaluated at
+    every 32nd grid shift and the last one (the ends); each interval between
+    two ends gets a lower bound, ``F`` of the smaller end ``log|q_c|`` per
+    coordinate less a slack of 1e-9, or ``-inf`` for a coordinate whose
+    ``p_c`` lies in the interval (its pole).  Every grid shift is evaluated
+    only in the intervals whose bound does not exceed the best end value,
+    and the first minimum over grid index is taken, as ``np.argmin`` does.
+    Why this is exact:
+
+    * on an interval without a pole, ``fl(p_c - a)`` is monotone in ``a``
+      and keeps its sign, so ``|fl(p_c - a)|`` is at least its value at
+      one of the two ends; ``-log(lam)``, the weights ``e >= 1``, ``+``
+      and ``max`` are monotone in floating point too, so ``F`` on the
+      interval is at least the bound as long as ``np.log`` rounds out of
+      order by less than the slack (a few units in the last place of a
+      value below 1500 in size, against 1e-9);
+    * overflow is rejected up front, so no value is ``nan`` and these
+      comparisons mean what they say;
+    * every end is a grid shift, so a pruned interval holds only shifts
+      whose ``F`` is strictly above the best end value, hence above the
+      grid minimum: the minimum and its first index lie among the shifts
+      evaluated, and ``best`` and ``best_a`` keep their bits.
     """
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
         raise ValueError("the shift search needs finite coordinates")
     _check_scale(lam)
-    rows = np.arange(len(pts))
+    reach = float(np.abs(pts).max(initial=0.0)) + float(lam)
+    if not (math.isfinite(2.0 * lam) and math.isfinite(reach)):
+        raise ValueError(
+            f"the shift search at scale {lam} passes the double range (max |p| + scale = {reach})"
+        )
     coords = pts.T[:, :, None]
     pairs = _cross_pairs(config)
     log_lam = math.log(lam)
     grid = np.linspace(-lam, lam, _SHIFT_GRID + 2)[1:-1]
-    shifts = np.broadcast_to(grid, (len(pts), _SHIFT_GRID))
-    best = np.full(len(pts), np.inf)
-    best_a = np.zeros(len(pts))
-    for round_ in range(_REFINEMENTS + 1):
-        if round_:
-            lo = np.maximum(best_a - spacing, -lam)
-            hi = np.minimum(best_a + spacing, lam)
-            shifts = np.linspace(lo, hi, _REFINE_GRID, axis=1)
-        spacing = shifts[:, 1] - shifts[:, 0]
-        # in place, to keep a block's temporaries near one (3 x points x shifts) array
-        logq = np.subtract(coords, shifts)
-        np.abs(logq, out=logq)
-        # a coordinate hit exactly by the shift gives log 0 = -inf, margin -1
-        with np.errstate(divide="ignore"):
-            np.log(logq, out=logq)
-        logq -= log_lam
-        values = None
-        for i, j, ei, ej in pairs:
-            term = ei * logq[i - 1]
-            term += ej * logq[j - 1]
-            values = term if values is None else np.maximum(values, term, out=values)
-        idx = values.argmin(axis=1)
-        found = values[rows, idx]
-        better = found < best
-        best = np.where(better, found, best)
-        best_a = np.where(better, shifts[rows, idx], best_a)
+    best = np.empty(len(pts))
+    best_a = np.empty(len(pts))
+    # per row, a refinement round holds the logs of 65 shifts, and the grid
+    # round those of its 33 ends and 32 interval bounds
+    for block in _row_blocks(len(pts), _REFINE_GRID):
+        found, shift = _grid_round(coords[:, block], grid, pairs, log_lam)
+        best[block], best_a[block] = _refine(
+            coords[:, block], found, shift, grid[1] - grid[0], lam, pairs, log_lam
+        )
     return np.expm1(best), best_a
-
-
-def _shift_verdict(margin: float, tolerance: float) -> Verdict:
-    if abs(margin) <= tolerance:
-        return Verdict.UNCERTAIN
-    return Verdict.IN if margin < 0 else Verdict.OUT
 
 
 def in_s(
     point, lam: float, config: KurodaConfig, tolerance: float = 1e-6
 ) -> Verdict:
     """Semi-decision of membership in the fattened star (see module notes)."""
-    margins, _ = s_shift_margins(point, lam, config)
-    return _shift_verdict(margins[0], tolerance)
+    margin = s_shift_margins(point, lam, config)[0][0]
+    if abs(margin) <= tolerance:
+        return Verdict.UNCERTAIN
+    return Verdict.IN if margin < 0 else Verdict.OUT
 
 
 # -- escape sequence -------------------------------------------------------
@@ -488,12 +624,13 @@ def sample_region(
     (candidates from all strata pass through the same margin filter).  The
     fattened star is sampled constructively: star samples plus a uniform
     diagonal shift.  ``radius`` must be finite and positive, else
-    ``ValueError`` is raised.
+    ``ValueError`` is raised; so is a radius whose double is not finite,
+    since the box stratum draws from an interval of width ``2*radius``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"sampling radius must be finite and > 0, got {radius}")
+    if not (radius > 0 and math.isfinite(2.0 * radius)):
+        raise ValueError(f"sampling radius must be > 0 with a finite double, got {radius}")
     rng = np.random.default_rng(seed)
     kind = spec.kind
     base_spec = (
@@ -689,12 +826,6 @@ def boundedness_probe(
 # -- sandwich check --------------------------------------------------------
 
 
-# Far-zone points per shift search in sandwich_check: a block's
-# (points x shifts) temporaries stay near 0.4 MB, so memory does not grow
-# with the sample count.
-_SHIFT_BLOCK = 16
-
-
 def _in_far_zone(points: np.ndarray) -> np.ndarray:
     """Mask of points with some coordinate of absolute value above 2."""
     return (np.abs(points) > 2.0).any(axis=1)
@@ -739,11 +870,13 @@ def sandwich_check(
     """Run both inclusion directions on ``count`` far-zone points each.
 
     ``radius`` must exceed :data:`SANDWICH_MIN_RADIUS`, else no sampled
-    point reaches the far zone and ``ValueError`` is raised.
+    point reaches the far zone and ``ValueError`` is raised; so is a radius
+    whose double is not finite, which the samplers cannot draw from.  All
+    far-zone points of the basic open set go through one shift search.
     """
-    if not radius > SANDWICH_MIN_RADIUS:
+    if not (radius > SANDWICH_MIN_RADIUS and math.isfinite(2.0 * radius)):
         raise ValueError(
-            f"sandwich radius must be > {SANDWICH_MIN_RADIUS:g}, got {radius}"
+            f"sandwich radius must be > {SANDWICH_MIN_RADIUS:g} with a finite double, got {radius}"
         )
     rng = np.random.default_rng(seed)
     examples: list[tuple[str, tuple[float, ...]]] = []
@@ -773,30 +906,22 @@ def sandwich_check(
             examples.append(("half_s_outside_tilde", tuple(float(x) for x in p)))
 
     tilde = _StarSampler(config, RegionSpec(RegionKind.S_TILDE3, 1.0), radius, rng)
+    far: list[np.ndarray] = []
     tilde_checked = 0
-    tilde_violations = 0
-    uncertain = 0
     guard = 0
     while tilde_checked < count and guard < 400:
         guard += 1
         chunk = tilde.batch(max(4096, count))
-        chunk = chunk[_in_far_zone(chunk)]
-        if not len(chunk):
-            continue
-        chunk = chunk[: count - tilde_checked]
-        margins = np.concatenate([
-            s_shift_margins(chunk[start:start + _SHIFT_BLOCK], 2.0, config)[0]
-            for start in range(0, len(chunk), _SHIFT_BLOCK)
-        ])
-        for p, margin in zip(chunk, margins):
-            verdict = _shift_verdict(margin, tolerance)
-            tilde_checked += 1
-            if verdict is Verdict.UNCERTAIN:
-                uncertain += 1
-            elif verdict is Verdict.OUT:
-                tilde_violations += 1
-                if len(examples) < 20:
-                    examples.append(("tilde_outside_2s", tuple(float(x) for x in p)))
+        chunk = chunk[_in_far_zone(chunk)][: count - tilde_checked]
+        far.append(chunk)
+        tilde_checked += len(chunk)
+    far_points = np.vstack(far) if far else np.zeros((0, 3))
+    margins = s_shift_margins(far_points, 2.0, config)[0]
+    # the verdicts of in_s: UNCERTAIN within the band, else IN below 0, else OUT
+    uncertain = np.abs(margins) <= tolerance
+    outside = ~uncertain & ~(margins < 0)
+    for p in far_points[outside][: max(0, 20 - len(examples))]:
+        examples.append(("tilde_outside_2s", tuple(float(x) for x in p)))
 
     return SandwichReport(
         seed=seed,
@@ -805,8 +930,8 @@ def sandwich_check(
         half_s_checked=half_checked,
         half_s_violations=half_violations,
         tilde_checked=tilde_checked,
-        tilde_violations=tilde_violations,
-        uncertain_count=uncertain,
+        tilde_violations=int(outside.sum()),
+        uncertain_count=int(uncertain.sum()),
         violation_examples=tuple(examples),
     )
 

@@ -21,6 +21,7 @@ from kuroda.algebra import (
 )
 from kuroda.config import AXES, KurodaConfig, column_minima
 from kuroda.membership import GeneratorList, monoid_member
+from kuroda.regions import _as_points, _check_scale, _cross_pairs
 
 
 def pi_variable(i: int) -> SparsePolynomial:
@@ -189,3 +190,48 @@ def ray_tilde_by_masks(sampler, n: int) -> np.ndarray:
         pts[mask, j - 1] = (s + w) / 2.0
         pts[mask, k - 1] = (s - w) / 2.0
     return pts
+
+
+def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kuroda.regions.s_shift_margins` with the grid round as a full scan.
+
+    All 1024 grid shifts are evaluated for every row, then the same two
+    refinement rounds of 65 shifts run, with ``np.linspace`` over the whole
+    batch.  So a row gets the bits of the bounded scan whenever no row of
+    the call has a refinement span that underflows ``np.linspace``'s step
+    (only subnormal scales do); a one-row call always does.
+    """
+    pts = _as_points(points, 3)
+    if not np.isfinite(pts).all():
+        raise ValueError("the shift search needs finite coordinates")
+    _check_scale(lam)
+    rows = np.arange(len(pts))
+    coords = pts.T[:, :, None]
+    pairs = _cross_pairs(config)
+    log_lam = math.log(lam)
+    grid = np.linspace(-lam, lam, 1026)[1:-1]
+    shifts = np.broadcast_to(grid, (len(pts), 1024))
+    best = np.full(len(pts), np.inf)
+    best_a = np.zeros(len(pts))
+    for round_ in range(3):
+        if round_:
+            lo = np.maximum(best_a - spacing, -lam)
+            hi = np.minimum(best_a + spacing, lam)
+            shifts = np.linspace(lo, hi, 65, axis=1)
+        spacing = shifts[:, 1] - shifts[:, 0]
+        logq = np.subtract(coords, shifts)
+        np.abs(logq, out=logq)
+        with np.errstate(divide="ignore"):
+            np.log(logq, out=logq)
+        logq -= log_lam
+        values = None
+        for i, j, ei, ej in pairs:
+            term = ei * logq[i - 1]
+            term += ej * logq[j - 1]
+            values = term if values is None else np.maximum(values, term, out=values)
+        idx = values.argmin(axis=1)
+        found = values[rows, idx]
+        better = found < best
+        best = np.where(better, found, best)
+        best_a = np.where(better, shifts[rows, idx], best_a)
+    return np.expm1(best), best_a

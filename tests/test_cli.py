@@ -365,6 +365,18 @@ def test_bad_numeric_flags_exit_two(capsys, concrete_path, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["9e307", "1e308"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sandwich", "--seed", "1"], ["probe", "--expr", "P1", "--seed", "1", "--kmax", "0"]],
+)
+def test_radius_past_double_range_exits_two(capsys, concrete_path, argv, radius):
+    # parsed as finite, then refused by the sampler rather than a traceback
+    code = main([*argv, "--config", concrete_path, "--radius", radius])
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+
+
 def test_size_flags_accept_their_limits(concrete_path):
     # parsed only: running at the limits takes seconds
     parser = build_parser()

@@ -30,6 +30,7 @@ from kuroda import (
     sample_region,
     sandwich_check,
 )
+import kuroda.regions as regions_module
 from kuroda.config import column_minima, condition_value
 from kuroda.regions import (
     Verdict,
@@ -50,6 +51,7 @@ from reference import (
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
+    shift_margins_full_scan,
 )
 
 
@@ -177,6 +179,77 @@ def test_shift_search_matches_pow_reference(name):
     if name in ("symmetric_1_6", "drawn"):
         # both reach known defect b, so OUT verdicts are compared too
         assert {Verdict.IN, Verdict.OUT} <= set(verdicts)
+
+
+def _shift_search_points(config, lam):
+    """Far-zone basic-set points as sandwich draws them, exact hits of the
+    grid at ``lam`` (interval ends and interior shifts) and diagonal points."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = sample_region(
+            config, RegionSpec(RegionKind.S_TILDE3, 1.0), 1200, seed=61, radius=50.0
+        ).points
+    far = points[(np.abs(points) > 2.0).any(axis=1)][:200]
+    grid = np.linspace(-lam, lam, 1026)[1:-1]
+    hits = [
+        (grid[37], grid[64], 5.0 * lam),
+        (grid[0], grid[1023], grid[500]),
+        (grid[992], 0.3 * lam, -7.0 * lam),
+        (grid[31], grid[32], grid[33]),
+        (grid[1022] + 3.0 * lam, grid[1022], grid[1022]),
+    ]
+    diagonal = [(t, t, t) for t in (grid[96], 0.41 * lam, 1.5 * lam, -3.0 * lam)]
+    diagonal += [(t + 4.0 * lam, t, t) for t in (grid[200], -0.77 * lam)]
+    return np.vstack([far, hits, diagonal])
+
+
+@pytest.mark.parametrize("name", [*SHIFT_SEARCH_CONFIGS, "big_weights"])
+def test_bounded_grid_scan_matches_full_scan(name, big_weights):
+    config = big_weights if name == "big_weights" else SHIFT_SEARCH_CONFIGS[name]
+    for lam in (0.7, 1.0, 2.0, 13.0):
+        points = _shift_search_points(config, lam)
+        for scale in (1.0, 10.0, 1e4):
+            # scaled by 10 or 1e4, the grid hits are hits no more
+            margins, shifts = s_shift_margins(points * scale, lam, config)
+            ref_margins, ref_shifts = shift_margins_full_scan(points * scale, lam, config)
+            assert np.array_equal(margins, ref_margins)
+            assert np.array_equal(shifts, ref_shifts)
+
+
+@pytest.mark.parametrize("lam", [2.0, 13.0, 3e-320, 8e-320])
+def test_shift_search_rows_do_not_depend_on_the_call(lam):
+    # 300 rows span two refinement blocks; at the subnormal scales the
+    # refinement span of a row whose best shift sits near -lam or lam is
+    # clipped, and its np.linspace step underflows to 0 where others do not
+    config = SHIFT_SEARCH_CONFIGS["drawn"]
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-3.0, 3.0, size=(300, 3)) * lam
+    points[:40] = _shift_search_points(config, lam)[-40:]
+    points[40:60] = rng.uniform(-1.0, 1.0, size=(20, 3)) * 0.1 * lam
+    points[40:50, 0] = 0.999 * lam
+    points[50:60, 0] = -0.999 * lam
+    margins, shifts = s_shift_margins(points, lam, config)
+    for size in (1, 16, 17):
+        parts = [s_shift_margins(points[i:i + size], lam, config) for i in range(0, 300, size)]
+        assert np.array_equal(np.concatenate([m for m, _ in parts]), margins)
+        assert np.array_equal(np.concatenate([a for _, a in parts]), shifts)
+    for row in (0, 7, 45, 55, 150, 299):
+        alone = shift_margins_full_scan(points[row], lam, config)
+        assert alone[0][0] == margins[row] and alone[1][0] == shifts[row]
+
+
+def test_shift_search_rejects_overflow(concrete):
+    # the grid of 1e308 is not finite, and at 8e307 p - a passes the double
+    # range for a = -g: both once read as a verdict (OUT, and a margin from NaN values)
+    with pytest.raises(ValueError, match="double range"):
+        s_shift_margins([(3.0, 0.25, 0.25)], 1e308, concrete)
+    with pytest.raises(ValueError, match="double range"):
+        in_s((3.0, 0.25, 0.25), 1e308, concrete)
+    lam = 8e307
+    g = np.linspace(-lam, lam, 1026)[1:-1][600]
+    with pytest.raises(ValueError, match="double range"):
+        s_shift_margins([(10.0, 0.4, 0.4), (1.7e308, g, 5.0)], lam, concrete)
+    margins, _ = s_shift_margins([(9e307, g, 5.0)], lam, concrete)
+    assert not np.isnan(margins).any()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -404,6 +477,38 @@ def test_sandwich_small_run(concrete):
 @pytest.mark.parametrize("radius", [3.0, 2.5, 1.0, -3.0])
 def test_sandwich_needs_radius_above_three(concrete, radius):
     # half-scaled points reach at most (radius + 1)/2 <= 2: none in the far zone
+    with pytest.raises(ValueError, match="radius"):
+        sandwich_check(concrete, 10, seed=1, radius=radius)
+
+
+def test_sandwich_counts_the_in_s_verdicts(monkeypatch):
+    # a wide band on a config with known defect b: IN, OUT and UNCERTAIN all occur
+    config = SHIFT_SEARCH_CONFIGS["symmetric_1_6"]
+    tolerance = 0.2
+    searched = []
+
+    def spy(points, lam, cfg):
+        margins, shifts = s_shift_margins(points, lam, cfg)
+        searched.append((np.array(points), margins))
+        return margins, shifts
+
+    monkeypatch.setattr(regions_module, "s_shift_margins", spy)
+    report = sandwich_check(config, 300, seed=5, tolerance=tolerance)
+    (points, margins), = searched
+    verdicts = [_verdict(m, tolerance) for m in margins]
+    assert report.tilde_checked == len(points) == 300
+    assert report.uncertain_count == verdicts.count(Verdict.UNCERTAIN) > 0
+    assert report.tilde_violations == verdicts.count(Verdict.OUT) > 20
+    assert Verdict.IN in verdicts
+    half = [p for d, p in report.violation_examples if d == "half_s_outside_tilde"]
+    tilde = [p for d, p in report.violation_examples if d == "tilde_outside_2s"]
+    outside = [tuple(float(x) for x in p) for p, v in zip(points, verdicts) if v is Verdict.OUT]
+    assert tilde == outside[: 20 - len(half)]
+
+
+@pytest.mark.parametrize("radius", [9e307, 1e308])
+def test_sandwich_rejects_radius_past_double_range(concrete, radius):
+    # the box stratum draws from (-radius, radius), whose width is not finite
     with pytest.raises(ValueError, match="radius"):
         sandwich_check(concrete, 10, seed=1, radius=radius)
 
@@ -782,7 +887,9 @@ def test_overflow_counts_as_pole(monkeypatch, concrete):
     assert math.isfinite(report.max_abs_value)
 
 
-@pytest.mark.parametrize("radius", [-4.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "radius", [-4.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 9e307, 1e308]
+)
 def test_sample_region_rejects_bad_radius(concrete, radius):
     for kind in (RegionKind.S3, RegionKind.S_TILDE3):
         with pytest.raises(ValueError, match="radius"):
