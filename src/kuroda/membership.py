@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -165,25 +164,45 @@ def in_r_star(f: SparsePolynomial, config: KurodaConfig) -> bool:
     return not star_violations(f, config)
 
 
+def _outside_monoid(
+    keys: Iterable[tuple[int, ...]], config: KurodaConfig
+) -> list[tuple[int, ...]]:
+    """The ``Y4`` exponent vectors among ``keys`` that fall outside the monoid, in input order.
+
+    The test is :func:`monoid_member_oracle`'s: a vector is outside when its
+    dot product with one of the four :func:`ambient_columns` is negative.
+    The columns are looked up and unpacked once per call, and the four
+    products are written out.
+    """
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4), (g1, g2, g3, g4) = ambient_columns(
+        config
+    )
+    return [
+        n for n in keys for n1, n2, n3, n4 in (n,)
+        if a1 * n1 + a2 * n2 + a3 * n3 + a4 * n4 < 0
+        or b1 * n1 + b2 * n2 + b3 * n3 + b4 * n4 < 0
+        or c1 * n1 + c2 * n2 + c3 * n3 + c4 * n4 < 0
+        or g1 * n1 + g2 * n2 + g3 * n3 + g4 * n4 < 0
+    ]
+
+
 def oracle_violations(
     f: SparsePolynomial, config: KurodaConfig
 ) -> tuple[tuple[int, int, int, int], ...]:
-    """Monomials of the Y4 expansion of ``f`` that fall outside the monoid.
+    """Monomials of the Y4 expansion of ``f`` that fall outside the monoid, in lex order.
 
-    The test is :func:`monoid_member_oracle`'s, with the map's columns read
-    once per call instead of once per monomial.
+    Every stored exponent of the expansion goes through :func:`_outside_monoid`,
+    with the columns read once per call instead of once per monomial, and
+    only the monomials that fail are sorted.
     """
-    columns = ambient_columns(config)
-    return tuple(
-        n for n in expand_pi_to_y(f).support()
-        if any(sum(map(mul, n, column)) < 0 for column in columns)
-    )
+    if f.system is not System.PI3:
+        raise ValueError("membership tests expect a PI3 polynomial")
+    nums, _ = expand_pi_to_y(f)._numerators()
+    return tuple(sorted(_outside_monoid(nums, config)))
 
 
 def in_r_oracle(f: SparsePolynomial, config: KurodaConfig) -> bool:
     """Expansion ring-membership route: every Y4 monomial of ``f`` is in the monoid."""
-    if f.system is not System.PI3:
-        raise ValueError("membership tests expect a PI3 polynomial")
     return not oracle_violations(f, config)
 
 
@@ -295,8 +314,8 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     kernels are equal:
 
     * expansion: the ``Y4`` coefficients outside ``T``
-      (:func:`expand_pi_to_y`, with the column test of
-      :func:`oracle_violations`, columns read once per census);
+      (:func:`expand_pi_to_y`, with the column test that
+      :func:`oracle_violations` uses, columns read once per image);
     * star: the ``AXIS3`` coefficients on slope-violating triples on all
       three axes (:func:`reexpress_for_axis` with the :func:`in_r_star`
       bound).
@@ -309,7 +328,6 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     d = column_minima(config)
-    columns = ambient_columns(config)
     pieces: list[RingDegree] = []
     for degree in range(1, degree_bound + 1):
         monomials = _pi_monomials(degree)
@@ -318,9 +336,9 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
 
         outside: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for j, f in enumerate(images):
-            for n, c in expand_pi_to_y(f).terms():
-                if any(sum(map(mul, n, column)) < 0 for column in columns):
-                    outside.setdefault(n, {})[j] = c
+            nums, den = expand_pi_to_y(f)._numerators()
+            for n in _outside_monoid(nums, config):
+                outside.setdefault(n, {})[j] = Fraction(nums[n], den)
         violating: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for i in AXES:
             dii = config.magnitude(i, i)

@@ -7,6 +7,7 @@ CLI, the demos or the benchmark, so none lives in ``src``.
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +19,8 @@ from kuroda.algebra import (
     System,
     SystemMismatchError,
     _shear,
+    ambient_columns,
+    expand_pi_to_y,
 )
 from kuroda.config import AXES, KurodaConfig, column_minima
 from kuroda.membership import GeneratorList, monoid_member
@@ -91,6 +94,21 @@ def polynomial_to_text_via_fractions(p: SparsePolynomial) -> str:
         else:
             pieces.append(f"+ {rendered}" if coeff > 0 else f"- {rendered}")
     return " ".join(pieces)
+
+
+def oracle_violations_by_column_sums(
+    f: SparsePolynomial, config: KurodaConfig
+) -> tuple[tuple[int, int, int, int], ...]:
+    """:func:`kuroda.membership.oracle_violations` over the sorted support.
+
+    Every monomial of the ``Y4`` expansion, in lex order, is tested with one
+    ``sum(map(mul, n, column))`` per ambient column.
+    """
+    columns = ambient_columns(config)
+    return tuple(
+        n for n in expand_pi_to_y(f).support()
+        if any(sum(map(mul, n, column)) < 0 for column in columns)
+    )
 
 
 def sieve_over_four_coordinates(config: KurodaConfig, degree_bound: int) -> GeneratorList:

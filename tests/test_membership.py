@@ -21,10 +21,16 @@ from kuroda import (
     validate,
 )
 from kuroda import membership
-from kuroda.membership import RouteDisagreementError, oracle_violations
+from kuroda.membership import RouteDisagreementError, _outside_monoid, oracle_violations
 
 from conftest import seeded_pi_polynomials
-from reference import combinations_reach, pi_variable, sieve_over_four_coordinates
+from reference import (
+    combinations_reach,
+    oracle_violations_by_column_sums,
+    pi_variable,
+    sieve_over_four_coordinates,
+    y_variable,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -50,10 +56,15 @@ def test_oracle_examples(concrete):
     assert not monoid_member_oracle((1, 0, 0, 2), concrete)
 
 
-def test_monoid_routes_agree_to_degree_eight(concrete, family72):
-    for config in (concrete, family72):
-        for n in vectors_up_to(8):
-            assert monoid_member(n, config) == monoid_member_oracle(n, config)
+def test_monoid_routes_agree_to_degree_eight(concrete, family72, big_weights):
+    vectors = list(vectors_up_to(8))
+    for config in (concrete, family72, big_weights):
+        outside = set(_outside_monoid(vectors, config))
+        for n in vectors:
+            member = monoid_member(n, config)
+            assert member == monoid_member_oracle(n, config)
+            # the expansion route's column test flags exactly the non-members
+            assert (n in outside) is not member
 
 
 def test_monoid_closed_under_addition(concrete):
@@ -123,10 +134,10 @@ def splitting_generators(config, degree_bound):
 
 
 @st.composite
-def valid_configs(draw, off=12, diag=4):
+def valid_configs(draw, off=12, diag=4, fourth=(0, 3)):
     rows = []
     for i in range(3):
-        row = [draw(st.integers(1, off)) for _ in range(3)] + [draw(st.integers(0, 3))]
+        row = [draw(st.integers(1, off)) for _ in range(3)] + [draw(st.integers(*fourth))]
         row[i] = -draw(st.integers(1, diag))
         rows.append(row)
     config = KurodaConfig.from_signed(rows, draw(st.integers(1, 3)))
@@ -201,6 +212,43 @@ def test_star_violation_diagnostics(concrete):
 def test_oracle_violation_diagnostics(concrete):
     bad = oracle_violations(P1 * P2 * P3, concrete)
     assert (1, 0, 0, 2) in bad  # the y1*y4^2 term has a negative first slot
+
+
+@pytest.mark.parametrize("route", [star_violations, in_r_star, oracle_violations, in_r_oracle])
+def test_routes_reject_non_pi3_input(concrete, route):
+    with pytest.raises(ValueError, match="membership tests expect a PI3 polynomial") as caught:
+        route(y_variable(1) * y_variable(4), concrete)
+    assert caught.type is ValueError
+
+
+PI_EXPONENTS = st.tuples(*(st.integers(0, 8),) * 3)
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def pi_polynomials_to_degree_eight(draw):
+    """Rational PI3 polynomials of degree <= 8; half are multiples of ANTISYM."""
+    multiple = draw(st.booleans())
+    bound = 5 if multiple else 8
+    terms = draw(st.dictionaries(
+        PI_EXPONENTS.filter(lambda e: sum(e) <= bound), RATIONALS, min_size=1, max_size=8
+    ))
+    f = SparsePolynomial(System.PI3, terms)
+    return ANTISYM * f if multiple else f
+
+
+FILE_CONFIGS = [KurodaConfig.from_json_file(path) for path in sorted(CONFIGS.glob("*.json"))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pi_polynomials_to_degree_eight(),
+    st.one_of(st.sampled_from(FILE_CONFIGS), valid_configs(off=60, diag=7, fourth=(1, 3))),
+)
+def test_oracle_violations_match_column_sums_reference(f, config):
+    violations = oracle_violations(f, config)
+    assert type(violations) is tuple
+    assert violations == oracle_violations_by_column_sums(f, config)
 
 
 def test_antisym_expansion_monomials_all_in_monoid(concrete):
