@@ -33,6 +33,14 @@ route), ``PI3 -> AXIS3`` is one binomial row per term (star route), and
 vector ``x1..x4`` by combining the signed rows (a plain tuple whose entries
 may be negative, not a polynomial).  The two routes share no expansion code;
 :func:`substitute` is the generic reference for tests.
+
+The two route maps keep small bounded caches (``functools.lru_cache``):
+:func:`expand_pi_to_y` its last image, :func:`reexpress_for_axis` its last
+three (one per axis), so a route asked twice about one polynomial, first
+for a verdict and then for the violations, expands it once.  That is
+correct because a polynomial is immutable and hashes by value, so an equal
+input has an equal image, and because ``lru_cache`` stores no raised error.
+Each route caches only its own map, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -320,11 +328,17 @@ def _signed_binomials(e: int) -> tuple[int, ...]:
     return tuple(comb(e, k) if (e - k) % 2 == 0 else -comb(e, k) for k in range(e + 1))
 
 
+@lru_cache(maxsize=1)
 def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
     """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4.
 
     A term ``P^a`` gives ``y1^k1 y2^k2 y3^k3 y4^n4``, ``n4 = |a| - |k|``,
     with coefficient the product of the three signed binomials.
+
+    The last image is cached, so the listing pass of a non-member reuses
+    the verdict pass's expansion.  Inputs are immutable and compare by
+    value, and a raised :class:`SystemMismatchError` is not cached, so a
+    cached image equals a fresh one.  ``__wrapped__`` is the uncached map.
     """
     if f.system is not System.PI3:
         raise SystemMismatchError("expand_pi_to_y expects a PI3 polynomial")
@@ -391,8 +405,15 @@ def _shear(f: SparsePolynomial, source, target, system: System) -> SparsePolynom
     return SparsePolynomial._from_numerators(system, out, den)
 
 
+@lru_cache(maxsize=3)
 def reexpress_for_axis(f: SparsePolynomial, axis: int) -> SparsePolynomial:
-    """Rewrite a PI3 polynomial in the AXIS3 basis of ``axis``; exact and invertible."""
+    """Rewrite a PI3 polynomial in the AXIS3 basis of ``axis``; exact and invertible.
+
+    The last three images are cached, one per axis for one polynomial, so
+    the listing pass of a non-member reuses the verdict pass's images.  As
+    for :func:`expand_pi_to_y`, inputs are immutable and errors are not
+    cached, so a cached image equals a fresh one (``__wrapped__``).
+    """
     if f.system is not System.PI3:
         raise SystemMismatchError("reexpress_for_axis expects a PI3 polynomial")
     if axis not in _AXIS_POSITIONS:

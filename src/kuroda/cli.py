@@ -243,10 +243,12 @@ def _cmd_member(args):
     star = membership.in_r_star(f, config)
     oracle = membership.in_r_oracle(f, config)
     # A member has no violations, so only a non-member's route runs again to list
-    # them.  Reading the verdict off the listing would run each route once, but
-    # the benchmark's route-agreement metric reads the in_r_star/in_r_oracle
-    # spans (perfbench test_short_traced_run_gives_every_layer_metric); that
-    # waits for tracing inside src/ (ROADMAP item 6).
+    # them, and that listing pass reuses the images its verdict pass cached
+    # (expand_pi_to_y, reexpress_for_axis).  Reading the verdict off the listing
+    # would call each route once, but the benchmark's route-agreement metric
+    # reads the in_r_star/in_r_oracle spans (perfbench
+    # test_short_traced_run_gives_every_layer_metric); that waits for tracing
+    # inside src/ (ROADMAP item 6).
     violations = () if star else membership.star_violations(f, config)
     outside = () if oracle else membership.oracle_violations(f, config)
     rows = [

@@ -873,6 +873,11 @@ def sandwich_check(
     point reaches the far zone and ``ValueError`` is raised; so is a radius
     whose double is not finite, which the samplers cannot draw from.  All
     far-zone points of the basic open set go through one shift search.
+
+    :class:`SamplingError` is raised when either direction found fewer than
+    ``count`` far-zone points within its candidate budget (at huge radii the
+    margin filters overflow and reject every candidate), so a run never
+    passes on fewer points than it was asked to check.
     """
     if not (radius > SANDWICH_MIN_RADIUS and math.isfinite(2.0 * radius)):
         raise ValueError(
@@ -915,6 +920,12 @@ def sandwich_check(
         chunk = chunk[_in_far_zone(chunk)][: count - tilde_checked]
         far.append(chunk)
         tilde_checked += len(chunk)
+    if half_checked < count or tilde_checked < count:
+        raise SamplingError(
+            f"sandwich checked {half_checked} half-scaled fattened-star points and "
+            f"{tilde_checked} basic-set points of the {count} requested per direction "
+            f"at radius {radius:g}"
+        )
     far_points = np.vstack(far) if far else np.zeros((0, 3))
     margins = s_shift_margins(far_points, 2.0, config)[0]
     # the verdicts of in_s: UNCERTAIN within the band, else IN below 0, else OUT

@@ -335,3 +335,66 @@ def test_canonical_form_unique():
     assert a == b
     assert hash(a) == hash(b)
     assert a.support() == ((0, 1, 0), (1, 0, 0))
+
+
+# -- bounded caches on the two route maps ------------------------------------
+
+
+def _rebuilt(f):
+    """A polynomial equal to ``f`` but built separately, through the public constructor."""
+    return SparsePolynomial(System.PI3, dict(reversed(f.terms())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pi_polynomials(), rational_pi_polynomials())
+def test_cached_maps_equal_the_uncached_maps(f, g):
+    expand, reexpress = expand_pi_to_y.__wrapped__, reexpress_for_axis.__wrapped__
+    f_image = expand(f)
+    f_axes = {axis: reexpress(f, axis) for axis in (1, 2, 3)}
+    # a repeat call, then an equal polynomial built separately
+    hits = expand_pi_to_y.cache_info().hits, reexpress_for_axis.cache_info().hits
+    for h in (f, f, _rebuilt(f), _rebuilt(f)):
+        assert expand_pi_to_y(h) == f_image
+        for axis in (1, 2, 3):
+            assert reexpress_for_axis(h, axis) == f_axes[axis]
+    assert expand_pi_to_y.cache_info().hits >= hits[0] + 3
+    assert reexpress_for_axis.cache_info().hits >= hits[1] + 9
+    # calls interleaved across two polynomials evict each other's entries
+    g_image = expand(g)
+    g_axes = {axis: reexpress(g, axis) for axis in (1, 2, 3)}
+    for _ in range(2):
+        for h, image, axes in ((g, g_image, g_axes), (f, f_image, f_axes)):
+            assert expand_pi_to_y(h) == image
+            for axis in (3, 1, 2):
+                assert reexpress_for_axis(h, axis) == axes[axis]
+    for axis in (1, 2, 3):
+        assert reexpress_for_axis(g, axis) == g_axes[axis]
+        assert reexpress_for_axis(f, axis) == f_axes[axis]
+    assert expand_pi_to_y.cache_info().currsize <= 1
+    assert reexpress_for_axis.cache_info().currsize <= 3
+
+
+@pytest.mark.parametrize(
+    "h",
+    [y_variable(1) - y_variable(4), U1 * U2 + U3],
+    ids=["Y4", "AXIS3"],
+)
+def test_cached_maps_raise_on_every_call(h):
+    for _ in range(3):
+        with pytest.raises(SystemMismatchError):
+            expand_pi_to_y(h)
+        for axis in (1, 2, 3):
+            with pytest.raises(SystemMismatchError):
+                reexpress_for_axis(h, axis)
+    # the errors left the caches usable
+    assert expand_pi_to_y(P1) == y_variable(1) - y_variable(4)
+
+
+def test_member_report_after_a_dense_non_member_matches_golden(tmp_path):
+    from test_golden import GOLDEN, run_case
+
+    golden = (GOLDEN / "member.json").read_bytes()
+    for name in ("member", "member_dense8", "member"):
+        code, text = run_case(name, tmp_path)
+        assert code == 0
+    assert text == golden

@@ -377,6 +377,17 @@ def test_radius_past_double_range_exits_two(capsys, concrete_path, argv, radius)
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["1e80", "1e200"])
+def test_sandwich_checking_too_few_points_exits_two(capsys, concrete_path, radius):
+    # the margin filters overflow and reject every candidate of one or both
+    # directions: a vacuous pass would exit 0
+    code = main(["sandwich", "--seed", "1", "--samples", "5", "--config", concrete_path,
+                 "--radius", radius])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "of the 5 requested" in err and f"radius {float(radius):g}" in err
+
+
 def test_size_flags_accept_their_limits(concrete_path):
     # parsed only: running at the limits takes seconds
     parser = build_parser()
@@ -466,11 +477,23 @@ def test_membership_routes_do_not_use_substitute(
     assert data["in_r_star"] is member and data["in_r_oracle"] is member
 
 
-def test_member_evaluates_each_route_once_for_a_member(capsys, concrete_path, monkeypatch):
+@pytest.mark.parametrize(
+    "expr, member, calls_made",
+    [
+        ("(P1-P2)*(P2-P3)*(P3-P1)", True, {"expand_pi_to_y": 1, "reexpress_for_axis": 3}),
+        # a non-member's routes run again to list the violations
+        ("P1^2*P2 + P3", False, {"expand_pi_to_y": 2, "reexpress_for_axis": 6}),
+    ],
+    ids=["member", "non_member"],
+)
+def test_member_evaluates_each_route_once(
+    capsys, concrete_path, monkeypatch, expr, member, calls_made
+):
     import kuroda.algebra
     import kuroda.membership
 
     calls = {"expand_pi_to_y": 0, "reexpress_for_axis": 0}
+    originals = {name: getattr(kuroda.algebra, name) for name in calls}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -479,16 +502,17 @@ def test_member_evaluates_each_route_once_for_a_member(capsys, concrete_path, mo
 
         return wrapper
 
-    for name in calls:
-        original = getattr(kuroda.algebra, name)
+    for name, original in originals.items():
+        original.cache_clear()
         for module in (kuroda.algebra, kuroda.membership):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    code, data = run_json(
-        capsys, "member", "--config", concrete_path, "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"
-    )
-    assert code == 0 and data["in_r_star"] is True and data["in_r_oracle"] is True
-    assert calls == {"expand_pi_to_y": 1, "reexpress_for_axis": 3}
+    code, data = run_json(capsys, "member", "--config", concrete_path, "--expr", expr)
+    assert code == 0 and data["in_r_star"] is member and data["in_r_oracle"] is member
+    assert calls == calls_made
+    # the bodies run once per route and axis: the listing pass hits the caches
+    bodies = {name: fn.cache_info().misses for name, fn in originals.items()}
+    assert bodies == {"expand_pi_to_y": 1, "reexpress_for_axis": 3}
 
 
 def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, concrete):

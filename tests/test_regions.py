@@ -513,6 +513,23 @@ def test_sandwich_rejects_radius_past_double_range(concrete, radius):
         sandwich_check(concrete, 10, seed=1, radius=radius)
 
 
+@pytest.mark.parametrize(
+    "radius, half_checked, tilde_checked", [(1e80, 50, 0), (1e200, 0, 0)]
+)
+def test_sandwich_raises_when_a_direction_checks_too_few(
+    concrete, radius, half_checked, tilde_checked
+):
+    # the margin filters overflow at these radii and reject every candidate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SamplingError) as exc:
+            sandwich_check(concrete, 50, seed=1, radius=radius)
+    message = str(exc.value)
+    assert f"checked {half_checked} half-scaled" in message
+    assert f"and {tilde_checked} basic-set points of the 50 requested" in message
+    assert f"radius {radius:g}" in message
+
+
 @pytest.mark.parametrize("count", [200, 2000])
 def test_sandwich_memory_stays_one_block(concrete, count):
     # The shift search runs on blocks of points; 2000 points at once would
