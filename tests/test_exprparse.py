@@ -22,6 +22,63 @@ from conftest import seeded_pi_polynomials
 from reference import pi_variable, polynomial_to_text_via_fractions, y_variable
 
 
+# One row per error branch, then inputs with two faults: the tokenizer runs
+# before the grammar, the grammar before the vocabulary checks, and the degree
+# guard before any variable is checked against an explicit system.
+@pytest.mark.parametrize(
+    "text, system, message, line, column",
+    [
+        ("P1 + $", None, "unexpected character '$' (line 1, column 6)", 1, 6),
+        ("P1 +\n  2 # P2", None, "unexpected character '#' (line 2, column 5)", 2, 5),
+        ("(P1 + P2", None, "expected ), found 'end of input' (line 1, column 9)", 1, 9),
+        ("1/P1", None, "expected INT, found 'P1' (line 1, column 3)", 1, 3),
+        ("3/", None, "expected INT, found 'end of input' (line 1, column 3)", 1, 3),
+        ("P1 P2", None, "trailing input 'P2' (line 1, column 4)", 1, 4),
+        ("(P1))", None, "trailing input ')' (line 1, column 5)", 1, 5),
+        ("P1^-1", None, "exponent must be a nonnegative integer literal (line 1, column 4)", 1, 4),
+        ("P1^", None, "exponent must be a nonnegative integer literal (line 1, column 4)", 1, 4),
+        ("P1^1/2", None, "trailing input '/' (line 1, column 5)", 1, 5),
+        ("P1 + 3/00", None, "zero denominator (line 1, column 8)", 1, 8),
+        ("P1 + Q7", None,
+         "unknown variable 'Q7' (expected P1..P3 or Y1..Y4) (line 1, column 6)", 1, 6),
+        ("p1", None, "unknown variable 'p1' (expected P1..P3 or Y1..Y4) (line 1, column 1)", 1, 1),
+        ("P1 + * P2", None, "expected a value, found '*' (line 1, column 6)", 1, 6),
+        ("", None, "expected a value, found 'end of input' (line 1, column 1)", 1, 1),
+        ("()", None, "expected a value, found ')' (line 1, column 2)", 1, 2),
+        ("P1 + Y1", None, "expression mixes P- and Y-variables (line 1, column 1)", 1, 1),
+        ("Y1", System.PI3,
+         "variable Y1 does not belong to the PI3 system (line 1, column 1)", 1, 1),
+        ("P1 + 1", System.Y4,
+         "variable P1 does not belong to the Y4 system (line 1, column 1)", 1, 1),
+        ("1 + P1^32*P2^33", None,
+         "degree may reach 65, above the limit 64 (line 1, column 1)", 1, 1),
+        ("P1^40*P2^40*P3^40", None,
+         "degree may reach 120, above the limit 64 (line 1, column 1)", 1, 1),
+        ("P1^65", None, "degree may reach 65, above the limit 64 (line 1, column 1)", 1, 1),
+        ("Y1^2^33", None, "degree may reach 66, above the limit 64 (line 1, column 1)", 1, 1),
+        ("3^65", None, "degree may reach 65, above the limit 64 (line 1, column 1)", 1, 1),
+        ("(P1^100)^0", None, "degree may reach 100, above the limit 64 (line 1, column 1)", 1, 1),
+        # two faults each: the first named wins
+        ("P1^65 + $", None, "unexpected character '$' (line 1, column 9)", 1, 9),
+        ("P1^65 P2", None, "trailing input 'P2' (line 1, column 7)", 1, 7),
+        ("(P1^70 + 1", None, "expected ), found 'end of input' (line 1, column 11)", 1, 11),
+        ("1/0 + Q1", None, "zero denominator (line 1, column 3)", 1, 3),
+        ("Q1 + Y1 + P1", None,
+         "unknown variable 'Q1' (expected P1..P3 or Y1..Y4) (line 1, column 1)", 1, 1),
+        ("P1 + Y1^65", None, "expression mixes P- and Y-variables (line 1, column 1)", 1, 1),
+        ("Y1^65", System.PI3,
+         "degree may reach 65, above the limit 64 (line 1, column 1)", 1, 1),
+        ("P2^70*P1^65", None, "degree may reach 70, above the limit 64 (line 1, column 1)", 1, 1),
+        ("2*P2 - Y4*P1 + Y1", System.PI3,
+         "variable Y4 does not belong to the PI3 system (line 1, column 1)", 1, 1),
+    ],
+)
+def test_expression_errors(text, system, message, line, column):
+    with pytest.raises(ExpressionError) as err:
+        parse_polynomial(text, system)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
 def test_parse_antisymmetric_product():
     f = parse_polynomial("(P1-P2)*(P2-P3)*(P3-P1)")
     assert f.system is System.PI3
