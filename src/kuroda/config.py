@@ -70,12 +70,17 @@ class SignPatternError(ConfigError):
 
 
 def load_json(path):
-    """The parsed JSON document in ``path``; invalid JSON is a :class:`ConfigError`."""
+    """The parsed JSON document in ``path``; invalid JSON is a :class:`ConfigError`.
+
+    So is JSON nested too deeply for the decoder's recursion.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _check_int(value, what: str) -> int:

@@ -1,4 +1,4 @@
-"""Polynomial expression text: parsing to an AST and canonical printing.
+"""Polynomial expression text: parsing to a polynomial and canonical printing.
 
 Grammar (ASCII, whitespace-insensitive)::
 
@@ -14,21 +14,24 @@ Precedence: ``^`` over ``*`` over ``+``/``-``; sums and products associate
 left.  Exponents are nonnegative integer literals only, so ``P1^-1`` is a
 syntax error rather than a Laurent term.  ``/`` occurs only inside numeric
 literals; there is no division operator.  An expression must stay within one
-variable family (P* or Y*); constants alone default to the P-system when
-lowered.
+variable family (P* or Y*); constants alone default to the P-system.
 
-Lowering first bounds the total degree on the parse tree (see
-:func:`degree_bound`) and raises :class:`ExpressionError` when the whole
-expression or any subexpression may exceed :data:`MAX_DEGREE`, so that no
-input can ask for an expansion that does not fit in time or memory.
+:func:`parse_polynomial` reads the token list twice with the same
+recursive-descent parser.  The first read checks the syntax, records the
+variable families named and bounds each subexpression's total degree (see
+:class:`_Bounds`); the second builds the polynomial.  So the degree guard
+still runs before any polynomial is built, and no input can ask for an
+expansion that does not fit in time or memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Iterator, Union
+from operator import add, mul
+from typing import Iterator
 
 from .algebra import VARIABLE_NAMES, SparsePolynomial, System
 
@@ -43,97 +46,13 @@ class ExpressionError(ValueError):
 
 
 _VARIABLES = {
-    "P1": (System.PI3, 1),
-    "P2": (System.PI3, 2),
-    "P3": (System.PI3, 3),
-    "Y1": (System.Y4, 1),
-    "Y2": (System.Y4, 2),
-    "Y3": (System.Y4, 3),
-    "Y4": (System.Y4, 4),
+    name: (system, index)
+    for system in (System.PI3, System.Y4)
+    for index, name in enumerate(VARIABLE_NAMES[system], start=1)
 }
 
-
-# -- AST -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["Node", ...]
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Node", ...]
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-Node = Union[Const, Var, Sum, Product, Power, Neg]
-
-# Largest degree bound that lowering accepts, for every subexpression.
+# Largest degree bound that parsing accepts, for every subexpression.
 MAX_DEGREE = 64
-
-
-def variables_of(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, Sum):
-        return set().union(*(variables_of(t) for t in node.terms))
-    if isinstance(node, Product):
-        return set().union(*(variables_of(f) for f in node.factors))
-    if isinstance(node, Power):
-        return variables_of(node.base)
-    return variables_of(node.operand)
-
-
-def degree_bound(node: Node) -> int:
-    """Upper bound on the total degree of ``node``, read off the parse tree.
-
-    A variable counts 1 and a constant 0; sums take the maximum, products
-    add, and a power multiplies its base's bound by the absolute value of
-    its exponent.  A power of a constant counts as if the constant had
-    degree 1, which bounds the size of the number it builds.  Raises
-    :class:`ExpressionError` as soon as a subexpression's bound exceeds
-    :data:`MAX_DEGREE`.
-    """
-    if isinstance(node, Const):
-        bound = 0
-    elif isinstance(node, Var):
-        bound = 1
-    elif isinstance(node, Sum):
-        bound = max(map(degree_bound, node.terms))
-    elif isinstance(node, Product):
-        bound = sum(map(degree_bound, node.factors))
-    elif isinstance(node, Power):
-        bound = max(degree_bound(node.base), 1) * abs(node.exponent)
-    else:
-        bound = degree_bound(node.operand)
-    if bound > MAX_DEGREE:
-        raise ExpressionError(
-            f"degree may reach {bound}, above the limit {MAX_DEGREE}", 1, 1
-        )
-    return bound
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -184,10 +103,91 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("END", "", line, col)
 
 
+# -- the two reads -----------------------------------------------------------
+
+
+class _Bounds:
+    """First read: an upper bound on each subexpression's total degree.
+
+    A variable counts 1 and a constant 0; sums take the maximum, products
+    add, and a power multiplies its base's bound by its exponent.  A power
+    of a constant counts as if the constant had degree 1, which bounds the
+    size of the number it builds.  ``excess`` keeps the first bound above
+    :data:`MAX_DEGREE` in post-order (only a product or a power can be
+    first: a sum or a negation never exceeds its largest part), and the
+    bounds after it are capped, so that a long chain of huge exponents
+    builds no huge integer here.  ``systems`` collects the variable
+    families named.
+    """
+
+    def __init__(self):
+        self.systems: set[System] = set()
+        self.excess: int | None = None
+
+    def _checked(self, bound: int) -> int:
+        if bound <= MAX_DEGREE:
+            return bound
+        if self.excess is None:
+            self.excess = bound
+        return MAX_DEGREE + 1
+
+    def const(self, value: Fraction) -> int:
+        return 0
+
+    def var(self, name: str) -> int:
+        self.systems.add(_VARIABLES[name][0])
+        return 1
+
+    def add(self, terms: list[int]) -> int:
+        return max(terms)
+
+    def mul(self, factors: list[int]) -> int:
+        return self._checked(sum(factors))
+
+    def pow(self, base: int, exponent: int) -> int:
+        return self._checked(max(base, 1) * exponent)
+
+    def neg(self, operand: int) -> int:
+        return operand
+
+
+class _Polynomials:
+    """Second read: the polynomial in ``system``, sums and products folded left."""
+
+    def __init__(self, system: System):
+        self.system = system
+
+    def const(self, value: Fraction) -> SparsePolynomial:
+        return SparsePolynomial.constant(self.system, value)
+
+    def var(self, name: str) -> SparsePolynomial:
+        var_system, index = _VARIABLES[name]
+        if var_system is not self.system:
+            raise ExpressionError(
+                f"variable {name} does not belong to the {self.system.label} system", 1, 1
+            )
+        return SparsePolynomial.variable(self.system, index)
+
+    def add(self, terms: list[SparsePolynomial]) -> SparsePolynomial:
+        return reduce(add, terms)
+
+    def mul(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
+        return reduce(mul, factors)
+
+    def pow(self, base: SparsePolynomial, exponent: int) -> SparsePolynomial:
+        return base**exponent
+
+    def neg(self, operand: SparsePolynomial) -> SparsePolynomial:
+        return -operand
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+    """Recursive descent over a token list; ``ops`` gives each rule its result."""
+
+    def __init__(self, tokens: list[_Token], ops: _Bounds | _Polynomials):
+        self.tokens = tokens
         self.pos = 0
+        self.ops = ops
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -201,41 +201,36 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self):
+        result = self.expr()
         tok = self.peek()
         if tok.kind != "END":
             raise ExpressionError(f"trailing input {tok.text!r}", tok.line, tok.column)
-        return node
+        return result
 
-    def expr(self) -> Node:
+    def expr(self):
         terms = [self.term()]
-        signs = [False]
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            terms.append(self.term())
-            signs.append(op.kind == "-")
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(Neg(t) if neg else t for t, neg in zip(terms, signs)))
+            term = self.term()
+            terms.append(self.ops.neg(term) if op.kind == "-" else term)
+        return terms[0] if len(terms) == 1 else self.ops.add(terms)
 
-    def term(self) -> Node:
+    def term(self):
         factors = [self.factor()]
         while self.peek().kind == "*":
             self.take()
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return factors[0] if len(factors) == 1 else self.ops.mul(factors)
 
-    def factor(self) -> Node:
+    def factor(self):
         if self.peek().kind == "-":
             self.take()
-            return Neg(self.factor())
+            return self.ops.neg(self.factor())
         return self.power()
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self):
+        result = self.atom()
         while self.peek().kind == "^":
             caret = self.take()
             tok = self.peek()
@@ -246,16 +241,16 @@ class _Parser:
                     caret.column + 1,
                 )
             self.take()
-            node = Power(node, int(tok.text))
-        return node
+            result = self.ops.pow(result, int(tok.text))
+        return result
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "(":
             self.take()
-            node = self.expr()
+            result = self.expr()
             self.take(")")
-            return node
+            return result
         if tok.kind == "INT":
             self.take()
             numerator = int(tok.text)
@@ -264,8 +259,8 @@ class _Parser:
                 den = self.take("INT")
                 if int(den.text) == 0:
                     raise ExpressionError("zero denominator", den.line, den.column)
-                return Const(Fraction(numerator, int(den.text)))
-            return Const(Fraction(numerator))
+                return self.ops.const(Fraction(numerator, int(den.text)))
+            return self.ops.const(Fraction(numerator))
         if tok.kind == "NAME":
             self.take()
             if tok.text not in _VARIABLES:
@@ -274,63 +269,36 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            return Var(tok.text)
+            return self.ops.var(tok.text)
         raise ExpressionError(
             f"expected a value, found {tok.text or 'end of input'!r}", tok.line, tok.column
         )
 
 
-def parse_expression(text: str) -> Node:
-    """Parse expression text to an AST; raises :class:`ExpressionError`."""
-    return _Parser(text).parse()
-
-
-def _system_of(node: Node) -> System:
-    systems = {_VARIABLES[name][0] for name in variables_of(node)}
-    if len(systems) > 1:
-        raise ExpressionError("expression mixes P- and Y-variables", 1, 1)
-    return systems.pop() if systems else System.PI3
-
-
-def to_polynomial(node: Node, system: System | None = None) -> SparsePolynomial:
-    """Lower an AST to a sparse polynomial (system inferred when omitted).
-
-    Raises :class:`ExpressionError` above the degree limit (:func:`degree_bound`).
-    """
-    if system is None:
-        system = _system_of(node)
-    degree_bound(node)
-
-    def lower(n: Node) -> SparsePolynomial:
-        if isinstance(n, Const):
-            return SparsePolynomial.constant(system, n.value)
-        if isinstance(n, Var):
-            var_system, index = _VARIABLES[n.name]
-            if var_system is not system:
-                raise ExpressionError(
-                    f"variable {n.name} does not belong to the {system.label} system", 1, 1
-                )
-            return SparsePolynomial.variable(system, index)
-        if isinstance(n, Sum):
-            out = lower(n.terms[0])
-            for t in n.terms[1:]:
-                out = out + lower(t)
-            return out
-        if isinstance(n, Product):
-            out = lower(n.factors[0])
-            for f in n.factors[1:]:
-                out = out * lower(f)
-            return out
-        if isinstance(n, Power):
-            return lower(n.base) ** n.exponent
-        return -lower(n.operand)
-
-    return lower(node)
-
-
 def parse_polynomial(text: str, system: System | None = None) -> SparsePolynomial:
-    """Parse and lower in one step."""
-    return to_polynomial(parse_expression(text), system)
+    """Parse expression text to a sparse polynomial (system inferred when omitted).
+
+    Raises :class:`ExpressionError`, in this order: on a syntax error; when
+    the system is inferred and the text mixes P- and Y-variables; when a
+    subexpression's degree bound exceeds :data:`MAX_DEGREE` (the first in
+    post-order is named); and on a variable outside an explicit system.
+    Nesting deeper than the interpreter's recursion limit is an error too.
+    """
+    tokens = list(_tokenize(text))
+    bounds = _Bounds()
+    try:
+        _Parser(tokens, bounds).parse()
+        if system is None:
+            if len(bounds.systems) > 1:
+                raise ExpressionError("expression mixes P- and Y-variables", 1, 1)
+            system = bounds.systems.pop() if bounds.systems else System.PI3
+        if bounds.excess is not None:
+            raise ExpressionError(
+                f"degree may reach {bounds.excess}, above the limit {MAX_DEGREE}", 1, 1
+            )
+        return _Parser(tokens, _Polynomials(system)).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", 1, 1) from None
 
 
 # -- canonical printing ----------------------------------------------------

@@ -313,12 +313,12 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     arithmetic, and :class:`RouteDisagreementError` is raised unless the
     kernels are equal:
 
-    * expansion: the ``Y4`` coefficients outside ``T``
-      (:func:`expand_pi_to_y`, with the column test that
-      :func:`oracle_violations` uses, columns read once per image);
-    * star: the ``AXIS3`` coefficients on slope-violating triples on all
-      three axes (:func:`reexpress_for_axis` with the :func:`in_r_star`
-      bound).
+    * expansion: the ``Y4`` coefficients outside ``T``, on the monomials
+      that :func:`oracle_violations` lists, read off :func:`expand_pi_to_y`;
+    * star: the ``AXIS3`` coefficients on the slope-violating triples that
+      :func:`star_violations` lists, read off :func:`reexpress_for_axis`.
+
+    Each coefficient lookup reuses the image its route just cached.
 
     The new generators in degree ``d`` number ``dim R_d`` minus the rank of
     ``sum_{a=1}^{d-1} R_a * R_{d-a}``; a product outside ``R_d`` also raises.
@@ -327,7 +327,6 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    d = column_minima(config)
     pieces: list[RingDegree] = []
     for degree in range(1, degree_bound + 1):
         monomials = _pi_monomials(degree)
@@ -335,17 +334,13 @@ def ring_generator_census(config: KurodaConfig, degree_bound: int) -> RingCensus
         images = [SparsePolynomial.monomial(System.PI3, m) for m in monomials]
 
         outside: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for j, f in enumerate(images):
-            nums, den = expand_pi_to_y(f)._numerators()
-            for n in _outside_monoid(nums, config):
-                outside.setdefault(n, {})[j] = Fraction(nums[n], den)
         violating: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for i in AXES:
-            dii = config.magnitude(i, i)
-            for j, f in enumerate(images):
-                for triple, c in reexpress_for_axis(f, i).terms():
-                    if dii * triple[0] > d[i - 1] * triple[2]:
-                        violating.setdefault((i, *triple), {})[j] = c
+        for j, f in enumerate(images):
+            for n in oracle_violations(f, config):
+                outside.setdefault(n, {})[j] = expand_pi_to_y(f).coefficient(n)
+            for v in star_violations(f, config):
+                coefficient = reexpress_for_axis(f, v.axis).coefficient(v.triple)
+                violating.setdefault((v.axis, *v.triple), {})[j] = coefficient
         kernel = _kernel(outside.values(), len(monomials))
         star_kernel = _kernel(violating.values(), len(monomials))
         if kernel != star_kernel:

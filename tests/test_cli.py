@@ -1,19 +1,24 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuroda.cli import MAX_GRID, MAX_KMAX, MAX_SAMPLES, build_parser, main
 from kuroda.exprparse import MAX_DEGREE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONCRETE = str(Path(__file__).resolve().parents[1] / "configs" / "concrete.json")
 
 
 @pytest.fixture
@@ -299,11 +304,54 @@ def test_bad_config_exits_two(capsys, tmp_path):
     path2 = tmp_path / "shape.json"
     path2.write_text(json.dumps({"delta": [[1, 2], [3, 4]], "gamma": 1}))
     assert main(["tower", "--config", str(path2)]) == 2
+    # deep enough to exhaust the JSON decoder's recursion
+    path3 = tmp_path / "nested.json"
+    path3.write_text("[" * 100_000)
+    assert main(["validate", "--config", str(path3)]) == 2
+    assert main(["tower", "--config", str(path3)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_bad_expression_exits_two(capsys, concrete_path):
     assert main(["member", "--config", concrete_path, "--expr", "P1^-1"]) == 2
     assert main(["member", "--config", concrete_path, "--expr", "P1 + Y1"]) == 2
+    # nested past any interpreter stack, whatever the caller's own depth
+    for expr in ("(" * 10_000 + "P1" + ")" * 10_000, "-" * 10_000 + "P1"):
+        assert main(["member", "--config", concrete_path, f"--expr={expr}"]) == 2
+        assert "expression nested too deeply" in capsys.readouterr().err
+
+
+# The grammar's alphabet, unknown names and nesting past any stack depth.
+# Exponents are cut to 0..3 below, so that no example builds a large polynomial.
+_EXPRESSION_PIECES = st.sampled_from(
+    ["P1", "P2", "P3", "Y1", "Y2", "Y3", "Y4", "P4", "Q7", "p1", "0", "1", "2", "3", "17",
+     "/", "+", "-", "*", "^", "(", ")", " ", "(" * 10_000, ")" * 10_000, "-" * 10_000,
+     "^1" * 10_000]
+)
+
+
+def _small_exponents(text):
+    return re.sub(r"\^(\s*)(\d+)", lambda m: f"^{m[1]}{int(m[2]) % 4}", text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_EXPRESSION_PIECES, max_size=40).map("".join).map(_small_exponents),
+    st.sampled_from([["member"], ["cond", "--axis", "1"]]),
+)
+def test_any_expression_text_exits_zero_or_two(text, command):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*command, "--config", CONCRETE, f"--expr={text}"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_deep_expressions_within_the_stack_run(capsys, concrete_path):
+    # a power chain is read in a loop, so its length is not a nesting depth
+    for expr in ("(" * 100 + "P1" + ")" * 100, "P1" + "^1" * 10_000):
+        code, data = run_json(capsys, "member", "--config", concrete_path, f"--expr={expr}")
+        assert code == 0 and data["polynomial"] == "P1"
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuroda import ExpressionError, SparsePolynomial, System, parse_polynomial, polynomial_to_text
-from kuroda.exprparse import (
-    MAX_DEGREE,
-    Const,
-    Neg,
-    Power,
-    Product,
-    Sum,
-    Var,
-    degree_bound,
-    parse_expression,
-)
+from kuroda.exprparse import MAX_DEGREE
 
 from conftest import seeded_pi_polynomials
 from reference import pi_variable, polynomial_to_text_via_fractions, y_variable
@@ -93,7 +83,7 @@ def test_parse_power_zero():
 
 def test_negative_power_is_a_syntax_error():
     with pytest.raises(ExpressionError) as err:
-        parse_expression("P1^-1")
+        parse_polynomial("P1^-1")
     assert "exponent" in str(err.value)
 
 
@@ -113,13 +103,12 @@ def test_negative_power_is_a_syntax_error():
     ],
 )
 def test_degree_bound(text, bound):
-    assert degree_bound(parse_expression(text)) == bound
-
-
-def test_degree_bound_counts_negative_exponents_by_absolute_value():
-    assert degree_bound(Power(Var("P1"), -3)) == 3
-    with pytest.raises(ExpressionError):
-        degree_bound(Power(Var("P1"), -(MAX_DEGREE + 1)))
+    # the bounds of a product's factors add, so a factor of bound 64 - b
+    # reaches the limit and one of 65 - b passes it
+    var = "Y1" if text.startswith("Y") else "P1"
+    parse_polynomial(f"({text})*{var}^{MAX_DEGREE - bound}")
+    with pytest.raises(ExpressionError, match=f"may reach {MAX_DEGREE + 1},"):
+        parse_polynomial(f"({text})*{var}^{MAX_DEGREE + 1 - bound}")
 
 
 def test_lowering_rejects_degree_above_the_limit():
@@ -128,8 +117,9 @@ def test_lowering_rejects_degree_above_the_limit():
         with pytest.raises(ExpressionError) as err:
             parse_polynomial(text)
         assert "above the limit" in str(err.value)
-    # parsing alone builds only the tree
-    assert parse_expression("P1^99999999999") == Power(Var("P1"), 99999999999)
+    # the bound is read before any power is built
+    with pytest.raises(ExpressionError, match="may reach 99999999999,"):
+        parse_polynomial("P1^99999999999")
 
 
 def test_rational_coefficients():
@@ -137,7 +127,7 @@ def test_rational_coefficients():
     assert f.coefficient((0, 0, 0)) == Fraction(7, 3)
     assert f.coefficient((1, 0, 0)) == Fraction(1, 2)
     with pytest.raises(ExpressionError):
-        parse_expression("1/0")
+        parse_polynomial("1/0")
 
 
 def test_unary_minus_binds_above_product_below_power():
@@ -145,6 +135,8 @@ def test_unary_minus_binds_above_product_below_power():
     assert f.coefficient((2, 0, 0)) == -1
     g = parse_polynomial("2*-P1")
     assert g.coefficient((1, 0, 0)) == -2
+    P1, P2 = pi_variable(1), pi_variable(2)
+    assert parse_polynomial("-(P1+2)^3*P2") == -((P1 + 2) ** 3) * P2
 
 
 def test_power_chains_left_associate():
@@ -161,7 +153,7 @@ def test_y_system_expression():
 
 def test_unknown_variable():
     with pytest.raises(ExpressionError) as err:
-        parse_expression("P1 + Q7")
+        parse_polynomial("P1 + Q7")
     assert "unknown variable" in str(err.value)
     assert err.value.column == 6
 
@@ -173,31 +165,20 @@ def test_mixed_systems_rejected():
 
 def test_syntax_error_position():
     with pytest.raises(ExpressionError) as err:
-        parse_expression("P1 + * P2")
+        parse_polynomial("P1 + * P2")
     assert err.value.line == 1
     assert err.value.column == 6
 
 
 def test_trailing_input_rejected():
     with pytest.raises(ExpressionError):
-        parse_expression("P1 P2")
+        parse_polynomial("P1 P2")
 
 
 def test_constant_only_defaults_to_difference_system():
     f = parse_polynomial("3")
     assert f.system is System.PI3
     assert f.support() == ((0, 0, 0),)
-
-
-def test_ast_shape():
-    node = parse_expression("-(P1+2)^3*P2")
-    assert isinstance(node, Product)
-    negated, var = node.factors
-    assert isinstance(negated, Neg) and isinstance(var, Var)
-    power = negated.operand
-    assert isinstance(power, Power) and power.exponent == 3
-    assert isinstance(power.base, Sum)
-    assert isinstance(power.base.terms[1], Const)
 
 
 def test_print_parse_round_trip_fixed():
