@@ -70,10 +70,7 @@ class SignPatternError(ConfigError):
 
 
 def load_json(path):
-    """The parsed JSON document in ``path``; invalid JSON is a :class:`ConfigError`.
-
-    So is JSON nested too deeply for the decoder's recursion.
-    """
+    """The parsed JSON document in ``path``; invalid JSON is a :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
