@@ -39,9 +39,20 @@ a shift search whose shifted coordinates would pass the double range.
 
 The margin filters and ``evaluate_abs`` form integer powers by
 multiplication (square-and-multiply, and per-coordinate power tables), not
-by libm ``pow``; only the samplers' fractional powers use ``pow``.  The
-candidate generators are untouched, so each seed draws the same candidates,
-and margins and ``|f|`` may differ from ``pow`` only in the last bits.
+by libm ``pow``; only the samplers' ray powers use ``pow``.  The candidate
+generators are untouched, so each seed draws the same candidates, and
+margins and ``|f|`` may differ from ``pow`` only in the last bits.  The ray
+powers ``v**e`` (``v >= 1``) run ``pow`` only below a cutoff past which the
+result is surely 0 or inf, and take that value above it: the same bits
+without ``pow``'s slow path for results out of the normal range.
+
+The margin bodies take three coordinate arrays of any shapes that
+broadcast.  The point-list margins pass the columns of their points; the
+boundary cloud passes the open mesh of its grid axis, in blocks of x-slabs
+that fit one element budget.  So each power is formed once per grid value
+(or once per (y, z) pair for ``q_j - q_k``), only the final products,
+subtractions and maxima run over the grid, and each margin has the bits of
+the point-list call.
 
 The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
@@ -145,11 +156,17 @@ def _int_power(x: np.ndarray, n: int) -> np.ndarray:
     return np.ones_like(x) if result is None else result
 
 
-def _cross_margins(q3_abs: np.ndarray, config: KurodaConfig) -> np.ndarray:
-    """Max over the six cross bounds of q_i**e_i * q_j**e_j - 1 (q prescaled, abs)."""
-    margin = np.full(len(q3_abs), -np.inf)
+def _cross_margins(q1, q2, q3, config: KurodaConfig) -> np.ndarray:
+    """Max over the six cross bounds of q_i**e_i * q_j**e_j - 1 (q prescaled, abs).
+
+    The three coordinate arrays may have any shapes that broadcast: each
+    power is formed on its own coordinate's array, and only the products,
+    subtractions and maxima run on the broadcast shape.
+    """
+    q = (q1, q2, q3)
+    margin = -np.inf
     for i, j, ei, ej in _cross_pairs(config):
-        bound = _int_power(q3_abs[:, i - 1], ei) * _int_power(q3_abs[:, j - 1], ej)
+        bound = _int_power(q[i - 1], ei) * _int_power(q[j - 1], ej)
         margin = np.maximum(margin, bound - 1.0)
     return margin
 
@@ -158,14 +175,37 @@ def s_double_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarr
     """Negative exactly on the inside of the scaled star."""
     _check_scale(lam)
     pts = _as_points(points, 3)
-    return _cross_margins(np.abs(pts) / lam, config)
+    return _cross_margins(*(np.abs(pts) / lam).T, config)
 
 
 def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     _check_scale(lam)
     pts = _as_points(points, 4)
-    margin = _cross_margins(np.abs(pts[:, :3]) / lam, config)
+    margin = _cross_margins(*(np.abs(pts[:, :3]) / lam).T, config)
     return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
+
+
+def _tilde_margins(q1, q2, q3, config: KurodaConfig) -> np.ndarray:
+    """The arm/cap margin of :func:`s_tilde_margins` on prescaled coordinates.
+
+    The three coordinate arrays may have any shapes that broadcast, as in
+    :func:`_cross_margins`; ``q_j - q_k`` and ``q_j + q_k`` take the shape
+    of their two coordinates only.
+    """
+    q = (q1, q2, q3)
+    d = column_minima(config)
+    margin = -np.inf
+    for i in AXES:
+        j, k = (t for t in AXES if t != i)
+        qi, qj, qk = q[i - 1], q[j - 1], q[k - 1]
+        arm = (_int_power(qi, 2 * d[i - 1]) - 1.0) * _int_power(
+            qj - qk, 2 * config.magnitude(i, i)
+        )
+        s = qj + qk
+        cap = (qi * qi - 1.0) * (s * s - 4.0)
+        margin = np.maximum(margin, arm - _ARM_RHS)
+        margin = np.maximum(margin, cap - _CAP_RHS)
+    return margin
 
 
 def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
@@ -177,20 +217,7 @@ def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     """
     _check_scale(lam)
     pts = _as_points(points, 3)
-    q = pts / lam
-    d = column_minima(config)
-    margin = np.full(len(q), -np.inf)
-    for i in AXES:
-        j, k = (t for t in AXES if t != i)
-        qi, qj, qk = q[:, i - 1], q[:, j - 1], q[:, k - 1]
-        arm = (_int_power(qi, 2 * d[i - 1]) - 1.0) * _int_power(
-            qj - qk, 2 * config.magnitude(i, i)
-        )
-        s = qj + qk
-        cap = (qi * qi - 1.0) * (s * s - 4.0)
-        margin = np.maximum(margin, arm - _ARM_RHS)
-        margin = np.maximum(margin, cap - _CAP_RHS)
-    return margin
+    return _tilde_margins(*(pts / lam).T, config)
 
 
 def in_s_prime(point, lam: float, config: KurodaConfig) -> bool:
@@ -222,10 +249,15 @@ _LOG_SLACK = 1e-9
 _SHIFT_ELEMENTS = 3 * 16 * 1024
 
 
+def _blocks(count: int, width: int, budget: int):
+    """Slices of ``count`` rows in blocks whose (rows x width) array fits ``budget`` elements."""
+    step = max(1, budget // width)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _row_blocks(count: int, width: int):
     """Slices of ``count`` rows in blocks whose (3 x rows x width) array fits the budget."""
-    step = max(1, _SHIFT_ELEMENTS // (3 * width))
-    return (slice(start, start + step) for start in range(0, count, step))
+    return _blocks(count, 3 * width, _SHIFT_ELEMENTS)
 
 
 def _shifted_logs(coords: np.ndarray, shifts: np.ndarray, log_lam: float) -> np.ndarray:
@@ -492,6 +524,41 @@ class SampleSet:
         return len(self.points)
 
 
+# glibc pow takes a slow path where its result is 0, subnormal or inf.  Past
+# these powers of two the result is known: a true value below 2**-1100 rounds
+# to 0, and one above 2**1030 to inf.
+_POW_UNDER_LOG2 = 1100
+_POW_OVER_LOG2 = 1030
+
+
+def _pow_from_one(v: np.ndarray, e: float) -> np.ndarray:
+    """``v ** e`` for ``v >= 1``, with ``pow`` run only where its result may be normal.
+
+    For ``e < 0`` every ``v`` above ``2**(1100/|e|)`` has ``v**e`` below
+    ``2**-1100``, far under half the least subnormal (``2**-1075``), so
+    ``pow`` gives 0 there; for ``e > 0`` every ``v`` above ``2**(1030/e)``
+    has ``v**e`` above ``2**1030``, past the double range, so ``pow`` gives
+    inf.  Those entries are prefilled and ``pow`` runs on the others, each
+    with the bits of ``v ** e``.  The cutoff is rounded twice (the quotient
+    and the power of two); that moves ``log2`` of the true value at the
+    cutoff by less than 1e-12, against margins of 25 and 6.  Where the
+    quotient is 1023 or more no finite ``v`` passes the cutoff and plain
+    ``v ** e`` runs, and so it does for ``e == 2``, which numpy's ``**``
+    forms as a square rather than a ``pow``.  An inf result is expected
+    here, so ``pow``'s overflow between ``2**(1024/e)`` and the cutoff
+    passes silently, as the prefilled entries do.
+    """
+    if e == 2:
+        return v ** e
+    log2_cut = (_POW_UNDER_LOG2 if e < 0 else _POW_OVER_LOG2) / abs(e)
+    if log2_cut >= 1023:
+        return v ** e
+    cutoff = 2.0 ** log2_cut
+    out = np.full(v.shape, 0.0 if e < 0 else np.inf)
+    with np.errstate(over="ignore"):
+        return np.power(v, e, out=out, where=v < cutoff)
+
+
 class _StarSampler:
     """Candidate generator for the 3- and 4-dimensional cross-bound regions."""
 
@@ -534,7 +601,10 @@ class _StarSampler:
             for j in (x for x in AXES if x != a):
                 e_fwd = cfg.magnitude(j, a) / cfg.magnitude(a, a)
                 e_rev = cfg.magnitude(j, j) / cfg.magnitude(a, j)
-                bound = lam * np.minimum(0.5, np.minimum(va ** -e_fwd, va ** -e_rev)) * 0.999
+                # both pows stay: pow may be 1 ulp off, so near va = 1 the
+                # larger exponent need not give the smaller value
+                lower = np.minimum(_pow_from_one(va, -e_fwd), _pow_from_one(va, -e_rev))
+                bound = lam * np.minimum(0.5, lower) * 0.999
                 columns[j - 1][idx] = self.rng.uniform(-1.0, 1.0, size=len(idx)) * bound
         if self.dim == 4:
             columns[3] = self.rng.uniform(-lam, lam, size=n)
@@ -555,7 +625,7 @@ class _StarSampler:
                 continue
             ta = t[idx]
             va = ta / lam
-            arm_factor = va ** (2 * d[a - 1]) - 1.0
+            arm_factor = _pow_from_one(va, 2 * d[a - 1]) - 1.0
             bound_w = lam * np.minimum(
                 0.5, (_ARM_RHS / arm_factor) ** (1.0 / (2 * cfg.magnitude(a, a)))
             ) * 0.999
@@ -950,6 +1020,11 @@ def sandwich_check(
 # -- boundary clouds -------------------------------------------------------
 
 
+# Largest (slabs x grid x grid) margin array of the cloud export, in elements:
+# the x-slabs go in blocks that fit it, or one at a time on a finer grid.
+_CLOUD_ELEMENTS = 2**15
+
+
 @dataclass(frozen=True)
 class CloudReport:
     which: RegionKind
@@ -972,23 +1047,30 @@ def export_surface_cloud(
 
     Supports the 3-dimensional star and the basic open set; the margin is
     the max constraint value, so the zero level set is the region boundary.
+    The rows come in grid order, x outermost, then y, then z, each margin
+    with the bits of the point-list margin at scale 1.
     """
     if which not in (RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3):
         raise ValueError("cloud export supports the two 3-dimensional closed-form regions")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    margins_of = s_double_prime_margins if which is RegionKind.S_DOUBLE_PRIME3 else s_tilde_margins
     axis = np.linspace(-radius, radius, grid)
-    ys, zs = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    # the margin bodies at scale 1, where q is p itself: |p| for the star
+    if which is RegionKind.S_DOUBLE_PRIME3:
+        margins_of, q = _cross_margins, np.abs(axis)
+    else:
+        margins_of, q = _tilde_margins, axis
     written = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "margin"])
-        for x in axis:  # one x-slab at a time keeps memory O(grid**2)
-            pts = np.stack([np.full(ys.size, x), ys, zs], axis=1)
-            margins = margins_of(pts, 1.0, config)
-            mask = np.abs(margins) < band
-            rows = np.column_stack([pts[mask], margins[mask]]).tolist()
+        # blocks of x-slabs on the open mesh keep memory near one budget
+        for block in _blocks(grid, grid * grid, _CLOUD_ELEMENTS):
+            margins = margins_of(q[block, None, None], q[None, :, None], q[None, None, :], config)
+            ix, iy, iz = np.nonzero(np.abs(margins) < band)  # x, then y, then z
+            rows = np.column_stack(
+                [axis[block][ix], axis[iy], axis[iz], margins[ix, iy, iz]]
+            ).tolist()
             writer.writerows([f"{v:.12g}" for v in row] for row in rows)
             written += len(rows)
     return CloudReport(which, grid, float(radius), float(band), written, str(out))

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from kuroda import KurodaConfig, SparsePolynomial, System, concrete_example
+from kuroda.config import condition_value
 
 
 @pytest.fixture
@@ -47,3 +50,34 @@ def random_pi_polynomial(rng: random.Random) -> SparsePolynomial:
 def seeded_pi_polynomials(seed: int, count: int):
     rng = random.Random(seed)
     return [random_pi_polynomial(rng) for _ in range(count)]
+
+
+@st.composite
+def valid_configs(draw, off=12, diag=4, fourth=(0, 3)):
+    """Valid configs by construction: diagonals in 1..diag, off-diagonals in 1..off.
+
+    Every valid config with entries in these ranges can be drawn.  The
+    diagonals ``c_i`` come first.  Then, axis by axis, the column minimum
+    ``d_i`` is drawn from the values that keep ``sum c_i/(c_i + d_i) < 1``
+    reachable with the later minima at ``off``, the row holding it is drawn,
+    and the column's other off-diagonal entry comes from ``d_i..off``.
+    """
+    c = [draw(st.integers(1, diag)) for _ in range(3)]
+    if sum(Fraction(ci, ci + off) for ci in c) >= 1:
+        raise ValueError(f"no valid config has diagonals {c} and off-diagonals <= {off}")
+    rows = [[0, 0, 0, draw(st.integers(*fourth))] for _ in range(3)]
+    taken = Fraction(0)
+    for i in range(3):
+        rows[i][i] = -c[i]
+        slack = 1 - taken - sum(Fraction(cj, cj + off) for cj in c[i + 1:])
+        # c/(c + d) < slack  <=>  d > c * (1 - slack) / slack
+        d = draw(st.integers(max(1, math.floor(c[i] * (1 - slack) / slack) + 1), off))
+        taken += Fraction(c[i], c[i] + d)
+        low_row, other_row = (j for j in range(3) if j != i)
+        if draw(st.booleans()):
+            low_row, other_row = other_row, low_row
+        rows[low_row][i] = d
+        rows[other_row][i] = draw(st.integers(d, off))
+    config = KurodaConfig.from_signed(rows, draw(st.integers(1, 3)))
+    assert condition_value(config) < 1
+    return config

@@ -5,6 +5,7 @@ way, or a convenience for writing test polynomials; none is reached by the
 CLI, the demos or the benchmark, so none lives in ``src``.
 """
 
+import csv
 import math
 from fractions import Fraction
 from operator import mul
@@ -24,7 +25,14 @@ from kuroda.algebra import (
 )
 from kuroda.config import AXES, KurodaConfig, column_minima
 from kuroda.membership import GeneratorList, monoid_member
-from kuroda.regions import _as_points, _check_scale, _cross_pairs
+from kuroda.config import RegionKind
+from kuroda.regions import (
+    _as_points,
+    _check_scale,
+    _cross_pairs,
+    s_double_prime_margins,
+    s_tilde_margins,
+)
 
 
 def pi_variable(i: int) -> SparsePolynomial:
@@ -156,7 +164,11 @@ def escape_rows_one_by_one(ks: Sequence[int], config: KurodaConfig, axis: int = 
 
 
 def ray_star_by_masks(sampler, n: int) -> np.ndarray:
-    """``_StarSampler._ray_star`` with a boolean mask per stratum: the same draws in the same order."""
+    """``_StarSampler._ray_star`` with a boolean mask per stratum: the same draws in the same order.
+
+    Every power is a plain ``**``, so libm ``pow`` runs on every element,
+    also where its result underflows to 0.
+    """
     lam, cfg, rng = sampler.spec.lam, sampler.config, sampler.rng
     axis = rng.integers(1, 4, size=n)
     sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
@@ -181,7 +193,11 @@ def ray_star_by_masks(sampler, n: int) -> np.ndarray:
 
 
 def ray_tilde_by_masks(sampler, n: int) -> np.ndarray:
-    """``_StarSampler._ray_tilde`` with a boolean mask per stratum: the same draws in the same order."""
+    """``_StarSampler._ray_tilde`` with a boolean mask per stratum: the same draws in the same order.
+
+    Every power is a plain ``**``, so libm ``pow`` runs on every element,
+    also where its result overflows to inf.
+    """
     lam, cfg, rng = sampler.spec.lam, sampler.config, sampler.rng
     d = column_minima(cfg)
     axis = rng.integers(1, 4, size=n)
@@ -253,3 +269,28 @@ def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[n
         best = np.where(better, found, best)
         best_a = np.where(better, shifts[rows, idx], best_a)
     return np.expm1(best), best_a
+
+
+def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, out,
+                           radius: float = 5.0, band: float = 0.25) -> int:
+    """:func:`kuroda.export_surface_cloud` one x-slab at a time through the public margins.
+
+    Each slab is a ``(grid**2, 3)`` point list; its margins come from
+    ``s_double_prime_margins`` or ``s_tilde_margins`` at scale 1.  Writes
+    the same CSV and returns the number of points written.
+    """
+    margins_of = s_double_prime_margins if which is RegionKind.S_DOUBLE_PRIME3 else s_tilde_margins
+    axis = np.linspace(-radius, radius, grid)
+    ys, zs = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    written = 0
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "z", "margin"])
+        for x in axis:
+            pts = np.stack([np.full(ys.size, x), ys, zs], axis=1)
+            margins = margins_of(pts, 1.0, config)
+            mask = np.abs(margins) < band
+            rows = np.column_stack([pts[mask], margins[mask]]).tolist()
+            writer.writerows([f"{v:.12g}" for v in row] for row in rows)
+            written += len(rows)
+    return written

@@ -4,7 +4,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuroda import (
@@ -18,12 +18,11 @@ from kuroda import (
     monoid_member_oracle,
     ring_generator_census,
     star_violations,
-    validate,
 )
 from kuroda import membership
 from kuroda.membership import RouteDisagreementError, _outside_monoid, oracle_violations
 
-from conftest import seeded_pi_polynomials
+from conftest import seeded_pi_polynomials, valid_configs
 from reference import (
     combinations_reach,
     oracle_violations_by_column_sums,
@@ -131,18 +130,6 @@ def splitting_generators(config, degree_bound):
     generators.sort(key=lambda g: (sum(g), g))
     growing = any(sum(g) == degree_bound for g in generators)
     return tuple(generators), growing
-
-
-@st.composite
-def valid_configs(draw, off=12, diag=4, fourth=(0, 3)):
-    rows = []
-    for i in range(3):
-        row = [draw(st.integers(1, off)) for _ in range(3)] + [draw(st.integers(*fourth))]
-        row[i] = -draw(st.integers(1, diag))
-        rows.append(row)
-    config = KurodaConfig.from_signed(rows, draw(st.integers(1, 3)))
-    assume(validate(config).valid)
-    return config
 
 
 @settings(max_examples=60, deadline=None)

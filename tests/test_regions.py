@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuroda import (
     KurodaConfig,
@@ -34,10 +36,13 @@ import kuroda.regions as regions_module
 from kuroda.config import column_minima, condition_value
 from kuroda.regions import (
     Verdict,
+    _cross_margins,
     _cross_pairs,
     _escape_series,
     _int_power,
+    _pow_from_one,
     _StarSampler,
+    _tilde_margins,
     evaluate_abs,
     s_double_prime_margins,
     s_prime_margins,
@@ -45,13 +50,14 @@ from kuroda.regions import (
     s_tilde_margins,
 )
 
-from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials
+from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials, valid_configs
 from reference import (
     escape_rows_one_by_one,
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
     shift_margins_full_scan,
+    surface_cloud_by_slabs,
 )
 
 
@@ -568,7 +574,7 @@ def test_cloud_export(tmp_path, concrete):
 
 
 def test_cloud_memory_stays_one_slab(tmp_path, concrete):
-    # The whole grid at once peaks at about 160 MB here (meshgrid, points, margins).
+    # The whole grid as one block of slabs peaks at about 28 MB here.
     out = tmp_path / "fine.csv"
     tracemalloc.start()
     try:
@@ -616,6 +622,47 @@ def test_cloud_tilde_contains_far_arm_points(tmp_path, concrete):
     with open(out, newline="") as fh:
         far = [r for r in csv.DictReader(fh) if abs(float(r["x"])) > 4.0]
     assert far
+
+
+# -- the cloud on the open mesh, against the slab loop ---------------------
+
+# (grid, radius, band): the small grids with every radius and band, the
+# finer ones on the diagonal of radius and band
+_CLOUD_CASES = [
+    *((grid, radius, band) for grid in (1, 2, 17)
+      for radius in (2.0, 5.0, 50.0) for band in (0.1, 0.25, 2.0)),
+    *((grid, radius, band) for grid in (48, 120)
+      for radius, band in ((2.0, 0.1), (5.0, 0.25), (50.0, 2.0))),
+]
+
+
+def _cloud_bytes_match(tmp_path, config, kind, grid, radius, band):
+    ours, ref = tmp_path / "mesh.csv", tmp_path / "slabs.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = export_surface_cloud(config, kind, grid, ours, radius=radius, band=band)
+        written = surface_cloud_by_slabs(config, kind, grid, ref, radius=radius, band=band)
+    assert report.points_written == written, (grid, radius, band)
+    assert ours.read_bytes() == ref.read_bytes(), (grid, radius, band)
+    return written
+
+
+@pytest.mark.parametrize("kind", [RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3])
+@pytest.mark.parametrize("name", ["concrete", "min2_7", "big_weights", "drawn"])
+def test_cloud_matches_slab_reference(tmp_path, name, kind):
+    config = MARGIN_CONFIGS[name]
+    written = [_cloud_bytes_match(tmp_path, config, kind, *case) for case in _CLOUD_CASES]
+    assert max(written) > 0
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 17 * 17, 5 * 48 * 48 + 7])
+def test_cloud_blocks_are_bit_identical(monkeypatch, tmp_path, budget):
+    # one slab per block, then blocks of 2 slabs on grid 17 and of 5 on
+    # grid 48: neither divides its grid, so the last block is short
+    monkeypatch.setattr(regions_module, "_CLOUD_ELEMENTS", budget)
+    for name in ("concrete", "big_weights"):
+        for kind in (RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3):
+            for grid in (17, 48):
+                _cloud_bytes_match(tmp_path, MARGIN_CONFIGS[name], kind, grid, 5.0, 0.25)
 
 
 # -- integer powers by multiplication, against the pow forms ---------------
@@ -791,22 +838,84 @@ def test_escape_series_rejects_bad_indices(concrete):
     assert _escape_series([], concrete).shape == (0, 4)
 
 
+_RAY_CONFIGS = {**MARGIN_CONFIGS, "symmetric_1_100": _OVERFLOW_MIDWAY}
+
+
 @pytest.mark.parametrize("n", (1, 7, 12000))
 @pytest.mark.parametrize("kind", list(_POW_MARGINS))
-@pytest.mark.parametrize("name", list(MARGIN_CONFIGS))
+@pytest.mark.parametrize("name", list(_RAY_CONFIGS))
 def test_ray_strata_match_mask_indexed_reference(name, kind, n):
-    config = MARGIN_CONFIGS[name]
+    # the references raise every candidate with plain ``**``, also where
+    # the result under- or overflows and the sampler skips pow
+    config = _RAY_CONFIGS[name]
     spec = RegionSpec(kind, 1.5)
-    ours = _StarSampler(config, spec, 50.0, np.random.default_rng(29))
-    ref = _StarSampler(config, spec, 50.0, np.random.default_rng(29))
     tilde = kind is RegionKind.S_TILDE3
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(2):
-            points = ours._ray_tilde(n) if tilde else ours._ray_star(n)
-            expected = ray_tilde_by_masks(ref, n) if tilde else ray_star_by_masks(ref, n)
-            assert points.shape == expected.shape == (n, kind.dim)
-            assert np.array_equal(points.view(np.int64), expected.view(np.int64))
-            assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+    for radius in (50.0, 1e6):
+        ours = _StarSampler(config, spec, radius, np.random.default_rng(29))
+        ref = _StarSampler(config, spec, radius, np.random.default_rng(29))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(2):
+                points = ours._ray_tilde(n) if tilde else ours._ray_star(n)
+                expected = ray_tilde_by_masks(ref, n) if tilde else ray_star_by_masks(ref, n)
+                assert points.shape == expected.shape == (n, kind.dim)
+                assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+                assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+_POW_EXPONENTS = (1 / 300, 0.5, 2, 3, 60, 300, 600)
+
+
+@pytest.mark.parametrize("e", [*_POW_EXPONENTS, *(-e for e in _POW_EXPONENTS), 600.0, -300.0])
+def test_pow_from_one_matches_plain_pow(e):
+    rng = np.random.default_rng(5)
+    edges = [1.0, np.nextafter(1.0, np.inf), 2.0**1023, np.finfo(float).max]
+    for log2_limit in (1100, 1030, 1024, 1075, 1022):
+        if log2_limit / abs(e) < 1023:
+            cut = 2.0 ** (log2_limit / abs(e))
+            edges += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+    top = max(edges[4:], default=1e3)
+    v = np.concatenate([edges, rng.uniform(1.0, 2.0 * top, 4000), 2.0 ** rng.uniform(0, 1023, 500)])
+    with np.errstate(over="ignore", under="ignore"):
+        expected = v ** e
+        ours = _pow_from_one(v, e)
+    assert np.array_equal(ours.view(np.int64), expected.view(np.int64))
+    log2_cut = (1100 if e < 0 else 1030) / abs(e)
+    if e != 2 and log2_cut < 1023:
+        # past the cutoff the value is known: 0 below the range, inf above it
+        past = v >= 2.0**log2_cut
+        assert past.any()
+        assert (ours[past] == (0.0 if e < 0 else math.inf)).all()
+
+
+@st.composite
+def _mesh_axes(draw):
+    radius = draw(st.floats(1e-3, 1e3))
+    coordinate = st.floats(-radius, radius)
+    return tuple(
+        np.array(draw(st.lists(coordinate, min_size=1, max_size=9)), dtype=float)
+        for _ in range(3)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(list(MARGIN_CONFIGS.values())), valid_configs(off=60, diag=7)),
+    _mesh_axes(),
+    st.sampled_from([1.0, 0.5, 3.0]),
+)
+def test_mesh_margins_match_point_list_margins(config, axes, lam):
+    x, y, z = axes
+    mesh = (x[:, None, None], y[None, :, None], z[None, None, :])
+    points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        star = _cross_margins(*(np.abs(c) / lam for c in mesh), config)
+        tilde = _tilde_margins(*(c / lam for c in mesh), config)
+        star_ref = s_double_prime_margins(points, lam, config)
+        tilde_ref = s_tilde_margins(points, lam, config)
+    # int64 views, so that nan and inf positions and bits count too
+    for ours, ref in ((star, star_ref), (tilde, tilde_ref)):
+        assert ours.shape == (len(x), len(y), len(z))
+        assert np.array_equal(ours.reshape(-1).view(np.int64), ref.view(np.int64))
 
 
 def _evaluate_abs_cases():
