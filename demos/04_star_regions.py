@@ -61,7 +61,7 @@ p1 = boundedness_probe(
     RegionSpec(RegionKind.S_PRIME4, 1.0),
     0,
     seed=1,
-    escape_ks=range(16, 5_001),
+    escape_kmax=5_000,
 )
 print(f"plain first variable along the escape points: final {p1.escape_final_value:.0f},"
       f" divergence flag: {p1.divergence}")

@@ -69,7 +69,7 @@ _scale = _checked(lambda t: float(Fraction(t)), lambda v: v > 0, "a finite posit
 _samples = _checked(int, lambda v: 0 <= v <= MAX_SAMPLES, f"an integer in 0..{MAX_SAMPLES}")
 _grid = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"an integer in 1..{MAX_GRID}")
 _degree_bound = _checked(int, lambda v: 0 <= v <= MAX_DEGREE, f"an integer in 0..{MAX_DEGREE}")
-_kmax = _checked(int, lambda v: v <= MAX_KMAX, f"an integer <= {MAX_KMAX}")
+_kmax = _checked(int, lambda v: 0 <= v <= MAX_KMAX, f"an integer in 0..{MAX_KMAX}")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "text", "csv")):
@@ -352,9 +352,8 @@ def _cmd_probe(args):
     else:
         kind = RegionKind.S_PRIME4 if f.system.arity == 4 else RegionKind.S3
     spec = regions.RegionSpec(kind, args.lam)
-    ks = list(range(16, args.kmax + 1)) if args.kmax >= 16 else None
     report = regions.boundedness_probe(
-        config, f, spec, args.samples, args.seed, radius=args.radius, escape_ks=ks
+        config, f, spec, args.samples, args.seed, radius=args.radius, escape_kmax=args.kmax
     )
     # the escape series goes to the CSV rows, not the report body; the rows
     # are built only when they are written
@@ -362,8 +361,9 @@ def _cmd_probe(args):
     values = body.pop("escape_values")
     data = {"expr": args.expr, **jsonable(body)}
     rows = None
-    if ks and args.format == "csv":
-        rows = [{"k": k, "abs_value": v} for k, v in zip(ks, values)]
+    if values is not None and args.format == "csv":
+        first = report.escape_k_range[0]
+        rows = [{"k": first + i, "abs_value": v} for i, v in enumerate(values)]
     code = 0 if report.bound_ok in (None, True) else 1
     return data, rows, code
 

@@ -52,9 +52,11 @@ class SamplingError(RuntimeError):
     """A sampler exhausted its candidate budget without accepting anything."""
 
 
-# Half-scaled fattened-star points reach at most (radius + 1)/2, and the far
-# zone starts at 2, so a smaller sampling radius leaves nothing to check.
-SANDWICH_MIN_RADIUS = 3.0
+# The sandwich's far zone: some |coordinate| above FAR_ZONE_START.  Half-scaled
+# fattened-star points reach at most (radius + 1)/2, so at a sampling radius of
+# SANDWICH_MIN_RADIUS or less none of them is in it.
+FAR_ZONE_START = 2.0
+SANDWICH_MIN_RADIUS = 2.0 * FAR_ZONE_START - 1.0
 
 
 class ConfigError(ValueError):

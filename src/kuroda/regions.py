@@ -58,12 +58,13 @@ The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
 1 for k > 16, so membership of the sequence in the 4-dimensional region
 starts at a small config-dependent threshold (17 for the standard symmetric
-instance; index 16 sits exactly on the boundary).  One helper builds the
-series of a probe as a single ``(len(ks), 4)`` array, and
-:func:`escape_point` is a one-row call of it: the logarithms come from
-``math.log2`` and the integer powers from ``float(k ** m)``, so every row
-has the bits of the per-index computation in Python floats, and a power past
-the double range raises ``OverflowError`` as ``float`` does.
+instance; index 16 sits exactly on the boundary).  A probe's series is the
+index range ``16..kmax``, and one helper builds a range as a single
+``(kmax - 15, 4)`` array; :func:`escape_point` is its one-index range.  The
+logarithms come from ``math.log2`` and the integer powers from
+``float(k ** m)``, so every row has the bits of the per-index computation
+in Python floats, and a power past the double range raises
+``OverflowError`` as ``float`` does.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from .algebra import SparsePolynomial, System
 # re-exported from here.
 from .config import (  # noqa: F401
     AXES,
+    FAR_ZONE_START,
     SANDWICH_MIN_RADIUS,
     KurodaConfig,
     RegionKind,
@@ -426,14 +428,20 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
     return np.expm1(best), best_a
 
 
+def _band(margins: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (UNCERTAIN, OUT) of shift-search margins: UNCERTAIN in the band, else IN below 0."""
+    uncertain = abs(margins) <= tolerance
+    return uncertain, ~uncertain & ~(margins < 0)
+
+
 def in_s(
     point, lam: float, config: KurodaConfig, tolerance: float = 1e-6
 ) -> Verdict:
     """Semi-decision of membership in the fattened star (see module notes)."""
-    margin = s_shift_margins(point, lam, config)[0][0]
-    if abs(margin) <= tolerance:
+    uncertain, outside = _band(s_shift_margins(point, lam, config)[0][0], tolerance)
+    if uncertain:
         return Verdict.UNCERTAIN
-    return Verdict.IN if margin < 0 else Verdict.OUT
+    return Verdict.OUT if outside else Verdict.IN
 
 
 # -- escape sequence -------------------------------------------------------
@@ -454,8 +462,16 @@ class EscapePoint:
     pi: tuple[float, float, float]
 
 
-def _escape_series(ks: Sequence[int], config: KurodaConfig, axis: int = 1) -> np.ndarray:
-    """The escape points of the indices ``ks``, one row ``y`` each: a ``(len(ks), 4)`` array.
+# The first escape index (the triple logarithm is positive from 16 on), the
+# last one that escape_threshold tries, and the final |f| past which a
+# monotone escape tail counts as divergence.
+_ESCAPE_FIRST = 16
+_ESCAPE_THRESHOLD_LIMIT = 10**6
+_DIVERGENCE_THRESHOLD = 1e3
+
+
+def _escape_series(first: int, last: int, config: KurodaConfig) -> np.ndarray:
+    """The escape points ``y`` of the indices ``first..last``, both >= 16, as array rows.
 
     The logarithms come from ``math.log2`` and each integer power is the
     correctly rounded ``float(k ** m)``; the products and divisions are
@@ -463,11 +479,10 @@ def _escape_series(ks: Sequence[int], config: KurodaConfig, axis: int = 1) -> np
     in Python floats, and a power past the double range raises
     ``OverflowError("int too large to convert to float")`` as ``float`` does.
     """
-    for k in ks:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 16:
+    for k in (first, last):
+        if not isinstance(k, int) or isinstance(k, bool) or k < _ESCAPE_FIRST:
             raise ValueError(f"escape index must be an integer >= 16, got {k!r}")
-    if axis not in AXES:
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    ks = range(first, last + 1)
 
     def powers(m: int) -> np.ndarray:
         return np.array([float(k ** m) for k in ks])
@@ -476,38 +491,35 @@ def _escape_series(ks: Sequence[int], config: KurodaConfig, axis: int = 1) -> np
     lg2 = list(map(math.log2, lg1))
     lg3 = list(map(math.log2, lg2))
     lg1, lg2, lg3 = np.array(lg1), np.array(lg2), np.array(lg3)
-    other1, other2 = (j for j in AXES if j != axis)
     rows = np.empty((len(ks), 4))
     rows[:, 3] = 1.0 / lg3
-    rows[:, axis - 1] = powers(config.magnitude(axis, axis))
+    rows[:, 0] = powers(config.magnitude(1, 1))
     # a product past the double range is inf and its reciprocal 0, silently,
     # as in Python float arithmetic
     with np.errstate(over="ignore"):
-        rows[:, other1 - 1] = 1.0 / (powers(config.magnitude(other1, axis)) * lg1)
-        rows[:, other2 - 1] = 1.0 / (powers(config.magnitude(other2, axis)) * lg2)
+        rows[:, 1] = 1.0 / (powers(config.magnitude(2, 1)) * lg1)
+        rows[:, 2] = 1.0 / (powers(config.magnitude(3, 1)) * lg2)
     return rows
 
 
-def escape_point(k: int, config: KurodaConfig, axis: int = 1) -> EscapePoint:
+def escape_point(k: int, config: KurodaConfig) -> EscapePoint:
     """The k-th escape point and its diagonal projection.
 
-    With the default dominant axis 1 the coordinates are ``(k**d11,
-    1/(k**d21 * lg k), 1/(k**d31 * lglg k), 1/lglglg k)`` with base-2
-    logarithms; requires k >= 16 so the triple logarithm is defined and
-    positive.  ``axis`` relabels which coordinate dominates (the remaining
-    two take the single- and double-log damping in ascending axis order).
-    One row of :func:`_escape_series`.
+    The coordinates are ``(k**d11, 1/(k**d21 * lg k), 1/(k**d31 * lglg k),
+    1/lglglg k)`` with base-2 logarithms; requires k >= 16 so the triple
+    logarithm is defined and positive.  The one row of
+    :func:`_escape_series` from ``k`` to ``k``.
     """
-    point = tuple(_escape_series([k], config, axis)[0].tolist())
+    point = tuple(_escape_series(k, k, config)[0].tolist())
     return EscapePoint(k, point, diagonal_projection(point))
 
 
-def escape_threshold(config: KurodaConfig, lam: float = 1.0, k_limit: int = 10**6) -> int:
-    """Smallest k >= 16 whose escape point lies in the scaled 4-dim region."""
-    for k in range(16, k_limit + 1):
-        if in_s_prime(escape_point(k, config).y, lam, config):
+def escape_threshold(config: KurodaConfig) -> int:
+    """Smallest k >= 16 whose escape point lies in the 4-dim region at scale 1."""
+    for k in range(_ESCAPE_FIRST, _ESCAPE_THRESHOLD_LIMIT + 1):
+        if in_s_prime(escape_point(k, config).y, 1.0, config):
             return k
-    raise ValueError(f"no escape point enters the region below k = {k_limit}")
+    raise ValueError(f"no escape point enters the region below k = {_ESCAPE_THRESHOLD_LIMIT}")
 
 
 # -- stratified samplers ---------------------------------------------------
@@ -663,22 +675,31 @@ class _StarSampler:
             chunks.append(keep)
         return np.vstack(chunks) if chunks else np.zeros((0, self.dim))
 
-    def collect(self, count: int, cap_candidates: int) -> np.ndarray:
-        accepted: list[np.ndarray] = []
+    def draw(self, count: int, size: int, rounds: int, keep=None) -> np.ndarray:
+        """The first ``count`` points kept from at most ``rounds`` batches of ``size`` candidates.
+
+        Each batch's accepted points go through the map ``keep``, if given;
+        fewer than ``count`` points come back when the rounds run out.
+        """
+        kept: list[np.ndarray] = []
         total = 0
-        drawn = 0
-        batch_size = int(min(max(4096, count), 200_000))
-        while total < count and drawn < cap_candidates:
-            chunk = self.batch(batch_size)
-            drawn += batch_size
-            if len(chunk):
-                accepted.append(chunk)
-                total += len(chunk)
-        if total == 0:
-            raise SamplingError(
-                f"no {self.spec.kind.value} sample accepted after {drawn} candidates"
-            )
-        return np.vstack(accepted)[:count]
+        for _ in range(rounds):
+            if total >= count:
+                break
+            chunk = self.batch(size)
+            kept.append(chunk if keep is None else keep(chunk))
+            total += len(kept[-1])
+        return np.vstack(kept)[:count] if kept else np.zeros((0, self.dim))
+
+
+# Candidate budgets.  sample_region draws batches of max(count, 4096)
+# candidates, at most 200 000, and at least 500 000 candidates or 200 per
+# point in all; each sandwich direction draws up to 400 batches of max(count, 4096).
+_BATCH_MIN = 4096
+_SAMPLE_BATCH_MAX = 200_000
+_SAMPLE_BUDGET_MIN = 500_000
+_SAMPLE_BUDGET_PER_POINT = 200
+_SANDWICH_ROUNDS = 400
 
 
 def sample_region(
@@ -707,13 +728,16 @@ def sample_region(
         RegionSpec(RegionKind.S_DOUBLE_PRIME3, spec.lam) if kind is RegionKind.S3 else spec
     )
     sampler = _StarSampler(config, base_spec, radius, rng)
-    if count == 0:
-        points = np.zeros((0, kind.dim))
-    else:
-        points = sampler.collect(count, max(500_000, 200 * count))
-        if kind is RegionKind.S3:
-            shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
-            points = points + shift[:, None]
+    size = min(max(_BATCH_MIN, count), _SAMPLE_BATCH_MAX)
+    rounds = -(-max(_SAMPLE_BUDGET_MIN, _SAMPLE_BUDGET_PER_POINT * count) // size)
+    points = sampler.draw(count, size, rounds)
+    if count and not len(points):
+        raise SamplingError(
+            f"no {base_spec.kind.value} sample accepted after {rounds * size} candidates"
+        )
+    if kind is RegionKind.S3:
+        shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
+        points = points + shift[:, None]
     return SampleSet(points, sampler.stats)
 
 
@@ -782,8 +806,9 @@ class ProbeReport:
     ``bound`` and ``bound_ok`` are set only when the probed function is a
     plain monomial of the exponent monoid over the 4-dimensional region, in
     which case the sampled sup must stay below scale**degree.  Escape fields
-    are set when escape indices were supplied; ``escape_values`` holds |f|
-    at each escape point, ascending k.  Always evidence, never proof.
+    are set when the escape range ``16..escape_kmax`` is not empty, with
+    ``escape_values`` |f| at each escape point, ascending k.  Always
+    evidence, never proof.
     """
 
     seed: int
@@ -818,15 +843,14 @@ def boundedness_probe(
     sample_count: int,
     seed: int,
     radius: float = 50.0,
-    escape_ks: Sequence[int] | None = None,
-    divergence_threshold: float = 1e3,
+    escape_kmax: int = 0,
 ) -> ProbeReport:
     """Record the sampled sup of |f| over a region and its escape behaviour.
 
     The function's variable system must match the region dimension (4-dim
     systems over the 4-dim region, difference polynomials over the 3-dim
-    ones).  Escape evaluation uses the raw 4-dim escape points for 4-dim
-    systems and the diagonal projections otherwise.
+    ones).  The escape series over ``16..escape_kmax`` uses the raw 4-dim
+    escape points for 4-dim systems and the diagonal projections otherwise.
     """
     if f.system.arity != spec.kind.dim:
         raise ValueError(
@@ -861,18 +885,17 @@ def boundedness_probe(
 
     k_range = final = monotone_from_k = escape_values = None
     monotone_tail = divergence = None
-    if escape_ks:
-        ks = sorted(int(k) for k in escape_ks)
-        pts = _escape_series(ks, config)
+    if escape_kmax >= _ESCAPE_FIRST:
+        pts = _escape_series(_ESCAPE_FIRST, escape_kmax, config)
         if f.system.arity != 4:
             pts = pts[:, :3] - pts[:, 3:]  # the diagonal projections
         values = evaluate_abs(f, pts).tolist()
-        k_range = (ks[0], ks[-1])
+        k_range = (_ESCAPE_FIRST, escape_kmax)
         final = values[-1]
         start = _monotone_from(values)
-        monotone_from_k = ks[start]
-        monotone_tail = (len(ks) - start) >= max(2, len(ks) // 4)
-        divergence = bool(monotone_tail and final > divergence_threshold)
+        monotone_from_k = _ESCAPE_FIRST + start
+        monotone_tail = (len(values) - start) >= max(2, len(values) // 4)
+        divergence = bool(monotone_tail and final > _DIVERGENCE_THRESHOLD)
         escape_values = tuple(values)
 
     return ProbeReport(
@@ -896,9 +919,10 @@ def boundedness_probe(
 # -- sandwich check --------------------------------------------------------
 
 
-def _in_far_zone(points: np.ndarray) -> np.ndarray:
-    """Mask of points with some coordinate of absolute value above 2."""
-    return (np.abs(points) > 2.0).any(axis=1)
+def _far_zone(points: np.ndarray) -> np.ndarray:
+    """The points with some coordinate of absolute value above ``FAR_ZONE_START``."""
+    return points[(np.abs(points) > FAR_ZONE_START).any(axis=1)]
+
 
 
 @dataclass(frozen=True)
@@ -954,63 +978,35 @@ def sandwich_check(
             f"sandwich radius must be > {SANDWICH_MIN_RADIUS:g} with a finite double, got {radius}"
         )
     rng = np.random.default_rng(seed)
-    examples: list[tuple[str, tuple[float, ...]]] = []
+    size = max(_BATCH_MIN, count)
 
-    star = _StarSampler(
-        config, RegionSpec(RegionKind.S_DOUBLE_PRIME3, 1.0), radius, rng
-    )
-    half_checked = 0
-    half_violations = 0
-    guard = 0
-    while half_checked < count and guard < 400:
-        guard += 1
-        chunk = star.batch(max(4096, count))
-        if not len(chunk):
-            continue
+    def half_scaled_far(chunk):
         shift = rng.uniform(-1.0, 1.0, size=len(chunk))
-        points = (chunk + shift[:, None]) / 2.0
-        points = points[_in_far_zone(points)]
-        if not len(points):
-            continue
-        points = points[: count - half_checked]
-        margins = s_tilde_margins(points, 1.0, config)
-        bad = margins >= 0
-        half_checked += len(points)
-        half_violations += int(bad.sum())
-        for p in points[bad][:5]:
-            examples.append(("half_s_outside_tilde", tuple(float(x) for x in p)))
+        return _far_zone((chunk + shift[:, None]) / 2.0)
 
+    star = _StarSampler(config, RegionSpec(RegionKind.S_DOUBLE_PRIME3, 1.0), radius, rng)
+    half = star.draw(count, size, _SANDWICH_ROUNDS, half_scaled_far)
     tilde = _StarSampler(config, RegionSpec(RegionKind.S_TILDE3, 1.0), radius, rng)
-    far: list[np.ndarray] = []
-    tilde_checked = 0
-    guard = 0
-    while tilde_checked < count and guard < 400:
-        guard += 1
-        chunk = tilde.batch(max(4096, count))
-        chunk = chunk[_in_far_zone(chunk)][: count - tilde_checked]
-        far.append(chunk)
-        tilde_checked += len(chunk)
-    if half_checked < count or tilde_checked < count:
+    far = tilde.draw(count, size, _SANDWICH_ROUNDS, _far_zone)
+    if len(half) < count or len(far) < count:
         raise SamplingError(
-            f"sandwich checked {half_checked} half-scaled fattened-star points and "
-            f"{tilde_checked} basic-set points of the {count} requested per direction "
+            f"sandwich checked {len(half)} half-scaled fattened-star points and "
+            f"{len(far)} basic-set points of the {count} requested per direction "
             f"at radius {radius:g}"
         )
-    far_points = np.vstack(far) if far else np.zeros((0, 3))
-    margins = s_shift_margins(far_points, 2.0, config)[0]
-    # the verdicts of in_s: UNCERTAIN within the band, else IN below 0, else OUT
-    uncertain = np.abs(margins) <= tolerance
-    outside = ~uncertain & ~(margins < 0)
-    for p in far_points[outside][: max(0, 20 - len(examples))]:
-        examples.append(("tilde_outside_2s", tuple(float(x) for x in p)))
+    half_bad = half[s_tilde_margins(half, 1.0, config) >= 0]
+    uncertain, outside = _band(s_shift_margins(far, 2.0, config)[0], tolerance)
+    examples = [("half_s_outside_tilde", tuple(p)) for p in half_bad[:5].tolist()]
+    tilde_bad = far[outside][: 20 - len(examples)]
+    examples += [("tilde_outside_2s", tuple(p)) for p in tilde_bad.tolist()]
 
     return SandwichReport(
         seed=seed,
         requested=count,
         tolerance=tolerance,
-        half_s_checked=half_checked,
-        half_s_violations=half_violations,
-        tilde_checked=tilde_checked,
+        half_s_checked=len(half),
+        half_s_violations=len(half_bad),
+        tilde_checked=len(far),
         tilde_violations=int(outside.sum()),
         uncertain_count=int(uncertain.sum()),
         violation_examples=tuple(examples),

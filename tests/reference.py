@@ -25,12 +25,17 @@ from kuroda.algebra import (
 )
 from kuroda.config import AXES, KurodaConfig, column_minima
 from kuroda.membership import GeneratorList, monoid_member
-from kuroda.config import RegionKind
+from kuroda.config import RegionKind, SamplingError
 from kuroda.regions import (
+    RegionSpec,
+    SampleSet,
+    SandwichReport,
     _as_points,
     _check_scale,
     _cross_pairs,
+    _StarSampler,
     s_double_prime_margins,
+    s_shift_margins,
     s_tilde_margins,
 )
 
@@ -144,7 +149,7 @@ def sieve_over_four_coordinates(config: KurodaConfig, degree_bound: int) -> Gene
     return GeneratorList(degree_bound, tuple(generators), growing)
 
 
-def escape_rows_one_by_one(ks: Sequence[int], config: KurodaConfig, axis: int = 1) -> np.ndarray:
+def escape_rows_one_by_one(ks: Sequence[int], config: KurodaConfig) -> np.ndarray:
     """The escape points ``y`` of ``ks`` as rows, each computed on its own in Python floats.
 
     Raises the first error that a single index raises, in the order of ``ks``.
@@ -154,12 +159,12 @@ def escape_rows_one_by_one(ks: Sequence[int], config: KurodaConfig, axis: int = 
         lg1 = math.log2(float(k))
         lg2 = math.log2(lg1)
         lg3 = math.log2(lg2)
-        other1, other2 = (j for j in AXES if j != axis)
-        y = [0.0, 0.0, 0.0, 1.0 / lg3]
-        y[axis - 1] = float(k ** config.magnitude(axis, axis))
-        y[other1 - 1] = 1.0 / (k ** config.magnitude(other1, axis) * lg1)
-        y[other2 - 1] = 1.0 / (k ** config.magnitude(other2, axis) * lg2)
-        rows.append(y)
+        rows.append([
+            float(k ** config.magnitude(1, 1)),
+            1.0 / (k ** config.magnitude(2, 1) * lg1),
+            1.0 / (k ** config.magnitude(3, 1) * lg2),
+            1.0 / lg3,
+        ])
     return np.array(rows, dtype=float).reshape(len(rows), 4)
 
 
@@ -294,3 +299,118 @@ def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, o
             writer.writerows([f"{v:.12g}" for v in row] for row in rows)
             written += len(rows)
     return written
+
+
+def collect_by_loop(sampler, count: int, cap_candidates: int) -> np.ndarray:
+    """The sampler's own draw loop for :func:`kuroda.regions.sample_region`.
+
+    Batches of ``min(max(4096, count), 200000)`` candidates until ``count``
+    points are accepted or ``cap_candidates`` candidates are drawn.
+    """
+    accepted: list[np.ndarray] = []
+    total = 0
+    drawn = 0
+    batch_size = int(min(max(4096, count), 200_000))
+    while total < count and drawn < cap_candidates:
+        chunk = sampler.batch(batch_size)
+        drawn += batch_size
+        if len(chunk):
+            accepted.append(chunk)
+            total += len(chunk)
+    if total == 0:
+        raise SamplingError(
+            f"no {sampler.spec.kind.value} sample accepted after {drawn} candidates"
+        )
+    return np.vstack(accepted)[:count]
+
+
+def sample_region_by_loop(config: KurodaConfig, spec, count: int, seed: int, radius: float):
+    """:func:`kuroda.regions.sample_region` with :func:`collect_by_loop` as its draw loop."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if not (radius > 0 and math.isfinite(2.0 * radius)):
+        raise ValueError(f"sampling radius must be > 0 with a finite double, got {radius}")
+    rng = np.random.default_rng(seed)
+    kind = spec.kind
+    base_spec = (
+        RegionSpec(RegionKind.S_DOUBLE_PRIME3, spec.lam) if kind is RegionKind.S3 else spec
+    )
+    sampler = _StarSampler(config, base_spec, radius, rng)
+    if count == 0:
+        points = np.zeros((0, kind.dim))
+    else:
+        points = collect_by_loop(sampler, count, max(500_000, 200 * count))
+        if kind is RegionKind.S3:
+            shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
+            points = points + shift[:, None]
+    return SampleSet(points, sampler.stats)
+
+
+def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float = 50.0,
+                      tolerance: float = 1e-6) -> SandwichReport:
+    """:func:`kuroda.regions.sandwich_check` with one draw loop per direction.
+
+    Each loop draws up to 400 batches of ``max(4096, count)`` candidates.
+    The half-scaled direction checks its points batch by batch and keeps up
+    to 5 violation examples per batch.
+    """
+    rng = np.random.default_rng(seed)
+    examples: list[tuple[str, tuple[float, ...]]] = []
+
+    def in_far_zone(points):
+        return (np.abs(points) > 2.0).any(axis=1)
+
+    star = _StarSampler(config, RegionSpec(RegionKind.S_DOUBLE_PRIME3, 1.0), radius, rng)
+    half_checked = 0
+    half_violations = 0
+    guard = 0
+    while half_checked < count and guard < 400:
+        guard += 1
+        chunk = star.batch(max(4096, count))
+        if not len(chunk):
+            continue
+        shift = rng.uniform(-1.0, 1.0, size=len(chunk))
+        points = (chunk + shift[:, None]) / 2.0
+        points = points[in_far_zone(points)]
+        if not len(points):
+            continue
+        points = points[: count - half_checked]
+        bad = s_tilde_margins(points, 1.0, config) >= 0
+        half_checked += len(points)
+        half_violations += int(bad.sum())
+        for p in points[bad][:5]:
+            examples.append(("half_s_outside_tilde", tuple(float(x) for x in p)))
+
+    tilde = _StarSampler(config, RegionSpec(RegionKind.S_TILDE3, 1.0), radius, rng)
+    far: list[np.ndarray] = []
+    tilde_checked = 0
+    guard = 0
+    while tilde_checked < count and guard < 400:
+        guard += 1
+        chunk = tilde.batch(max(4096, count))
+        chunk = chunk[in_far_zone(chunk)][: count - tilde_checked]
+        far.append(chunk)
+        tilde_checked += len(chunk)
+    if half_checked < count or tilde_checked < count:
+        raise SamplingError(
+            f"sandwich checked {half_checked} half-scaled fattened-star points and "
+            f"{tilde_checked} basic-set points of the {count} requested per direction "
+            f"at radius {radius:g}"
+        )
+    far_points = np.vstack(far) if far else np.zeros((0, 3))
+    margins = s_shift_margins(far_points, 2.0, config)[0]
+    uncertain = np.abs(margins) <= tolerance
+    outside = ~uncertain & ~(margins < 0)
+    for p in far_points[outside][: max(0, 20 - len(examples))]:
+        examples.append(("tilde_outside_2s", tuple(float(x) for x in p)))
+    return SandwichReport(
+        seed=seed,
+        requested=count,
+        tolerance=tolerance,
+        half_s_checked=half_checked,
+        half_s_violations=half_violations,
+        tilde_checked=tilde_checked,
+        tilde_violations=int(outside.sum()),
+        uncertain_count=int(uncertain.sum()),
+        violation_examples=tuple(examples),
+    )

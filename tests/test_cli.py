@@ -395,6 +395,8 @@ def test_csv_unavailable_for_member_without_rows(capsys, concrete_path):
         ["generators", "--degree-bound", "-1"],
         ["generators", "--degree-bound", "65"],
         ["generators", "--degree-bound", "100000"],
+        ["probe", "--expr", "P1", "--seed", "1", "--kmax", "-5"],
+        ["probe", "--expr", "P1", "--seed", "1", "--kmax=-1"],
         ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000001"],
         ["probe", "--expr", "P1", "--seed", "1", "--kmax", "1000000000000"],
         ["probe", "--expr", "P1", "--seed", "1", "--samples", "1000001"],
@@ -585,6 +587,23 @@ def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, concrete):
     assert code == 0
     assert "uncertain_count" not in data and "escape_values" not in data
     assert float(rows[-1]["abs_value"]) == pytest.approx(data["escape_final_value"], rel=1e-9)
+
+
+@pytest.mark.parametrize("kmax, k_range", [(0, None), (15, None), (16, [16, 16]), (17, [16, 17])])
+def test_probe_escape_series_starts_at_sixteen(capsys, concrete_path, kmax, k_range):
+    args = ("probe", "--config", concrete_path, "--expr", "P1", "--samples", "0",
+            "--seed", "1", "--kmax", str(kmax))
+    code, data = run_json(capsys, *args)
+    assert code == 0
+    assert data["escape_k_range"] == k_range
+    code, out = run(capsys, *args, "--format", "csv")
+    if k_range is None:
+        # no escape series, so no row form: the CSV format is refused
+        assert code == 2
+    else:
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["k"]) for r in rows] == list(range(16, kmax + 1))
 
 
 @pytest.mark.parametrize(

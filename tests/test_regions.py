@@ -51,11 +51,14 @@ from kuroda.regions import (
 )
 
 from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials, valid_configs
+import reference as reference_module
 from reference import (
     escape_rows_one_by_one,
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
+    sample_region_by_loop,
+    sandwich_by_loops,
     shift_margins_full_scan,
     surface_cloud_by_slabs,
 )
@@ -318,20 +321,6 @@ def test_escape_projection_dominates(concrete):
     assert abs(ep.pi[0]) == pytest.approx(10**4, rel=1e-3)
 
 
-def test_escape_axis_relabelling(concrete):
-    # on the symmetric instance the dominant-axis variants are coordinate
-    # permutations of each other and stay inside the region
-    base = escape_point(250, concrete)
-    for axis in (2, 3):
-        variant = escape_point(250, concrete, axis=axis)
-        assert sorted(variant.y) == sorted(base.y)
-        assert variant.y[axis - 1] == base.y[0]
-        assert variant.y[3] == base.y[3]
-        assert in_s_prime(variant.y, 1.0, concrete)
-    with pytest.raises(ValueError):
-        escape_point(250, concrete, axis=4)
-
-
 def test_projected_region_samples_land_in_fattened_star(concrete):
     from kuroda.regions import diagonal_projection
 
@@ -431,7 +420,7 @@ def test_probe_escape_divergence(concrete):
     p1 = pi_variable(1)
     spec = RegionSpec(RegionKind.S3, 1.0)
     report = boundedness_probe(
-        concrete, p1, spec, 0, seed=0, escape_ks=range(16, 2001)
+        concrete, p1, spec, 0, seed=0, escape_kmax=2000
     )
     assert report.divergence
     assert report.monotone_tail
@@ -443,7 +432,7 @@ def test_probe_failing_monomial_diverges(concrete):
     y1 = SparsePolynomial.monomial(System.Y4, (1, 0, 0, 0))
     spec = RegionSpec(RegionKind.S_PRIME4, 1.0)
     report = boundedness_probe(
-        concrete, y1, spec, 0, seed=0, escape_ks=range(16, 3001)
+        concrete, y1, spec, 0, seed=0, escape_kmax=3000
     )
     assert report.bound is None  # (1,0,0,0) is not a monoid member
     assert report.divergence
@@ -453,7 +442,7 @@ def test_probe_constant(concrete):
     one = SparsePolynomial.constant(System.PI3, 1)
     spec = RegionSpec(RegionKind.S_TILDE3, 1.0)
     report = boundedness_probe(
-        concrete, one, spec, 500, seed=5, escape_ks=range(16, 200)
+        concrete, one, spec, 500, seed=5, escape_kmax=199
     )
     assert report.max_abs_value == pytest.approx(1.0)
     assert not report.divergence
@@ -786,18 +775,19 @@ def _outcome(call):
     return None
 
 
-@pytest.mark.parametrize("axis", (1, 2, 3))
 @pytest.mark.parametrize("name", ESCAPE_CONFIGS)
-def test_escape_series_matches_one_index_at_a_time(name, axis):
+def test_escape_series_matches_one_index_at_a_time(name):
     config = MARGIN_CONFIGS[name]
-    ks = list(range(16, 5001))
-    rows = _escape_series(ks, config, axis)
-    reference = escape_rows_one_by_one(ks, config, axis)
+    ks = range(16, 5001)
+    rows = _escape_series(16, 5000, config)
+    reference = escape_rows_one_by_one(ks, config)
     # bit for bit: compare the float64 words as integers
     assert rows.shape == (len(ks), 4)
     assert np.array_equal(rows.view(np.int64), reference.view(np.int64))
+    # a range that starts later holds the same rows
+    assert np.array_equal(_escape_series(1000, 1200, config), reference[1000 - 16:1201 - 16])
     for k in (16, 17, 1000, 5000):
-        ep = escape_point(k, config, axis)
+        ep = escape_point(k, config)
         assert ep.y == tuple(reference[k - 16].tolist())
         assert ep.pi == tuple((reference[k - 16, :3] - reference[k - 16, 3]).tolist())
 
@@ -808,34 +798,38 @@ _OVERFLOW_MIDWAY = KurodaConfig.from_dict(
 )
 
 
-@pytest.mark.parametrize("axis", (1, 2, 3))
 @pytest.mark.parametrize("config, first_bad", [
     (MARGIN_CONFIGS["big_weights"], 16),
     (_OVERFLOW_MIDWAY, 1210),
 ])
-def test_escape_series_overflows_at_the_same_index(config, first_bad, axis):
-    ks = list(range(16, 2001))
-    per_index = [_outcome(lambda k=k: escape_rows_one_by_one([k], config, axis)) for k in ks]
-    first = next(i for i, outcome in enumerate(per_index) if outcome)
-    assert ks[first] == first_bad
-    assert per_index[first] == (OverflowError, "int too large to convert to float")
-    with warnings.catch_warnings():
-        # an inf product whose reciprocal is 0 passes silently, as in Python floats
-        warnings.simplefilter("error")
-        assert _outcome(lambda: _escape_series(ks[:first], config, axis)) is None
-    assert _outcome(lambda: _escape_series(ks[:first + 1], config, axis)) == per_index[first]
-    assert _outcome(lambda: _escape_series(ks, config, axis)) == per_index[first]
-    assert _outcome(lambda: escape_point(first_bad, config, axis)) == per_index[first]
+def test_escape_series_overflows_at_the_same_index(config, first_bad):
+    ks = range(16, 2001)
+    per_index = [_outcome(lambda k=k: escape_rows_one_by_one([k], config)) for k in ks]
+    first_k = next(k for k, outcome in zip(ks, per_index) if outcome)
+    assert first_k == first_bad
+    error = per_index[first_bad - 16]
+    assert error == (OverflowError, "int too large to convert to float")
+    if first_bad > 16:
+        with warnings.catch_warnings():
+            # an inf product whose reciprocal is 0 passes silently, as in Python floats
+            warnings.simplefilter("error")
+            assert _outcome(lambda: _escape_series(16, first_bad - 1, config)) is None
+    assert _outcome(lambda: _escape_series(16, first_bad, config)) == error
+    assert _outcome(lambda: _escape_series(16, 2000, config)) == error
+    assert _outcome(lambda: _escape_series(first_bad, first_bad, config)) == error
+    assert _outcome(lambda: escape_point(first_bad, config)) == error
 
 
 def test_escape_series_rejects_bad_indices(concrete):
     with pytest.raises(ValueError, match="got 15"):
-        _escape_series([15, 16], concrete)
+        _escape_series(15, 16, concrete)
+    with pytest.raises(ValueError, match="got 15"):
+        _escape_series(16, 15, concrete)
     with pytest.raises(ValueError, match="got True"):
-        _escape_series([True], concrete)
-    with pytest.raises(ValueError, match="axis"):
-        _escape_series([16], concrete, axis=0)
-    assert _escape_series([], concrete).shape == (0, 4)
+        _escape_series(True, 20, concrete)
+    with pytest.raises(ValueError, match="got 20.0"):
+        _escape_series(16, 20.0, concrete)
+    assert _escape_series(17, 16, concrete).shape == (0, 4)
 
 
 _RAY_CONFIGS = {**MARGIN_CONFIGS, "symmetric_1_100": _OVERFLOW_MIDWAY}
@@ -1020,3 +1014,91 @@ def test_sample_region_rejects_bad_radius(concrete, radius):
     for kind in (RegionKind.S3, RegionKind.S_TILDE3):
         with pytest.raises(ValueError, match="radius"):
             sample_region(concrete, RegionSpec(kind, 1.0), 5, seed=1, radius=radius)
+
+
+DRAW_LOOP_CONFIGS = {
+    **MARGIN_CONFIGS,
+    "drawn_7": _drawn_asymmetric_config(7),
+    "drawn_99": _drawn_asymmetric_config(99),
+}
+DRAW_LOOP_COUNTS = (0, 1, 200, 2000, 5000)
+
+
+def _same_sample_sets(ours, ref):
+    assert ours.points.shape == ref.points.shape
+    assert np.array_equal(ours.points.view(np.int64), ref.points.view(np.int64))
+    assert ours.strata == ref.strata
+
+
+@pytest.mark.parametrize("count", DRAW_LOOP_COUNTS)
+@pytest.mark.parametrize("name", list(DRAW_LOOP_CONFIGS))
+def test_sample_region_matches_loop_reference(name, count):
+    # the one draw loop gathers the points, strata counts and rng draws of
+    # the sampler's former loop
+    config = DRAW_LOOP_CONFIGS[name]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for kind in RegionKind:
+            for seed in (1, 2, 3):
+                args = (config, RegionSpec(kind, 1.5), count, seed, 50.0)
+                _same_sample_sets(sample_region(*args), sample_region_by_loop(*args))
+
+
+@pytest.mark.parametrize("count", DRAW_LOOP_COUNTS)
+@pytest.mark.parametrize("name", list(DRAW_LOOP_CONFIGS))
+def test_sandwich_matches_loop_reference(name, count):
+    config = DRAW_LOOP_CONFIGS[name]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for seed in (1, 2, 3):
+            ours = sandwich_check(config, count, seed, radius=40.0, tolerance=1e-3)
+            assert ours == sandwich_by_loops(config, count, seed, radius=40.0, tolerance=1e-3)
+            assert ours.half_s_checked == ours.tilde_checked == count
+
+
+@pytest.mark.parametrize("radius", [1e80, 1e200])
+@pytest.mark.parametrize("name", ["concrete", "big_weights"])
+def test_sandwich_sampling_errors_match_loop_reference(name, radius):
+    # the margin filters overflow and reject all (1e200) or the basic-set
+    # (1e80) candidates: both loops give up after the same batches
+    config = DRAW_LOOP_CONFIGS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ours = _outcome(lambda: sandwich_check(config, 200, 4, radius=radius))
+        ref = _outcome(lambda: sandwich_by_loops(config, 200, 4, radius=radius))
+    assert ours == ref
+    assert ours[0] is SamplingError
+
+
+@pytest.mark.parametrize("count", [1, 200, 5000])
+def test_sample_region_sampling_errors_match_loop_reference(monkeypatch, concrete, count):
+    # a margin filter that rejects every candidate spends the whole budget
+    monkeypatch.setattr(_StarSampler, "_margins", lambda self, pts: np.ones(len(pts)))
+    for kind in RegionKind:
+        args = (concrete, RegionSpec(kind, 1.0), count, 3, 10.0)
+        ours = _outcome(lambda: sample_region(*args))
+        assert ours == _outcome(lambda: sample_region_by_loop(*args))
+        assert ours[0] is SamplingError
+
+
+def test_sandwich_half_examples_are_the_first_violators(monkeypatch, concrete):
+    # every half-scaled point violates: the examples are the first five of
+    # the call, where the former loop kept up to five per candidate batch
+    gathered = []
+    real = regions_module.s_tilde_margins
+
+    def all_violate(points, lam, cfg):
+        # the samplers' strata are smaller than the 6000 points checked
+        if len(points) != 6000:
+            return real(points, lam, cfg)
+        gathered.append(np.array(points))
+        return np.ones(len(points))
+
+    monkeypatch.setattr(regions_module, "s_tilde_margins", all_violate)
+    report = sandwich_check(concrete, 6000, seed=8)
+    (half,) = gathered
+    assert report.half_s_checked == report.half_s_violations == len(half) == 6000
+    examples = [p for d, p in report.violation_examples if d == "half_s_outside_tilde"]
+    assert examples == [tuple(p) for p in half[:5].tolist()]
+    monkeypatch.setattr(reference_module, "s_tilde_margins", lambda pts, lam, cfg: np.ones(len(pts)))
+    before = sandwich_by_loops(concrete, 6000, seed=8, radius=50.0)
+    per_batch = [p for d, p in before.violation_examples if d == "half_s_outside_tilde"]
+    assert len(per_batch) > 5 and per_batch[:5] == examples

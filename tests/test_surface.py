@@ -7,6 +7,13 @@ an attribute) in ``src/kuroda``, ``demos/`` or ``perfbench/*.py``, or a
 string constant equal to the name in ``perfbench/*.py``, which rebinds
 kuroda's functions by name to time them.  ``tests/`` does not count: code
 that only the tests reach belongs in ``tests/reference.py``.
+
+The third check does the same for parameters: each defaulted parameter of a
+public top-level function or of a public method of a public class must be
+set by some call in those files, by keyword, by position, or through
+``*args`` or ``**kwargs``.  A call matches by the name it calls (a name or
+an attribute).  A parameter that only the tests set is a knob nobody turns;
+it becomes a constant.
 """
 
 import ast
@@ -20,6 +27,14 @@ SRC = ROOT / "src" / "kuroda"
 # Public names kept without another reference, each with its reason.
 ALLOWED_UNREFERENCED = {
     "ring_generator_census": "the ring census has no subcommand yet (ROADMAP item 1)",
+}
+
+# Defaulted parameters kept without a call that sets them, each with its reason.
+ALLOWED_UNSET_DEFAULTS = {
+    "regions.in_s(tolerance)": "the per-point form of sandwich --tolerance, which "
+    "sandwich_check applies to its whole batch",
+    "algebra.SparsePolynomial.monomial(coeff)": "only the tests build monomials "
+    "with a coefficient; whether it moves out of the package is still open",
 }
 
 
@@ -57,12 +72,15 @@ def _public_definitions() -> dict[str, str]:
     return defined
 
 
+def _sources() -> list[Path]:
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    return sources + sorted((ROOT / "demos").glob("*.py"))
+
+
 def _references() -> set[str]:
     refs = set()
-    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted((ROOT / "demos").glob("*.py"))
     perfbench = sorted((ROOT / "perfbench").glob("*.py"))
-    for path in sources + perfbench:
+    for path in _sources() + perfbench:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             names = _identifiers(node)
@@ -85,3 +103,64 @@ def test_public_code_is_referenced_outside_tests():
     # an allow-list entry that is referenced after all, or no longer defined, is stale
     stale = [name for name in ALLOWED_UNREFERENCED if name in refs or name not in defined]
     assert not stale, stale
+
+
+def _defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """``"module.qualname(param)"`` -> (called name, param, position in a call or None).
+
+    The position counts the arguments a call passes, so a method's ``self``
+    or ``cls`` is not counted; a keyword-only parameter has none.
+    """
+    found = {}
+
+    def scan(fn: ast.FunctionDef, qualname: str, skip: int) -> None:
+        positional = fn.args.posonlyargs + fn.args.args
+        first_default = len(positional) - len(fn.args.defaults)
+        for index, arg in enumerate(positional[first_default:], first_default):
+            found[f"{qualname}({arg.arg})"] = (fn.name, arg.arg, index - skip)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[f"{qualname}({arg.arg})"] = (fn.name, arg.arg, None)
+
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                scan(node, f"{module}.{node.name}", 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in method.decorator_list
+                        )
+                        scan(method, f"{module}.{node.name}.{method.name}", 0 if static else 1)
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _sources() + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # by keyword or **kwargs
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):  # through *args
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_defaulted_parameters_are_set_outside_tests():
+    calls = _calls()
+    unset = sorted(
+        key for key, (name, param, position) in _defaulted_parameters().items()
+        if not any(_sets(call, param, position) for call in calls.get(name, ()))
+    )
+    assert unset == sorted(ALLOWED_UNSET_DEFAULTS), unset
