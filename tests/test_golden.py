@@ -1,7 +1,7 @@
 """Golden JSON reports: fixed-argument runs of every subcommand.
 
-Each case runs ``kuroda.cli.main`` on ``configs/concrete.json`` with small
-sample counts and fixed seeds and compares the bytes of the emitted JSON
+Each case runs ``kuroda.cli.main`` on ``configs/concrete.json`` with fixed
+seeds and sample counts and compares the bytes of the emitted JSON
 report with the stored ``tests/golden/<case>.json``, so whitespace and float
 text are pinned too.  The only field dropped before the comparison is
 ``cloud``'s ``path`` (its last key), which names a temporary file.
@@ -29,6 +29,9 @@ DENSE8 = (
     "(P1 - 2*P2 + 3*P3 + 1/2)*(2*P1 + P2 - P3)*(-P1 + 3*P2 + 2*P3)*(3*P1 - P2 + P3)"
     "*(P1 + 2*P2 - 3*P3)*(-2*P1 - P2 + P3)*(P1 - 3*P2 - 2*P3)*(2*P1 + 3*P2 + P3)"
 )
+# Its first three factors: a 16-term cubic, the size of the benchmark's probe
+# expressions, so 20 000 samples take several evaluation blocks.
+DENSE3 = "(P1 - 2*P2 + 3*P3 + 1/2)*(2*P1 + P2 - P3)*(-P1 + 3*P2 + 2*P3)"
 
 CASES = {
     "validate": ["validate"],
@@ -41,6 +44,14 @@ CASES = {
     "pullback_triple": ["pullback", "--axis", "1", "--r1", "2", "--r2", "1", "--r3", "1"],
     "pullback_region": ["pullback", "--axis", "2"],
     "probe": ["probe", "--expr", "P1*P2", "--samples", "500", "--seed", "3", "--kmax", "200"],
+    "probe_dense": [
+        "probe", "--expr", DENSE3, "--region", "stilde", "--samples", "20000", "--seed", "11",
+        "--kmax", "0",
+    ],
+    "probe_s": [
+        "probe", "--expr", DENSE3, "--region", "s", "--samples", "20000", "--seed", "12",
+        "--kmax", "2000",
+    ],
     "sandwich": ["sandwich", "--samples", "100", "--seed", "5"],
     "cloud": [
         "cloud", "--which", "stilde", "--grid", "12", "--radius", "3", "--band", "0.5",
