@@ -29,7 +29,7 @@ from .config import (
     validate,
 )
 from .exprparse import MAX_DEGREE, ExpressionError, parse_polynomial, polynomial_to_text
-from .reports import emit_report, jsonable
+from .reports import NO_CSV_ROWS, emit_report, jsonable
 
 # Largest accepted ``probe --kmax``: the escape series is one row of a float
 # array per index (its four coordinates, then |f| there), so time and memory
@@ -352,6 +352,11 @@ def _cmd_probe(args):
     else:
         kind = RegionKind.S_PRIME4 if f.system.arity == 4 else RegionKind.S3
     spec = regions.RegionSpec(kind, args.lam)
+    if args.format == "csv" and args.kmax < regions.ESCAPE_FIRST:
+        # no escape series, so no CSV rows: refuse after the checks that
+        # need no sampling, before any sample is drawn
+        regions.probe_bound(config, f, spec, args.samples, args.radius)
+        raise ValueError(NO_CSV_ROWS)
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_kmax=args.kmax
     )

@@ -162,6 +162,10 @@ def render_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+# The refusal of the CSV format for a report without rows.
+NO_CSV_ROWS = "this report has no CSV row form"
+
+
 def emit_report(data, fmt: str, out=None, csv_rows: list[dict] | None = None) -> str:
     """Render a report in the requested format and write it (stdout or file)."""
     if fmt == "json":
@@ -170,7 +174,7 @@ def emit_report(data, fmt: str, out=None, csv_rows: list[dict] | None = None) ->
         text = render_text(data)
     elif fmt == "csv":
         if csv_rows is None:
-            raise ValueError("this report has no CSV row form")
+            raise ValueError(NO_CSV_ROWS)
         text = render_csv(csv_rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -33,6 +33,7 @@ from kuroda.regions import (
     _as_points,
     _check_scale,
     _cross_pairs,
+    _power_table,
     _StarSampler,
     s_double_prime_margins,
     s_shift_margins,
@@ -414,3 +415,25 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
         uncertain_count=int(uncertain.sum()),
         violation_examples=tuple(examples),
     )
+
+
+def evaluate_abs_whole(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
+    """``evaluate_abs`` as one block: every (terms x rows) array over all rows.
+
+    The power tables, gathers, products and the pairwise sum of a C-ordered
+    (rows x terms) array are those of ``evaluate_abs``; only the blocks and
+    the reused arrays are gone, and the coefficients come from ``Fraction``.
+    """
+    if f.is_zero():
+        return np.zeros(len(pts))
+    pts = np.asarray(pts, dtype=float)
+    exps = np.array(f.support())
+    coeffs = np.array([float(f.coefficient(e)) for e in f.support()])
+    product = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, column in zip(pts.T, exps.T):
+            used, idx = np.unique(column, return_inverse=True)
+            factor = np.take(_power_table(x, used), idx, axis=0)  # terms x rows
+            product = factor if product is None else product * factor
+        product = product * coeffs[:, None]
+        return np.abs(np.ascontiguousarray(product.T).sum(axis=1))

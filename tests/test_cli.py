@@ -427,6 +427,63 @@ def test_radius_past_double_range_exits_two(capsys, concrete_path, argv, radius)
     assert "radius" in capsys.readouterr().err
 
 
+def _refuse_sampling(monkeypatch):
+    import kuroda.regions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_region was called")
+
+    monkeypatch.setattr(kuroda.regions, "sample_region", refuse)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "Y4^2", "--region", "sprime", "--lambda", "1e200", "--kmax", "0"],
+        ["--expr", "Y4^2", "--region", "sprime", "--lambda", "1e200", "--kmax", "20"],
+        ["--expr", "Y4^4", "--region", "sprime", "--lambda", "1e100", "--kmax", "0"],
+    ],
+)
+def test_probe_bound_past_double_range_exits_two(capsys, concrete_path, monkeypatch, argv, fmt):
+    # scale**degree overflows: refused before sampling, not a traceback
+    _refuse_sampling(monkeypatch)
+    code = main(["probe", "--config", concrete_path, "--samples", "10", "--seed", "1", *argv,
+                 "--format", fmt])
+    assert code == 2
+    assert "passes the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kmax", ["0", "15"])
+def test_probe_csv_without_escape_rows_is_refused_before_sampling(
+    capsys, concrete_path, monkeypatch, kmax
+):
+    _refuse_sampling(monkeypatch)
+    code = main(["probe", "--config", concrete_path, "--expr", "P1*P2", "--samples", "20000",
+                 "--seed", "1", "--kmax", kmax, "--format", "csv"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: this report has no CSV row form\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--expr", "Y1", "--region", "s"], "does not match"),
+        (["--expr", "P1", "--radius", "1e308"], "radius"),
+        (["--expr", "(P1", "--region", "s"], "expected"),
+    ],
+)
+def test_probe_csv_refusal_comes_after_the_input_checks(
+    capsys, concrete_path, monkeypatch, argv, message
+):
+    _refuse_sampling(monkeypatch)
+    code = main(["probe", "--config", concrete_path, "--samples", "10", "--seed", "1",
+                 "--kmax", "0", "--format", "csv", *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "CSV" not in err
+
+
 @pytest.mark.parametrize("radius", ["1e80", "1e200"])
 def test_sandwich_checking_too_few_points_exits_two(capsys, concrete_path, radius):
     # the margin filters overflow and reject every candidate of one or both

@@ -34,6 +34,7 @@ from kuroda import (
 )
 import kuroda.regions as regions_module
 from kuroda.config import column_minima, condition_value
+from kuroda.exprparse import parse_polynomial
 from kuroda.regions import (
     Verdict,
     _cross_margins,
@@ -54,6 +55,7 @@ from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials, valid_configs
 import reference as reference_module
 from reference import (
     escape_rows_one_by_one,
+    evaluate_abs_whole,
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
@@ -942,6 +944,71 @@ def test_evaluate_abs_blocks_are_bit_identical(monkeypatch):
     monkeypatch.setattr(regions, "_EVAL_BLOCK_ELEMENTS", 97)
     for (f, pts), expected in zip(cases, whole):
         assert np.array_equal(evaluate_abs(f, pts), expected), f
+
+
+CUBIC16 = "(P1 - 2*P2 + 3*P3 + 1/2)*(2*P1 + P2 - P3)*(-P1 + 3*P2 + 2*P3)"
+CUBIC20 = "(P1 + 2*P2 - P3 + 1)*(2*P1 - P2 + P3 - 2)*(P1 + P2 + 3*P3 + 1/3)"
+
+
+def _whole_array_cases():
+    rng = np.random.default_rng(22)
+    cubic = parse_polynomial(CUBIC16)
+    box3 = rng.uniform(-50.0, 50.0, size=(20000, 3))
+    # 42**3 = 74088 terms, more than one block's budget: one-row blocks
+    many = SparsePolynomial(
+        System.PI3, {(a, b, c): (a - b + c) % 7 - 3 or 1 for a in range(42)
+                     for b in range(42) for c in range(42)}
+    )
+    # y1**40 overflows above about 5e7, and y1**40 - y2**40 is inf - inf = nan
+    overflow = SparsePolynomial(System.Y4, {(40, 0, 0, 0): 1, (0, 40, 0, 0): -1, (0, 0, 1, 1): 3})
+    huge = np.array([[1e10, 1.0, 2.0, 3.0], [-1e10, 1e10, 0.5, 0.5], [1e9, -1e9, 1.0, 1.0],
+                     [1.5, 0.5, 0.25, -2.0], [1e200, 0.0, 0.0, 0.0]])
+    return [
+        (SparsePolynomial.zero(System.PI3), box3[:7]),
+        (cubic, box3[:0]),
+        (cubic, box3[:1]),
+        (SparsePolynomial(System.PI3, {(3, 0, 5): Fraction(-7, 3)}), box3[:500]),
+        (cubic, box3),
+        (parse_polynomial(CUBIC20), box3),
+        (parse_polynomial("(P1 + 2*P2 - P3 + 1/2)^8"), rng.uniform(-3.0, 3.0, size=(20000, 3))),
+        (many, rng.uniform(-1.2, 1.2, size=(5, 3))),
+        (overflow, huge),
+        (parse_polynomial("(Y1 - 2*Y2 + Y3*Y4 + 1/3)^5"), rng.uniform(-2.0, 2.0, size=(3000, 4))),
+    ]
+
+
+def test_evaluate_abs_matches_the_whole_array_reference():
+    # int64 views, so that inf and nan positions and every bit count too
+    for f, pts in _whole_array_cases():
+        values = evaluate_abs(f, pts)
+        expected = evaluate_abs_whole(f, pts)
+        assert values.shape == (len(pts),)
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64)), f.term_count()
+
+
+def test_whole_array_cases_cover_overflow_and_several_blocks():
+    cases = _whole_array_cases()
+    f, pts = cases[-2]
+    values = evaluate_abs(f, pts)
+    assert np.isinf(values).any() and np.isnan(values).any() and np.isfinite(values).any()
+    f, pts = cases[4]
+    assert f.term_count() == 16 and len(pts) > regions_module._EVAL_BLOCK_ELEMENTS // 16
+    assert cases[7][0].term_count() > regions_module._EVAL_BLOCK_ELEMENTS
+
+
+def test_evaluate_abs_memory_stays_near_one_block():
+    f = parse_polynomial(CUBIC20)
+    assert f.term_count() == 20
+    pts = np.random.default_rng(3).uniform(-50.0, 50.0, size=(20000, 3))
+    evaluate_abs(f, pts[:10])
+    tracemalloc.start()
+    try:
+        evaluate_abs(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (20 x 20000) array alone is 3.05 MiB
+    assert peak < 2 * 2**20, peak
 
 
 # 64 = 21 + 21 + 22, the degree limit, in 22 * 22 * 23 = 11132 terms: one
