@@ -18,8 +18,20 @@ Regions (all open, all defined by strict inequalities):
   that agrees with ``S3`` far from the origin.
 
 Scaling is uniform: a point lies in ``lam * region`` iff ``point / lam``
-lies in the region, and every predicate here divides by ``lam`` first, so
-the scaling identity holds exactly in floating point.
+lies in the region.  The margin functions divide by ``lam`` first, so for
+them the scaling identity holds exactly in floating point; the region test
+takes ``log|p| - log(lam)`` and so decides the exact ``p / lam``.
+
+The region test :func:`inside` decides the samplers' candidates, the
+sandwich's half-scaled points and :func:`in_s_prime` / :func:`in_s_tilde`.
+It runs in log form, as the shift search does: the cross bounds as
+``e_i*log|q_i| + e_j*log|q_j| < 0`` and the arms of the basic open set as
+``L <= 0 or L < log(1 + exp(-G))`` (``L`` and ``G`` the logs of the arm's
+two factors), with ``exp`` and ``log1p`` only on the points near that
+threshold; the caps keep their squares.  So large weights cannot turn a
+bound into ``inf * 0 = nan``, which the power form read as outside, and
+the ray strata's far-arm candidates are accepted.  Each array it forms is
+one column long, with the columns read in place from the points.
 
 Membership in ``S3`` quantifies over the diagonal shift and is only
 semi-decided: a grid scan over the shift with two refinement rounds, and a
@@ -37,7 +49,7 @@ grid and the band mean what they did for one point.  Non-finite points raise
 that is not finite and positive, in every predicate and margin function, and
 a shift search whose shifted coordinates would pass the double range.
 
-The margin filters and ``evaluate_abs`` form integer powers by
+The margin functions and ``evaluate_abs`` form integer powers by
 multiplication (square-and-multiply, and per-coordinate power tables), not
 by libm ``pow``; only the samplers' ray powers use ``pow``.  The candidate
 generators are untouched, so each seed draws the same candidates, and
@@ -57,7 +69,8 @@ boundary cloud passes the open mesh of its grid axis, in blocks of x-slabs
 that fit one element budget.  So each power is formed once per grid value
 (or once per (y, z) pair for ``q_j - q_k``), only the final products,
 subtractions and maxima run over the grid, and each margin has the bits of
-the point-list call.
+the point-list call.  The terms that take (y, z) only, axis 1's arm and cap
+factors and the (2, 3) and (3, 2) cross bounds, are formed once per call.
 
 The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
@@ -164,19 +177,48 @@ def _int_power(x: np.ndarray, n: int) -> np.ndarray:
     return np.ones_like(x) if result is None else result
 
 
-def _cross_margins(q1, q2, q3, config: KurodaConfig) -> np.ndarray:
+def _pair_margins(q, pairs, margin=-np.inf):
+    """Max of ``margin`` and each pair's ``q_i**e_i * q_j**e_j - 1``."""
+    for i, j, ei, ej in pairs:
+        bound = _int_power(q[i - 1], ei) * _int_power(q[j - 1], ej)
+        margin = np.maximum(margin, bound - 1.0)
+    return margin
+
+
+def _yz_pairs(config: KurodaConfig):
+    """The (2, 3) and (3, 2) cross bounds: the two that leave out axis 1."""
+    return [pair for pair in _cross_pairs(config) if 1 not in pair[:2]]
+
+
+def _cross_margins(q1, q2, q3, config: KurodaConfig, yz_margin=None) -> np.ndarray:
     """Max over the six cross bounds of q_i**e_i * q_j**e_j - 1 (q prescaled, abs).
 
     The three coordinate arrays may have any shapes that broadcast: each
     power is formed on its own coordinate's array, and only the products,
-    subtractions and maxima run on the broadcast shape.
+    subtractions and maxima run on the broadcast shape.  ``yz_margin``,
+    when given, is the max of the :func:`_yz_pairs` bounds, which take only
+    ``(q2, q3)``: the cloud forms it once per call instead of once per
+    block of x-slabs.  A max is exact, so the bits do not depend on it.
     """
-    q = (q1, q2, q3)
-    margin = -np.inf
-    for i, j, ei, ej in _cross_pairs(config):
-        bound = _int_power(q[i - 1], ei) * _int_power(q[j - 1], ej)
-        margin = np.maximum(margin, bound - 1.0)
-    return margin
+    pairs = _cross_pairs(config)
+    if yz_margin is None:
+        return _pair_margins((q1, q2, q3), pairs)
+    yz = _yz_pairs(config)
+    return _pair_margins((q1, q2, q3), [p for p in pairs if p not in yz], yz_margin)
+
+
+def _cross_max(logq, pairs) -> np.ndarray:
+    """Max over the cross bounds of ``e_i*logq_i + e_j*logq_j``, elementwise.
+
+    ``logq[c - 1]`` is the array of axis ``c``: a row of one array, or one
+    array of a list.
+    """
+    values = None
+    for i, j, ei, ej in pairs:
+        term = ei * logq[i - 1]
+        term += ej * logq[j - 1]
+        values = term if values is None else np.maximum(values, term, out=values)
+    return values
 
 
 def s_double_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
@@ -240,12 +282,108 @@ def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     return _tilde_margins(*(pts / lam).T, config)
 
 
+# softplus(t) = log(1 + exp(t)) lies in [max(t, 0), max(t, 0) + log 2]: an
+# arm log this far above max(t, 0) fails the arm bound whatever t is.
+_SOFTPLUS_SPAN = 0.7
+# The least positive double: x < _TINY holds iff x <= 0.
+_TINY = 5e-324
+
+
+def _log_of(x: np.ndarray, log_lam: float) -> np.ndarray:
+    """``log(x) - log(lam)`` in place on a fresh array ``x >= 0``.
+
+    For ``x = |p|`` this is the log of the exact ``|p / lam|`` up to
+    rounding, without forming the quotient, so it cannot overflow: only an
+    exact 0 gives ``-inf``.  Callers silence the divide warning of log 0.
+    """
+    np.log(x, out=x)
+    if log_lam:
+        x -= log_lam
+    return x
+
+
+def _tilde_inside(pts: np.ndarray, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The six arm and cap bounds of :func:`s_tilde_margins`, all strict, per point.
+
+    With ``L = 2*d_i*log|q_i|`` and ``t = -2*delta_ii*log|q_j - q_k|``, the
+    arm ``(e**L - 1) * e**-t < 1`` (``_ARM_RHS`` is 1) holds iff ``L <= 0``
+    or ``L < softplus(t) = log(1 + exp(t))``.  Both are ``L < floor`` with
+    ``floor = max(t, _TINY)`` wherever softplus is not needed, and softplus
+    lies within log 2 above ``floor``: so ``exp`` and ``log1p`` run only on
+    the points whose ``L`` falls in that band.  The logs are taken as
+    ``log|p| - log(lam)`` and ``log|p_j - p_k| - log(lam)``, so no arm
+    bound overflows or gives ``nan`` on finite points.  The cap bounds form
+    squares only and keep the power form of :func:`s_tilde_margins`.  The
+    arrays are one column long, with the columns read in place from ``pts``
+    (and from ``pts / lam`` for the caps at a scale other than 1).
+    """
+    d = column_minima(config)
+    log_lam = math.log(lam)
+    q = pts if lam == 1.0 else pts / lam
+    held = np.ones(len(pts), dtype=bool)
+    for i in AXES:
+        j, k = (t for t in AXES if t != i)
+        qi = q[:, i - 1]
+        cap = np.add(q[:, j - 1], q[:, k - 1])
+        cap *= cap
+        cap -= 4.0
+        cap *= qi * qi - 1.0
+        held &= cap < _CAP_RHS
+        arm_log = _log_of(np.abs(pts[:, i - 1]), log_lam)
+        arm_log *= 2.0 * d[i - 1]
+        t = np.subtract(pts[:, j - 1], pts[:, k - 1])
+        t = _log_of(np.abs(t, out=t), log_lam)
+        t *= -2.0 * config.magnitude(i, i)
+        floor = np.maximum(t, _TINY)
+        arm = arm_log < floor
+        # the band: arm_log in [floor, floor + span), where arm is False
+        band = np.flatnonzero((arm_log < floor + _SOFTPLUS_SPAN) ^ arm)
+        if len(band):
+            softplus = floor[band] + np.log1p(np.exp(-np.abs(t[band])))
+            arm[band] = arm_log[band] < softplus
+        held &= arm
+    return held
+
+
+def inside(kind: RegionKind, points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """Membership of each point in ``lam`` times a closed-form region, as booleans.
+
+    This is the region test of the samplers, the sandwich check and
+    :func:`in_s_prime` / :func:`in_s_tilde`.  It runs in log form, as the
+    shift search does: the cross bounds of ``S_PRIME4`` and
+    ``S_DOUBLE_PRIME3`` as the max over pairs of
+    ``e_i*log|q_i| + e_j*log|q_j|`` below 0, ``|y_4| < 1`` as
+    ``log|q_4| < 0``, and the arms of ``S_TILDE3`` as in
+    :func:`_tilde_inside`.  Each ``log|q|`` is ``log|p| - log(lam)``, so
+    large weights cannot turn a bound into ``inf * 0 = nan`` and read a
+    point of the region as outside.  At scale 1 the verdict agrees with the
+    sign of the margin functions wherever their margin is finite and not
+    within rounding of 0.  A point with a non-finite coordinate is outside.
+    ``S3`` is only semi-decided: use :func:`in_s`.
+    """
+    if kind is RegionKind.S3:
+        raise ValueError("membership in the fattened star is semi-decided: use in_s")
+    _check_scale(lam)
+    pts = _as_points(points, kind.dim)
+    # log 0 = -inf is meant, and so is a cap square past the double range (its
+    # product is +-inf); -inf + inf comes only from non-finite points
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind is RegionKind.S_TILDE3:
+            return _tilde_inside(pts, lam, config)
+        log_lam = math.log(lam)
+        logq = [_log_of(np.abs(pts[:, c]), log_lam) for c in range(kind.dim)]
+        result = _cross_max(logq, _cross_pairs(config)) < 0
+    if kind is RegionKind.S_PRIME4:
+        result &= logq[3] < 0
+    return result
+
+
 def in_s_prime(point, lam: float, config: KurodaConfig) -> bool:
-    return bool(s_prime_margins(point, lam, config)[0] < 0)
+    return bool(inside(RegionKind.S_PRIME4, point, lam, config)[0])
 
 
 def in_s_tilde(point, lam: float, config: KurodaConfig) -> bool:
-    return bool(s_tilde_margins(point, lam, config)[0] < 0)
+    return bool(inside(RegionKind.S_TILDE3, point, lam, config)[0])
 
 
 # The shift search: 1024 interior grid shifts of (-lam, lam), then two
@@ -290,16 +428,6 @@ def _shifted_logs(coords: np.ndarray, shifts: np.ndarray, log_lam: float) -> np.
         np.log(logq, out=logq)
     logq -= log_lam
     return logq
-
-
-def _cross_max(logq: np.ndarray, pairs) -> np.ndarray:
-    """Max over the cross bounds of ``e_i*logq_i + e_j*logq_j``, elementwise."""
-    values = None
-    for i, j, ei, ej in pairs:
-        term = ei * logq[i - 1]
-        term += ej * logq[j - 1]
-        values = term if values is None else np.maximum(values, term, out=values)
-    return values
 
 
 def _row_linspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
@@ -604,12 +732,8 @@ class _StarSampler:
             "ray": {"candidates": 0, "accepted": 0},
         }
 
-    def _margins(self, pts: np.ndarray) -> np.ndarray:
-        if self.spec.kind is RegionKind.S_PRIME4:
-            return s_prime_margins(pts, self.spec.lam, self.config)
-        if self.spec.kind is RegionKind.S_TILDE3:
-            return s_tilde_margins(pts, self.spec.lam, self.config)
-        return s_double_prime_margins(pts, self.spec.lam, self.config)
+    def _inside(self, pts: np.ndarray) -> np.ndarray:
+        return inside(self.spec.kind, pts, self.spec.lam, self.config)
 
     def _box(self, n: int, half_width: float) -> np.ndarray:
         return self.rng.uniform(-half_width, half_width, size=(n, self.dim))
@@ -670,7 +794,7 @@ class _StarSampler:
         return pts
 
     def batch(self, size: int) -> np.ndarray:
-        """One candidate round: box, core-box and ray strata, exact filtering."""
+        """One candidate round: box, core-box and ray strata, each through the region test."""
         lam = self.spec.lam
         rays_possible = self.radius > lam
         n_box = max(size // 5, 1)
@@ -687,7 +811,7 @@ class _StarSampler:
             if n <= 0:
                 continue
             cand = draw(n)
-            keep = cand[self._margins(cand) < 0]
+            keep = cand[self._inside(cand)]
             self.stats[name]["candidates"] += n
             self.stats[name]["accepted"] += len(keep)
             chunks.append(keep)
@@ -734,8 +858,8 @@ def sample_region(
 ) -> SampleSet:
     """Stratified rejection sampling of a region; deterministic per seed.
 
-    Every returned point satisfies the region predicate exactly as evaluated
-    (candidates from all strata pass through the same margin filter).  The
+    Every returned point passes the region test :func:`inside` (candidates
+    from all strata go through the same test).  The
     fattened star is sampled constructively: star samples plus a uniform
     diagonal shift.  ``radius`` must be finite and positive, else
     ``ValueError`` is raised; so is a radius whose double is not finite,
@@ -1044,9 +1168,10 @@ def sandwich_check(
     far-zone points of the basic open set go through one shift search.
 
     :class:`SamplingError` is raised when either direction found fewer than
-    ``count`` far-zone points within its candidate budget (at huge radii the
-    margin filters overflow and reject every candidate), so a run never
-    passes on fewer points than it was asked to check.
+    ``count`` far-zone points within its candidate budget, so a run never
+    passes on fewer points than it was asked to check.  The half-scaled
+    points are checked with the region test :func:`inside`, so a bound that
+    overflows in the power form cannot read as a pass or a violation.
     """
     if not (radius > SANDWICH_MIN_RADIUS and math.isfinite(2.0 * radius)):
         raise ValueError(
@@ -1069,7 +1194,7 @@ def sandwich_check(
             f"{len(far)} basic-set points of the {count} requested per direction "
             f"at radius {radius:g}"
         )
-    half_bad = half[s_tilde_margins(half, 1.0, config) >= 0]
+    half_bad = half[~inside(RegionKind.S_TILDE3, half, 1.0, config)]
     uncertain, outside = _band(s_shift_margins(far, 2.0, config)[0], tolerance)
     examples = [("half_s_outside_tilde", tuple(p)) for p in half_bad[:5].tolist()]
     tilde_bad = far[outside][: 20 - len(examples)]
@@ -1128,7 +1253,10 @@ def export_surface_cloud(
     axis = np.linspace(-radius, radius, grid)
     # the margin bodies at scale 1, where q is p itself: |p| for the star
     if which is RegionKind.S_DOUBLE_PRIME3:
-        margins_of, q = _cross_margins, np.abs(axis)
+        q = np.abs(axis)
+        # the (2, 3) and (3, 2) bounds take (y, z) only: the same for every block
+        yz = _pair_margins((None, q[None, :, None], q[None, None, :]), _yz_pairs(config))
+        margins_of = partial(_cross_margins, yz_margin=yz)
     else:
         q = axis
         # axis 1's (y, z)-only factors are the same for every block

@@ -35,6 +35,7 @@ from kuroda.regions import (
     _cross_pairs,
     _power_table,
     _StarSampler,
+    inside,
     s_double_prime_margins,
     s_shift_margins,
     s_tilde_margins,
@@ -376,7 +377,7 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
         if not len(points):
             continue
         points = points[: count - half_checked]
-        bad = s_tilde_margins(points, 1.0, config) >= 0
+        bad = ~inside(RegionKind.S_TILDE3, points, 1.0, config)
         half_checked += len(points)
         half_violations += int(bad.sum())
         for p in points[bad][:5]:
@@ -415,6 +416,102 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
         uncertain_count=int(uncertain.sum()),
         violation_examples=tuple(examples),
     )
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """``(n, e)`` with ``x == n * 2**e`` exactly and ``n`` odd (or 0).
+
+    Every finite float is such a dyadic rational, and sums, differences and
+    products of them stay dyadic, so the region bounds below are decided
+    exactly with integers, without the ``Fraction`` gcds on denominators
+    like ``2**(300 * 1074)`` that big weights would bring.
+    """
+    n, d = float(x).as_integer_ratio()
+    e = 1 - d.bit_length()
+    if n and d == 1:
+        zeros = (n & -n).bit_length() - 1
+        n, e = n >> zeros, zeros
+    return n, e
+
+
+def _dy_mul(a, b):
+    return a[0] * b[0], a[1] + b[1]
+
+
+def _dy_pow(a, k: int):
+    return a[0] ** k, a[1] * k
+
+
+def _dy_sub(a, b):
+    e = min(a[1], b[1])
+    return (a[0] << (a[1] - e)) - (b[0] << (b[1] - e)), e
+
+
+def _dy_less(a, b) -> bool:
+    return _dy_sub(a, b)[0] < 0
+
+
+def _tilde_bounds_hold(p, i: int, L, d, config: KurodaConfig) -> bool:
+    """Axis ``i``'s cap and arm bounds of :func:`inside_exact`, on dyadic ``p`` and scale ``L``."""
+    four = (1, 2)  # 4 = 1 * 2**2
+    j, k = (t for t in AXES if t != i)
+    s = _dy_sub(p[j - 1], (-p[k - 1][0], p[k - 1][1]))  # p_j + p_k
+    cap = _dy_mul(
+        _dy_sub(_dy_pow(p[i - 1], 2), _dy_pow(L, 2)),
+        _dy_sub(_dy_pow(s, 2), _dy_mul(four, _dy_pow(L, 2))),
+    )
+    if not _dy_less(cap, _dy_mul(four, _dy_pow(L, 4))):
+        return False
+    if not _dy_less(L, (abs(p[i - 1][0]), p[i - 1][1])):
+        return True  # |p_i| <= lam: the arm's left side is <= 0
+    a, b = 2 * d[i - 1], 2 * config.magnitude(i, i)
+    arm = _dy_mul(
+        _dy_sub(_dy_pow(p[i - 1], a), _dy_pow(L, a)),
+        _dy_pow(_dy_sub(p[j - 1], p[k - 1]), b),
+    )
+    return _dy_less(arm, _dy_pow(L, a + b))
+
+
+def inside_exact(kind: RegionKind, points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """:func:`kuroda.regions.inside` in exact rational arithmetic on the float inputs.
+
+    With ``q = p / lam`` exactly, each strict bound is multiplied through by
+    the power of ``lam`` that clears its denominators:
+
+    * cross bound ``|q_i|**e_i * |q_j|**e_j < 1``:
+      ``|p_i|**e_i * |p_j|**e_j < lam**(e_i + e_j)``; ``S_PRIME4`` adds
+      ``|p_4| < lam``;
+    * arm ``(q_i**(2 d_i) - 1) * (q_j - q_k)**(2 delta_ii) < 1``:
+      ``(p_i**(2 d_i) - lam**(2 d_i)) * (p_j - p_k)**(2 delta_ii) < lam**(2 d_i + 2 delta_ii)``;
+    * cap ``(q_i**2 - 1) * ((q_j + q_k)**2 - 4) < 4``:
+      ``(p_i**2 - lam**2) * ((p_j + p_k)**2 - 4 lam**2) < 4 lam**4``.
+
+    Points must be finite.
+    """
+    _check_scale(lam)
+    if kind is RegionKind.S3:
+        raise ValueError("the fattened star has no closed form")
+    pts = _as_points(points, kind.dim)
+    if not np.isfinite(pts).all():
+        raise ValueError("inside_exact needs finite points")
+    L = _dyadic(lam)
+    d = column_minima(config)
+    out = []
+    for row in pts.tolist():
+        p = [_dyadic(v) for v in row]
+        if kind is RegionKind.S_TILDE3:
+            out.append(all(_tilde_bounds_hold(p, i, L, d, config) for i in AXES))
+            continue
+        absp = [(abs(n), e) for n, e in p]
+        ok = all(
+            _dy_less(_dy_mul(_dy_pow(absp[i - 1], ei), _dy_pow(absp[j - 1], ej)),
+                     _dy_pow(L, ei + ej))
+            for i, j, ei, ej in _cross_pairs(config)
+        )
+        if kind is RegionKind.S_PRIME4:
+            ok = ok and _dy_less(absp[3], L)
+        out.append(ok)
+    return np.array(out, dtype=bool)
 
 
 def evaluate_abs_whole(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:

@@ -485,14 +485,32 @@ def test_probe_csv_refusal_comes_after_the_input_checks(
 
 
 @pytest.mark.parametrize("radius", ["1e80", "1e200"])
-def test_sandwich_checking_too_few_points_exits_two(capsys, concrete_path, radius):
-    # the margin filters overflow and reject every candidate of one or both
-    # directions: a vacuous pass would exit 0
+def test_sandwich_checking_too_few_points_exits_two(monkeypatch, capsys, concrete_path, radius):
+    # a region test that rejects every candidate leaves both directions
+    # empty: a vacuous pass would exit 0
+    import kuroda.regions
+
+    monkeypatch.setattr(
+        kuroda.regions._StarSampler, "_inside", lambda self, pts: [False] * len(pts)
+    )
     code = main(["sandwich", "--seed", "1", "--samples", "5", "--config", concrete_path,
                  "--radius", radius])
     assert code == 2
     err = capsys.readouterr().err
     assert "of the 5 requested" in err and f"radius {float(radius):g}" in err
+
+
+@pytest.mark.parametrize("radius", ["1e80", "1e200"])
+def test_sandwich_at_huge_radii_checks_every_point(capsys, concrete_path, radius):
+    # the log-form region test reaches the arm ends, so no direction runs
+    # short; the far points' in_s verdicts may still be OUT (a known
+    # limit of the shift search), which exits 1, not 2
+    code = main(["sandwich", "--seed", "1", "--samples", "5", "--config", concrete_path,
+                 "--radius", radius, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["half_s_checked"] == report["tilde_checked"] == 5
+    assert report["half_s_violations"] == 0
+    assert code == (1 if report["total_violations"] else 0)
 
 
 def test_size_flags_accept_their_limits(concrete_path):

@@ -45,6 +45,7 @@ from kuroda.regions import (
     _StarSampler,
     _tilde_margins,
     evaluate_abs,
+    inside,
     s_double_prime_margins,
     s_prime_margins,
     s_shift_margins,
@@ -56,6 +57,7 @@ import reference as reference_module
 from reference import (
     escape_rows_one_by_one,
     evaluate_abs_whole,
+    inside_exact,
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
@@ -393,9 +395,19 @@ def test_sampler_empty_count(concrete):
     assert samples.points.shape == (0, 3)
 
 
+def _reject_all(monkeypatch, kinds=tuple(RegionKind)):
+    """Make the samplers' region test reject every candidate of ``kinds``."""
+    real = _StarSampler._inside
+
+    def rejecting(self, pts):
+        return np.zeros(len(pts), dtype=bool) if self.spec.kind in kinds else real(self, pts)
+
+    monkeypatch.setattr(_StarSampler, "_inside", rejecting)
+
+
 def test_sampler_failure_signal(monkeypatch, concrete):
-    # a margin filter that rejects every candidate exhausts the candidate budget
-    monkeypatch.setattr(_StarSampler, "_margins", lambda self, pts: np.ones(len(pts)))
+    # a region test that rejects every candidate exhausts the candidate budget
+    _reject_all(monkeypatch)
     spec = RegionSpec(RegionKind.S_TILDE3, 1.0)
     with pytest.raises(SamplingError):
         sample_region(concrete, spec, 10, seed=3, radius=1.0)
@@ -514,13 +526,16 @@ def test_sandwich_rejects_radius_past_double_range(concrete, radius):
     "radius, half_checked, tilde_checked", [(1e80, 50, 0), (1e200, 0, 0)]
 )
 def test_sandwich_raises_when_a_direction_checks_too_few(
-    concrete, radius, half_checked, tilde_checked
+    monkeypatch, concrete, radius, half_checked, tilde_checked
 ):
-    # the margin filters overflow at these radii and reject every candidate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(SamplingError) as exc:
-            sandwich_check(concrete, 50, seed=1, radius=radius)
+    # the region test rejects every candidate of the directions that should
+    # check 0 points; a run never passes on fewer points than requested
+    rejected = {RegionKind.S_TILDE3}
+    if not half_checked:
+        rejected.add(RegionKind.S_DOUBLE_PRIME3)
+    _reject_all(monkeypatch, rejected)
+    with pytest.raises(SamplingError) as exc:
+        sandwich_check(concrete, 50, seed=1, radius=radius)
     message = str(exc.value)
     assert f"checked {half_checked} half-scaled" in message
     assert f"and {tilde_checked} basic-set points of the 50 requested" in message
@@ -755,14 +770,97 @@ def test_margin_filters_match_pow_reference(name, kind):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the sampler's own strata: box, core box and rays
         candidates = np.vstack([sampler._box(4000, 50.0), sampler._box(4000, 1.0), ray(12000)])
-        margins = sampler._margins(candidates)
         reference = _POW_MARGINS[kind](candidates, 1.0, config)
-    # overflow lands where pow's did: same inf and nan (inf * 0) pattern
-    assert (np.isnan(margins) == np.isnan(reference)).all()
-    assert (np.isinf(margins) == np.isinf(reference)).all()
-    clear = np.abs(reference) > 1e-9
-    assert ((margins < 0) == (reference < 0))[clear].all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdicts = sampler._inside(candidates)
+    assert verdicts.dtype == bool and verdicts.shape == (len(candidates),)
+    # the power form's verdict wherever its margin is finite and clear of 0
+    finite = np.isfinite(reference)
+    clear = finite & (np.abs(reference) > 1e-9)
+    assert (verdicts == (reference < 0))[clear].all()
     assert (reference[clear] < 0).any() and (reference[clear] > 0).any()
+    # where the power form overflowed (inf, or nan from inf * 0), the exact one
+    overflow = np.flatnonzero(~finite)
+    assert np.array_equal(verdicts[overflow], inside_exact(kind, candidates[overflow], 1.0, config))
+    if name == "big_weights":
+        assert len(overflow) > 10000 and verdicts[overflow].sum() > 9000
+    # the exact reference reads the clear power-form margins alike
+    some = np.flatnonzero(clear)[::50]
+    assert np.array_equal(inside_exact(kind, candidates[some], 1.0, config), reference[some] < 0)
+
+
+@pytest.mark.parametrize("lam", [0.75, 3.0])
+@pytest.mark.parametrize("kind", list(_POW_MARGINS))
+@pytest.mark.parametrize("name", ["drawn", "big_weights"])
+def test_region_test_matches_exact_at_other_scales(name, kind, lam):
+    # log|p| - log(lam) at a scale other than 1, on the strata of that scale
+    config = MARGIN_CONFIGS[name]
+    sampler = _StarSampler(config, RegionSpec(kind, lam), 50.0 * lam, np.random.default_rng(5))
+    ray = sampler._ray_tilde if kind is RegionKind.S_TILDE3 else sampler._ray_star
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        candidates = np.vstack([sampler._box(100, 50.0 * lam), sampler._box(100, lam), ray(300)])
+    verdicts = inside(kind, candidates, lam, config)
+    assert np.array_equal(verdicts, inside_exact(kind, candidates, lam, config))
+    assert 0 < verdicts.sum() < len(candidates)
+
+
+def test_region_test_inputs(concrete):
+    with pytest.raises(ValueError, match="semi-decided"):
+        inside(RegionKind.S3, [(0.0, 0.0, 0.0)], 1.0, concrete)
+    with pytest.raises(ValueError, match="scale"):
+        inside(RegionKind.S_TILDE3, [(0.0, 0.0, 0.0)], 0.0, concrete)
+    with pytest.raises(ValueError, match="dimension"):
+        inside(RegionKind.S_PRIME4, [(0.0, 0.0, 0.0)], 1.0, concrete)
+    # a non-finite coordinate reads as outside, without a warning
+    bad = [(np.inf, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (0.5, -np.inf, 0.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not inside(RegionKind.S_PRIME4, bad, 1.0, concrete).any()
+        assert not inside(RegionKind.S_DOUBLE_PRIME3, [b[:3] for b in bad], 1.0, concrete).any()
+        assert not inside(RegionKind.S_TILDE3, [b[:3] for b in bad], 1.0, concrete).any()
+
+
+def test_region_test_on_big_weights_points():
+    # inside both regions, though the power form gives a nan margin: 20**300
+    # overflows and meets a coordinate of 0 (or q_2 - q_3 = 0)
+    big = MARGIN_CONFIGS["big_weights"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(s_prime_margins((20, 0, 0, 0), 1.0, big)).all()
+        assert np.isnan(s_tilde_margins((20, 0.3, 0.3), 1.0, big)).all()
+    assert in_s_prime((20, 0, 0, 0), 1.0, big)
+    assert in_s_tilde((20, 0.3, 0.3), 1.0, big)
+    assert inside_exact(RegionKind.S_PRIME4, (20, 0, 0, 0), 1.0, big).all()
+    assert inside_exact(RegionKind.S_TILDE3, (20, 0.3, 0.3), 1.0, big).all()
+    # far out on the arm q_1**600 passes the double range: the arm bound
+    # holds only for q_2 = q_3 exactly, and the caps' squares overflow
+    far = [(1e200, 0.25, 0.25), (1e200, 0.25, 0.25 + 2.0**-54)]
+    assert inside(RegionKind.S_TILDE3, far, 1.0, big).tolist() == [True, False]
+    assert inside_exact(RegionKind.S_TILDE3, far, 1.0, big).tolist() == [True, False]
+
+
+def test_sandwich_half_check_is_exact_on_big_weights(monkeypatch):
+    # each half-scaled point's verdict is the exact one of the six bounds;
+    # the power-form margins are nan on many of them
+    big = MARGIN_CONFIGS["big_weights"]
+    checked = []
+    real = regions_module.inside
+
+    def spy(kind, points, lam, cfg):
+        verdicts = real(kind, points, lam, cfg)
+        if len(points) == 200:
+            checked.append((np.array(points), verdicts))
+        return verdicts
+
+    monkeypatch.setattr(regions_module, "inside", spy)
+    report = sandwich_check(big, 200, 1)
+    (half, verdicts), = checked
+    assert report.half_s_checked == len(half) == 200
+    exact = inside_exact(RegionKind.S_TILDE3, half, 1.0, big)
+    assert np.array_equal(verdicts, exact)
+    assert report.half_s_violations == int((~exact).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(s_tilde_margins(half, 1.0, big)).sum() > 50
 
 
 ESCAPE_CONFIGS = ("concrete", "min2_7", "drawn")
@@ -1123,22 +1221,37 @@ def test_sandwich_matches_loop_reference(name, count):
 
 @pytest.mark.parametrize("radius", [1e80, 1e200])
 @pytest.mark.parametrize("name", ["concrete", "big_weights"])
-def test_sandwich_sampling_errors_match_loop_reference(name, radius):
-    # the margin filters overflow and reject all (1e200) or the basic-set
-    # (1e80) candidates: both loops give up after the same batches
+def test_sandwich_sampling_errors_match_loop_reference(monkeypatch, name, radius):
+    # the region test rejects every basic-set candidate: both loops fill the
+    # half-scaled direction, then give up after the same batches
     config = DRAW_LOOP_CONFIGS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ours = _outcome(lambda: sandwich_check(config, 200, 4, radius=radius))
-        ref = _outcome(lambda: sandwich_by_loops(config, 200, 4, radius=radius))
+    _reject_all(monkeypatch, {RegionKind.S_TILDE3})
+    ours = _outcome(lambda: sandwich_check(config, 200, 4, radius=radius))
+    ref = _outcome(lambda: sandwich_by_loops(config, 200, 4, radius=radius))
     assert ours == ref
     assert ours[0] is SamplingError
+    assert "checked 200 half-scaled" in ours[1] and "and 0 basic-set points" in ours[1]
+
+
+@pytest.mark.parametrize("radius", [1e80, 1e200])
+@pytest.mark.parametrize("name", ["concrete", "big_weights"])
+def test_sandwich_checks_every_point_at_huge_radii(name, radius):
+    # the log-form region test accepts the arm candidates whose power form
+    # overflowed, so both directions fill up, in the batches of the loops
+    config = DRAW_LOOP_CONFIGS[name]
+    with warnings.catch_warnings():
+        # the arm candidates' own construction overflows at these radii
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ours = sandwich_check(config, 200, 4, radius=radius)
+        assert ours == sandwich_by_loops(config, 200, 4, radius=radius)
+    assert ours.half_s_checked == ours.tilde_checked == 200
+    assert ours.half_s_violations == 0
 
 
 @pytest.mark.parametrize("count", [1, 200, 5000])
 def test_sample_region_sampling_errors_match_loop_reference(monkeypatch, concrete, count):
-    # a margin filter that rejects every candidate spends the whole budget
-    monkeypatch.setattr(_StarSampler, "_margins", lambda self, pts: np.ones(len(pts)))
+    # a region test that rejects every candidate spends the whole budget
+    _reject_all(monkeypatch)
     for kind in RegionKind:
         args = (concrete, RegionSpec(kind, 1.0), count, 3, 10.0)
         ours = _outcome(lambda: sample_region(*args))
@@ -1150,22 +1263,24 @@ def test_sandwich_half_examples_are_the_first_violators(monkeypatch, concrete):
     # every half-scaled point violates: the examples are the first five of
     # the call, where the former loop kept up to five per candidate batch
     gathered = []
-    real = regions_module.s_tilde_margins
+    real = regions_module.inside
 
-    def all_violate(points, lam, cfg):
+    def all_violate(kind, points, lam, cfg):
         # the samplers' strata are smaller than the 6000 points checked
         if len(points) != 6000:
-            return real(points, lam, cfg)
+            return real(kind, points, lam, cfg)
         gathered.append(np.array(points))
-        return np.ones(len(points))
+        return np.zeros(len(points), dtype=bool)
 
-    monkeypatch.setattr(regions_module, "s_tilde_margins", all_violate)
+    monkeypatch.setattr(regions_module, "inside", all_violate)
     report = sandwich_check(concrete, 6000, seed=8)
     (half,) = gathered
     assert report.half_s_checked == report.half_s_violations == len(half) == 6000
     examples = [p for d, p in report.violation_examples if d == "half_s_outside_tilde"]
     assert examples == [tuple(p) for p in half[:5].tolist()]
-    monkeypatch.setattr(reference_module, "s_tilde_margins", lambda pts, lam, cfg: np.ones(len(pts)))
+    monkeypatch.setattr(
+        reference_module, "inside", lambda kind, pts, lam, cfg: np.zeros(len(pts), dtype=bool)
+    )
     before = sandwich_by_loops(concrete, 6000, seed=8, radius=50.0)
     per_batch = [p for d, p in before.violation_examples if d == "half_s_outside_tilde"]
     assert len(per_batch) > 5 and per_batch[:5] == examples
