@@ -31,9 +31,9 @@ from .config import (
 from .exprparse import MAX_DEGREE, ExpressionError, parse_polynomial, polynomial_to_text
 from .reports import NO_CSV_ROWS, emit_report, jsonable
 
-# Largest accepted ``probe --kmax``: the escape series is one row of a float
-# array per index (its four coordinates, then |f| there), so time and memory
-# grow with the index range.
+# Largest accepted ``probe --kmax``: the escape series is one row of log2
+# values per index (its four coordinates, then log2|f| there), so time and
+# memory grow with the index range; no weight makes the series overflow.
 MAX_KMAX = 10**6
 # Largest accepted ``probe --samples`` and ``sandwich --samples``: each
 # sample is a row of the float arrays, so memory grows with the count.

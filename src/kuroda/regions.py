@@ -18,9 +18,11 @@ Regions (all open, all defined by strict inequalities):
   that agrees with ``S3`` far from the origin.
 
 Scaling is uniform: a point lies in ``lam * region`` iff ``point / lam``
-lies in the region.  The margin functions divide by ``lam`` first, so for
-them the scaling identity holds exactly in floating point; the region test
-takes ``log|p| - log(lam)`` and so decides the exact ``p / lam``.
+lies in the region.  The margin functions divide each coordinate by
+``lam`` first, except that :func:`s_tilde_margins` divides ``p_j - p_k``
+and ``p_j + p_k``, so a difference that cancels keeps its bits at any
+scale; the region test takes ``log|p| - log(lam)`` and so decides the
+exact ``p / lam``.
 
 The region test :func:`inside` decides the samplers' candidates, the
 sandwich's half-scaled points and :func:`in_s_prime` / :func:`in_s_tilde`.
@@ -77,12 +79,16 @@ The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 1 for k > 16, so membership of the sequence in the 4-dimensional region
 starts at a small config-dependent threshold (17 for the standard symmetric
 instance; index 16 sits exactly on the boundary).  A probe's series is the
-index range ``16..kmax``, and one helper builds a range as a single
-``(kmax - 15, 4)`` array; :func:`escape_point` is its one-index range.  The
-logarithms come from ``math.log2`` and the integer powers from
-``float(k ** m)``, so every row has the bits of the per-index computation
-in Python floats, and a power past the double range raises
-``OverflowError`` as ``float`` does.
+index range ``16..kmax`` in base-2 log form: one ``(kmax - 15, 4)`` array of
+``log2 y`` from ``np.log2`` on the float indices, with no power formed, so
+every entry is finite for every config, however large its weights.  The
+3-dimensional projections ``y_c - y_4`` are a sign and ``log2|y_c - y_4|``,
+and ``|f|`` along the series is evaluated as ``log2|f|``, a max-shifted
+signed sum of the terms' logs; the probe's verdicts are decided on those
+logs, and the values it reports are their ``exp2``: ``inf`` or 0 past the
+double range, never ``nan``.  :func:`escape_point` computes one index in
+Python floats (``math.log2`` and ``float(k ** m)``) and raises
+``OverflowError`` where a power passes the double range.
 """
 
 from __future__ import annotations
@@ -235,33 +241,39 @@ def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
     return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
 
 
-def _pair_factors(qj, qk, exponent: int):
-    """``(q_j - q_k)**exponent`` and ``(q_j + q_k)**2 - 4``: the factors of
-    an axis's arm and cap bounds that do not involve its own coordinate."""
-    s = qj + qk
-    return _int_power(qj - qk, exponent), s * s - 4.0
+def _pair_factors(pj, pk, exponent: int, lam: float):
+    """``((p_j - p_k)/lam)**exponent`` and ``((p_j + p_k)/lam)**2 - 4``: the
+    factors of an axis's arm and cap bounds that do not involve its own
+    coordinate.  The difference and the sum are formed before the division,
+    so a difference that cancels is not lost to ``fl(p_j/lam) - fl(p_k/lam)``."""
+    diff = pj - pk
+    s = pj + pk
+    if lam != 1.0:
+        diff /= lam
+        s /= lam
+    return _int_power(diff, exponent), s * s - 4.0
 
 
-def _tilde_margins(q1, q2, q3, config: KurodaConfig, yz_factors=None) -> np.ndarray:
-    """The arm/cap margin of :func:`s_tilde_margins` on prescaled coordinates.
+def _tilde_margins(p1, p2, p3, config: KurodaConfig, lam: float, yz_factors=None) -> np.ndarray:
+    """The arm/cap margin of :func:`s_tilde_margins` at scale ``lam``.
 
     The three coordinate arrays may have any shapes that broadcast, as in
-    :func:`_cross_margins`; ``q_j - q_k`` and ``q_j + q_k`` take the shape
+    :func:`_cross_margins`; ``p_j - p_k`` and ``p_j + p_k`` take the shape
     of their two coordinates only.  ``yz_factors``, when given, are axis
-    1's :func:`_pair_factors`, which take only ``(q2, q3)``: the cloud forms
+    1's :func:`_pair_factors`, which take only ``(p2, p3)``: the cloud forms
     them once per call instead of once per block of x-slabs.
     """
-    q = (q1, q2, q3)
+    p = (p1, p2, p3)
     d = column_minima(config)
     margin = -np.inf
     for i in AXES:
         j, k = (t for t in AXES if t != i)
-        qi = q[i - 1]
+        qi = p[i - 1] if lam == 1.0 else p[i - 1] / lam
         if i == 1 and yz_factors is not None:
             arm_factor, cap_factor = yz_factors
         else:
             arm_factor, cap_factor = _pair_factors(
-                q[j - 1], q[k - 1], 2 * config.magnitude(i, i)
+                p[j - 1], p[k - 1], 2 * config.magnitude(i, i), lam
             )
         arm = (_int_power(qi, 2 * d[i - 1]) - 1.0) * arm_factor
         cap = (qi * qi - 1.0) * cap_factor
@@ -275,11 +287,12 @@ def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
 
     Arm bound for axis i:  (q_i**(2*d_i) - 1) * (q_j - q_k)**(2*delta_ii) < 1
     Cap bound for axis i:  (q_i**2 - 1) * ((q_j + q_k)**2 - 4) < 4
-    with (j, k) the other two axes and q = p / lam.
+    with (j, k) the other two axes and q = p / lam; ``q_j - q_k`` and
+    ``q_j + q_k`` are formed as ``(p_j - p_k) / lam`` and ``(p_j + p_k) / lam``.
     """
     _check_scale(lam)
     pts = _as_points(points, 3)
-    return _tilde_margins(*(pts / lam).T, config)
+    return _tilde_margins(*pts.T, config, lam)
 
 
 # softplus(t) = log(1 + exp(t)) lies in [max(t, 0), max(t, 0) + log 2]: an
@@ -571,7 +584,8 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
         best[block], best_a[block] = _refine(
             coords[:, block], found, shift, grid[1] - grid[0], lam, pairs, log_lam
         )
-    return np.expm1(best), best_a
+    with np.errstate(over="ignore"):  # a log-form value past 709 is an inf margin: OUT
+        return np.expm1(best), best_a
 
 
 def _band(margins: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -614,38 +628,60 @@ class EscapePoint:
 ESCAPE_FIRST = 16
 _ESCAPE_THRESHOLD_LIMIT = 10**6
 _DIVERGENCE_THRESHOLD = 1e3
+# Largest gap below a row's largest term that the log-form evaluation passes
+# to exp2: 2**-1000 is still a normal double, and exp2 is many times slower
+# on results below the normal range (in process on a 2-core x86-64 VM, numpy
+# 2.4, 31 760 elements: 31 us, against 3.6 ms on subnormal results and
+# 0.5 ms on results of 0).
+_EXP2_SPAN = 1000.0
 
 
-def _escape_series(first: int, last: int, config: KurodaConfig) -> np.ndarray:
-    """The escape points ``y`` of the indices ``first..last``, both >= 16, as array rows.
+def _check_escape_index(k) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < ESCAPE_FIRST:
+        raise ValueError(f"escape index must be an integer >= 16, got {k!r}")
 
-    The logarithms come from ``math.log2`` and each integer power is the
-    correctly rounded ``float(k ** m)``; the products and divisions are
-    whole-array ops.  So every row has the bits of a per-index computation
-    in Python floats, and a power past the double range raises
-    ``OverflowError("int too large to convert to float")`` as ``float`` does.
+
+def _escape_logs(first: int, last: int, config: KurodaConfig) -> np.ndarray:
+    """``log2`` of the escape points ``y`` of the indices ``first..last``, both >= 16, as rows.
+
+    With ``lg = log2`` from ``np.log2`` on the float indices, the columns are
+    ``m11*lg k``, ``-(m21*lg k + lglg k)``, ``-(m31*lg k + lglglg k)`` and
+    ``-log2 lglglg k``: no power is formed, so every entry is finite for
+    every config and every ``k >= 16``, however far ``y`` leaves the double
+    range.  The result is the transpose of a C-ordered (4 x rows) array, so
+    each column is contiguous.
     """
     for k in (first, last):
-        if not isinstance(k, int) or isinstance(k, bool) or k < ESCAPE_FIRST:
-            raise ValueError(f"escape index must be an integer >= 16, got {k!r}")
-    ks = range(first, last + 1)
+        _check_escape_index(k)
+    lg1 = np.log2(np.arange(first, last + 1, dtype=float))
+    lg2 = np.log2(lg1)
+    lg3 = np.log2(lg2)
+    logs = np.empty((4, len(lg1)))
+    np.multiply(config.magnitude(1, 1), lg1, out=logs[0])
+    np.negative(config.magnitude(2, 1) * lg1 + lg2, out=logs[1])
+    np.negative(config.magnitude(3, 1) * lg1 + lg3, out=logs[2])
+    np.negative(np.log2(lg3), out=logs[3])
+    return logs.T
 
-    def powers(m: int) -> np.ndarray:
-        return np.array([float(k ** m) for k in ks])
 
-    lg1 = list(map(math.log2, map(float, ks)))
-    lg2 = list(map(math.log2, lg1))
-    lg3 = list(map(math.log2, lg2))
-    lg1, lg2, lg3 = np.array(lg1), np.array(lg2), np.array(lg3)
-    rows = np.empty((len(ks), 4))
-    rows[:, 3] = 1.0 / lg3
-    rows[:, 0] = powers(config.magnitude(1, 1))
-    # a product past the double range is inf and its reciprocal 0, silently,
-    # as in Python float arithmetic
-    with np.errstate(over="ignore"):
-        rows[:, 1] = 1.0 / (powers(config.magnitude(2, 1)) * lg1)
-        rows[:, 2] = 1.0 / (powers(config.magnitude(3, 1)) * lg2)
-    return rows
+def _projection_logs(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and ``log2|y_c - y_4|`` of the diagonal projections, from ``log2 y`` rows.
+
+    With ``D = log2 y_c - log2 y_4``, ``|y_c - y_4|`` is
+    ``2**max(log2 y_c, log2 y_4) * (1 - 2**-|D|)``, and the second factor is
+    ``-expm1(-|D| * ln 2)``: accurate for small ``|D|`` too, and 0 (log
+    ``-inf``, sign 0) only at ``D = 0``.
+    """
+    diff = logs[:, :3] - logs[:, 3:]
+    signs = np.sign(diff)
+    mags = np.abs(diff, out=diff)
+    mags *= -math.log(2.0)
+    np.expm1(mags, out=mags)
+    np.negative(mags, out=mags)
+    with np.errstate(divide="ignore"):  # log2 0 = -inf at D = 0 is meant
+        np.log2(mags, out=mags)
+    mags += np.maximum(logs[:, :3], logs[:, 3:])
+    return signs, mags
 
 
 def escape_point(k: int, config: KurodaConfig) -> EscapePoint:
@@ -653,10 +689,22 @@ def escape_point(k: int, config: KurodaConfig) -> EscapePoint:
 
     The coordinates are ``(k**d11, 1/(k**d21 * lg k), 1/(k**d31 * lglg k),
     1/lglglg k)`` with base-2 logarithms; requires k >= 16 so the triple
-    logarithm is defined and positive.  The one row of
-    :func:`_escape_series` from ``k`` to ``k``.
+    logarithm is defined and positive.  One index in Python floats: the
+    logarithms come from ``math.log2`` and each integer power is the
+    correctly rounded conversion of ``k ** m``, so a power past the double
+    range raises ``OverflowError`` as ``float`` does.  The probes use the
+    log form :func:`_escape_logs` instead.
     """
-    point = tuple(_escape_series(k, k, config)[0].tolist())
+    _check_escape_index(k)
+    lg1 = math.log2(float(k))
+    lg2 = math.log2(lg1)
+    lg3 = math.log2(lg2)
+    point = (
+        float(k ** config.magnitude(1, 1)),
+        1.0 / (k ** config.magnitude(2, 1) * lg1),
+        1.0 / (k ** config.magnitude(3, 1) * lg2),
+        1.0 / lg3,
+    )
     return EscapePoint(k, point, diagonal_projection(point))
 
 
@@ -783,7 +831,8 @@ class _StarSampler:
             bound_w = lam * np.minimum(
                 0.5, (_ARM_RHS / arm_factor) ** (1.0 / (2 * cfg.magnitude(a, a)))
             ) * 0.999
-            s_sq = 4.0 + _CAP_RHS / (va**2 - 1.0)
+            with np.errstate(over="ignore"):  # an inf square gives s_sq = 4, as meant
+                s_sq = 4.0 + _CAP_RHS / (va**2 - 1.0)
             bound_s = np.minimum(lam * np.sqrt(np.maximum(s_sq, 0.0)) * 0.999, 1.9 * lam)
             w = self.rng.uniform(-1.0, 1.0, size=m) * bound_w
             s = self.rng.uniform(-1.0, 1.0, size=m) * bound_s
@@ -974,6 +1023,96 @@ def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
     return np.abs(values, out=values)
 
 
+def _log2_abs(f: SparsePolynomial, logs: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
+    """``log2|f|`` at rows given in log form, for the escape series.
+
+    Row r's coordinates are ``signs[r, c] * 2**logs[r, c]``, all positive
+    when ``signs`` is ``None``; a log of ``-inf`` is a coordinate 0.  Each
+    term's log is ``log2|coefficient| + sum n_c * logs_c`` over its nonzero
+    exponents only, so no ``0 * -inf`` appears: a 0 coordinate makes the
+    terms that use it ``-inf``.  A term's sign is its coefficient's,
+    flipped once per odd exponent on a negative coordinate: one column of a
+    per-term table for each pattern of negative coordinates.  Each row's
+    terms are summed as ``sign * 2**(log - top)``, ``top`` the row's largest
+    term log, in term order, and ``log2|f| = top + log2|sum|``: finite
+    wherever ``|f|`` is not 0, however far ``|f|`` leaves the double range,
+    and ``-inf`` where every term vanishes or the sum cancels to 0, never
+    ``nan``.  A term more than ``2**_EXP2_SPAN`` times below ``top`` counts
+    as 0, which moves no sum that has not cancelled to within ``2**-947``
+    of ``top``.  The rows go in blocks of at most
+    ``_EVAL_BLOCK_ELEMENTS // terms``, every block reusing the same three
+    arrays, and the terms are added one after another in term order, so a
+    row's value does not depend on its block.
+    """
+    if f.is_zero():
+        return np.full(len(logs), -np.inf)
+    nums, den = f._numerators()
+    support = sorted(nums)
+    terms = len(support)
+    exps = np.array(support, dtype=np.intp)
+    arity = exps.shape[1]
+    # the logs of the integer numerators and denominator: no coefficient
+    # over- or underflows on the way
+    log_den = math.log2(den)
+    coeff_logs = np.array([math.log2(abs(nums[e])) - log_den for e in support])[:, None]
+    flips = np.array([nums[e] < 0 for e in support], dtype=np.intp)[:, None]
+    patterns = np.zeros(len(logs), dtype=np.intp)
+    if signs is not None:
+        # per row, its negative coordinates as bits; per term and pattern,
+        # one flip per odd exponent on them
+        odd = np.zeros(terms, dtype=np.intp)
+        for c in range(arity):
+            patterns |= (signs[:, c] < 0) << c
+            odd |= (exps[:, c] & 1) << c
+        both = odd[:, None] & np.arange(2**arity)
+        flips = flips + sum((both >> c) & 1 for c in range(arity))
+    sign_table = np.where(flips & 1, -1.0, 1.0)
+    zeros = np.isneginf(logs)
+    has_zeros = bool(zeros.any())
+    if has_zeros:
+        logs = np.where(zeros, 0.0, logs)
+    columns = exps.T[:, :, None].astype(float)
+    step = max(1, _EVAL_BLOCK_ELEMENTS // terms)
+    # the three (terms x rows) arrays of a block, allocated once per call
+    space = np.empty((3, terms * min(step, len(logs))))
+    out = np.empty(len(logs))
+    for start in range(0, len(logs), step):
+        block = slice(start, start + step)
+        n = len(out[block])
+        term_logs, scratch, weights = (a[: terms * n].reshape(terms, n) for a in space)
+        for c in range(arity):
+            np.multiply(columns[c], logs[block, c], out=scratch if c else term_logs)
+            if c:
+                term_logs += scratch
+        term_logs += coeff_logs
+        if has_zeros:
+            for c in range(arity):
+                term_logs[np.ix_(exps[:, c] > 0, zeros[block, c])] = -np.inf
+        top = term_logs.max(axis=0)
+        top[top == -np.inf] = 0.0  # every term vanishes: the sum is 0
+        term_logs -= top
+        # 1 for the terms kept, then times their signs; exp2 is many times
+        # slower on results below the normal range
+        np.greater(term_logs, -_EXP2_SPAN, out=weights)
+        first = patterns[start]
+        if (patterns[block] == first).all():  # one sign per term
+            weights *= sign_table[:, first, None]
+        else:
+            # patterns are below 2**arity, and "clip" writes without a buffer
+            np.take(sign_table, patterns[block], axis=1, out=scratch, mode="clip")
+            weights *= scratch
+        np.maximum(term_logs, -_EXP2_SPAN, out=term_logs)
+        np.exp2(term_logs, out=term_logs)
+        term_logs *= weights
+        # the sum over the terms axis adds them one after another, except on
+        # one row, where it runs pairwise: accumulate there
+        total = term_logs.sum(axis=0) if n > 1 else np.add.accumulate(term_logs[:, 0])[-1:]
+        np.abs(total, out=total)
+        with np.errstate(divide="ignore"):  # a sum of 0 gives log2 0 = -inf
+            out[block] = top + np.log2(total)
+    return out
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     """Sampled boundedness / divergence evidence for one function.
@@ -982,8 +1121,11 @@ class ProbeReport:
     plain monomial of the exponent monoid over the 4-dimensional region, in
     which case the sampled sup must stay below scale**degree.  Escape fields
     are set when the escape range ``16..escape_kmax`` is not empty, with
-    ``escape_values`` |f| at each escape point, ascending k.  Always
-    evidence, never proof.
+    ``escape_values`` |f| at each escape point, ascending k.  The series is
+    evaluated in log form, so it never overflows: the monotone tail and the
+    divergence verdict are decided on ``log2|f|``, and ``escape_values`` and
+    ``escape_final_value`` are ``2**log2|f|``, ``inf`` or 0 where |f| is
+    past the double range.  Always evidence, never proof.
     """
 
     seed: int
@@ -1003,12 +1145,10 @@ class ProbeReport:
     note: str = "sampled evidence; not a proof"
 
 
-def _monotone_from(values: list[float]) -> int:
+def _monotone_from(values: np.ndarray) -> int:
     """Smallest index from which the sequence strictly increases to the end."""
-    idx = len(values) - 1
-    while idx > 0 and values[idx] > values[idx - 1]:
-        idx -= 1
-    return idx
+    stalls = np.flatnonzero(~(values[1:] > values[:-1]))
+    return int(stalls[-1]) + 1 if len(stalls) else 0
 
 
 def probe_bound(
@@ -1061,7 +1201,11 @@ def boundedness_probe(
     systems over the 4-dim region, difference polynomials over the 3-dim
     ones).  The inputs are checked by :func:`probe_bound` before any sample
     is drawn.  The escape series over ``16..escape_kmax`` uses the raw 4-dim
-    escape points for 4-dim systems and the diagonal projections otherwise.
+    escape points for 4-dim systems and the diagonal projections otherwise,
+    all in base-2 log form (:func:`_escape_logs`, :func:`_projection_logs`,
+    :func:`_log2_abs`): no weight makes it overflow, the verdicts come from
+    ``log2|f|``, and the reported values are ``inf`` or 0 past the double
+    range, never ``nan``.
     """
     bound = probe_bound(config, f, spec, sample_count, radius)
     max_abs = None
@@ -1085,17 +1229,20 @@ def boundedness_probe(
     k_range = final = monotone_from_k = escape_values = None
     monotone_tail = divergence = None
     if escape_kmax >= ESCAPE_FIRST:
-        pts = _escape_series(ESCAPE_FIRST, escape_kmax, config)
-        if f.system.arity != 4:
-            pts = pts[:, :3] - pts[:, 3:]  # the diagonal projections
-        values = evaluate_abs(f, pts).tolist()
+        logs = _escape_logs(ESCAPE_FIRST, escape_kmax, config)
+        if f.system.arity == 4:
+            log_values = _log2_abs(f, logs)
+        else:
+            signs, mags = _projection_logs(logs)
+            log_values = _log2_abs(f, mags, signs)
         k_range = (ESCAPE_FIRST, escape_kmax)
-        final = values[-1]
-        start = _monotone_from(values)
+        start = _monotone_from(log_values)
         monotone_from_k = ESCAPE_FIRST + start
-        monotone_tail = (len(values) - start) >= max(2, len(values) // 4)
-        divergence = bool(monotone_tail and final > _DIVERGENCE_THRESHOLD)
-        escape_values = tuple(values)
+        monotone_tail = (len(log_values) - start) >= max(2, len(log_values) // 4)
+        divergence = bool(monotone_tail and log_values[-1] > math.log2(_DIVERGENCE_THRESHOLD))
+        with np.errstate(over="ignore"):  # inf past the double range is meant
+            escape_values = tuple(np.exp2(log_values).tolist())
+        final = escape_values[-1]
 
     return ProbeReport(
         seed=seed,
@@ -1228,6 +1375,7 @@ class CloudReport:
     radius: float
     band: float
     points_written: int
+    nan_margins: int
     path: str
 
 
@@ -1244,35 +1392,46 @@ def export_surface_cloud(
     Supports the 3-dimensional star and the basic open set; the margin is
     the max constraint value, so the zero level set is the region boundary.
     The rows come in grid order, x outermost, then y, then z, each margin
-    with the bits of the point-list margin at scale 1.
+    with the bits of the point-list margin at scale 1.  A margin that is
+    ``nan`` (an integer power past the double range times a factor of 0, as
+    on large weights) lies in no band: it is not written, and the report
+    counts it in ``nan_margins``.
     """
     if which not in (RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3):
         raise ValueError("cloud export supports the two 3-dimensional closed-form regions")
     if grid < 1:
         raise ValueError("grid must be >= 1")
     axis = np.linspace(-radius, radius, grid)
-    # the margin bodies at scale 1, where q is p itself: |p| for the star
+    # A power past the double range is an inf margin, outside every band, and
+    # one that meets a factor of 0 is inf * 0 = nan, counted in nan_margins:
+    # neither warns.  The margin bodies run at scale 1, where q is p itself:
+    # |p| for the star.
+    quiet = partial(np.errstate, over="ignore", invalid="ignore")
     if which is RegionKind.S_DOUBLE_PRIME3:
         q = np.abs(axis)
         # the (2, 3) and (3, 2) bounds take (y, z) only: the same for every block
-        yz = _pair_margins((None, q[None, :, None], q[None, None, :]), _yz_pairs(config))
+        with quiet():
+            yz = _pair_margins((None, q[None, :, None], q[None, None, :]), _yz_pairs(config))
         margins_of = partial(_cross_margins, yz_margin=yz)
     else:
         q = axis
         # axis 1's (y, z)-only factors are the same for every block
-        yz = _pair_factors(q[None, :, None], q[None, None, :], 2 * config.magnitude(1, 1))
-        margins_of = partial(_tilde_margins, yz_factors=yz)
-    written = 0
+        with quiet():
+            yz = _pair_factors(q[None, :, None], q[None, None, :], 2 * config.magnitude(1, 1), 1.0)
+        margins_of = partial(_tilde_margins, lam=1.0, yz_factors=yz)
+    written = nan_margins = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "margin"])
         # blocks of x-slabs on the open mesh keep memory near one budget
         for block in _blocks(grid, grid * grid, _CLOUD_ELEMENTS):
-            margins = margins_of(q[block, None, None], q[None, :, None], q[None, None, :], config)
+            with quiet():
+                margins = margins_of(q[block, None, None], q[None, :, None], q[None, None, :], config)
+            nan_margins += int(np.isnan(margins).sum())
             ix, iy, iz = np.nonzero(np.abs(margins) < band)  # x, then y, then z
             rows = np.column_stack(
                 [axis[block][ix], axis[iy], axis[iz], margins[ix, iy, iz]]
             ).tolist()
             writer.writerows([f"{v:.12g}" for v in row] for row in rows)
             written += len(rows)
-    return CloudReport(which, grid, float(radius), float(band), written, str(out))
+    return CloudReport(which, grid, float(radius), float(band), written, nan_margins, str(out))

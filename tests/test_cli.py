@@ -8,14 +8,18 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuroda import KurodaConfig
 from kuroda.cli import MAX_GRID, MAX_KMAX, MAX_SAMPLES, build_parser, main
 from kuroda.exprparse import MAX_DEGREE
+
+from conftest import BIG_WEIGHTS_PATH, valid_configs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONCRETE = str(Path(__file__).resolve().parents[1] / "configs" / "concrete.json")
@@ -278,6 +282,99 @@ def test_big_weights_probe_and_cloud_on_the_basic_set(capsys, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == data["points_written"] > 0
     assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+
+@pytest.mark.parametrize("region", ["s", "stilde"])
+def test_big_weights_probe_runs_the_default_escape_series(capsys, region):
+    # k**300 passes the double range at every escape index: the series
+    # raised OverflowError and the command exited 1
+    code, data = run_json(
+        capsys, "probe", "--config", str(BIG_WEIGHTS_PATH), "--expr", "P1*P2",
+        "--region", region, "--seed", "1",
+    )
+    assert code == 0
+    assert data["escape_k_range"] == [16, 10000]
+    assert data["divergence"] is True and data["escape_monotone_from_k"] == 16
+    assert math.isfinite(data["escape_final_value"])
+
+
+def test_big_weights_monoid_monomial_probe_with_escape(capsys):
+    code, data = run_json(
+        capsys, "probe", "--config", str(BIG_WEIGHTS_PATH), "--expr", "Y2*Y3*Y4",
+        "--region", "sprime", "--samples", "2000", "--seed", "3", "--kmax", "2000",
+    )
+    assert code == 0
+    assert data["bound"] == 1.0 and data["bound_ok"] is True
+    # y2*y3*y4 falls below the least double along the series
+    assert data["escape_final_value"] == 0.0 and data["divergence"] is False
+
+
+def _probe_expressions():
+    def monomial(variables):
+        return st.lists(st.tuples(variables, st.integers(1, 3)), min_size=1, max_size=3).map(
+            lambda factors: "*".join(f"{v}^{e}" for v, e in factors)
+        )
+
+    def polynomial(variables):
+        term = st.tuples(st.integers(-3, 3), monomial(variables))
+        return st.lists(term, min_size=1, max_size=3).map(
+            lambda terms: " + ".join(f"({c})*{m}" for c, m in terms)
+        )
+
+    pi, y = st.sampled_from(["P1", "P2", "P3"]), st.sampled_from(["Y1", "Y2", "Y3", "Y4"])
+    return st.one_of(monomial(pi), monomial(y), polynomial(pi), polynomial(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.just(KurodaConfig.from_json_file(BIG_WEIGHTS_PATH)),
+        valid_configs(),
+        valid_configs(off=400, diag=3),
+    ),
+    _probe_expressions(),
+    st.sampled_from([None, "s", "stilde", "sprime", "sdoubleprime"]),
+    st.integers(0, 200),
+    st.integers(16, 2000),
+)
+def test_probe_with_escape_series_exits_zero_or_two(config, expr, region, samples, kmax):
+    import tempfile
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        argv = ["probe", "--config", str(path), f"--expr={expr}", "--seed", "1",
+                "--samples", str(samples), "--kmax", str(kmax)]
+        if region is not None:
+            argv += ["--region", region]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_sandwich_at_a_huge_radius_warns_nothing(capsys):
+    # the inf square of the S-tilde ray stratum and the inf margins of the
+    # shift search are meant; the run still finds the false OUTs of far points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, data = run_json(capsys, "sandwich", "--config", CONCRETE, "--samples", "5",
+                              "--seed", "1", "--radius", "1e200")
+    assert code == 1
+    assert data["half_s_violations"] == 0 and data["tilde_violations"] > 0
+
+
+@pytest.mark.parametrize("config_path, nan_margins", [("big_weights", 2556), ("concrete", 0)])
+def test_cloud_counts_nan_margins(capsys, tmp_path, config_path, nan_margins):
+    # on big weights, q**600 overflows where q_2 - q_3 = 0: inf * 0 = nan
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{config_path}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, data = run_json(capsys, "cloud", "--config", str(path), "--which", "stilde",
+                              "--grid", "48", "--cloud-out", str(tmp_path / "cloud.csv"))
+    assert code == 0
+    assert data["nan_margins"] == nan_margins
 
 
 def test_out_flag_writes_file(capsys, tmp_path, concrete_path):
@@ -644,7 +741,9 @@ def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, concrete):
     import numpy as np
 
     from kuroda.exprparse import parse_polynomial
-    from kuroda.regions import escape_point, evaluate_abs
+    from kuroda.regions import (
+        _escape_logs, _log2_abs, _projection_logs, escape_point, evaluate_abs,
+    )
     from kuroda.reports import _scalar_text
 
     args = ("probe", "--config", concrete_path, "--expr", "P1*P2", "--samples", "0",
@@ -654,10 +753,14 @@ def test_probe_csv_rows_are_the_escape_series(capsys, concrete_path, concrete):
     rows = list(csv.DictReader(io.StringIO(out)))
     ks = list(range(16, 201))
     assert [int(r["k"]) for r in rows] == ks
-    # each row is |f| at the projected escape point of its index, as CSV text
+    # each row is exp2 of log2|f| on the log-form projected series, as CSV
+    # text, and close to |f| at the projected escape point of its index
     f = parse_polynomial("P1*P2")
-    values = evaluate_abs(f, np.array([escape_point(k, concrete).pi for k in ks]))
+    signs, logs = _projection_logs(_escape_logs(16, 200, concrete))
+    values = np.exp2(_log2_abs(f, logs, signs))
     assert [r["abs_value"] for r in rows] == [_scalar_text(v) for v in values.tolist()]
+    direct = evaluate_abs(f, np.array([escape_point(k, concrete).pi for k in ks]))
+    np.testing.assert_allclose(values, direct, rtol=1e-13)
     code, data = run_json(capsys, *args)
     assert code == 0
     assert "uncertain_count" not in data and "escape_values" not in data

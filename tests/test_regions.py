@@ -39,7 +39,9 @@ from kuroda.regions import (
     Verdict,
     _cross_margins,
     _cross_pairs,
-    _escape_series,
+    _escape_logs,
+    _log2_abs,
+    _projection_logs,
     _int_power,
     _pow_from_one,
     _StarSampler,
@@ -611,6 +613,24 @@ def test_cloud_tilde_antipodal_symmetry(tmp_path, concrete):
     assert pts == flipped
 
 
+@pytest.mark.parametrize("kind", [RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3])
+def test_cloud_counts_nan_margins_without_warnings(tmp_path, kind):
+    # at radius 50 on big weights, q**300 overflows to inf and meets factors
+    # that underflowed to 0 (or q_2 - q_3 = 0): inf * 0 = nan, in no band
+    big = MARGIN_CONFIGS["big_weights"]
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = export_surface_cloud(big, kind, 17, out, radius=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = np.linspace(-50.0, 50.0, 17)
+        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        margins_of = s_tilde_margins if kind is RegionKind.S_TILDE3 else s_double_prime_margins
+        expected = int(np.isnan(margins_of(mesh, 1.0, big)).sum())
+    assert report.nan_margins == expected > 700
+    assert not export_surface_cloud(MARGIN_CONFIGS["concrete"], kind, 17, out, radius=50.0).nan_margins
+
+
 def test_cloud_single_cell(tmp_path, concrete):
     out = tmp_path / "one.csv"
     report = export_surface_cloud(
@@ -805,6 +825,19 @@ def test_region_test_matches_exact_at_other_scales(name, kind, lam):
     assert 0 < verdicts.sum() < len(candidates)
 
 
+@pytest.mark.parametrize("lam, point", [
+    (0.75, (0.22461586701918182, 0.22461586701918176, -3.595213284565772)),
+    (3.0, (0.8984634680767273, 0.8984634680767271, -14.380853138263088)),
+])
+def test_tilde_margins_keep_a_cancelling_difference_at_other_scales(lam, point):
+    # fl(p_1/lam) - fl(p_2/lam) lost the difference and gave margin +0.4588;
+    # every bound holds in exact arithmetic, the largest at -0.71
+    config = MARGIN_CONFIGS["drawn"]
+    (margin,) = s_tilde_margins(point, lam, config)
+    assert margin == pytest.approx(-0.7118, abs=1e-4)
+    assert inside_exact(RegionKind.S_TILDE3, [point], lam, config).all()
+
+
 def test_region_test_inputs(concrete):
     with pytest.raises(ValueError, match="semi-decided"):
         inside(RegionKind.S3, [(0.0, 0.0, 0.0)], 1.0, concrete)
@@ -875,21 +908,34 @@ def _outcome(call):
     return None
 
 
+# exp2 of a log row against the escape point in Python floats, in ulps of
+# the reference.  Each log is a product and a sum of np.log2 values, within
+# about 1.5 ulps of |log2 y| <= 2**-52 * |log2 y| each, and exp2 turns an
+# absolute error e of the log into a relative error e*ln 2 of y: about
+# 2*|log2 y| ulps, plus the roundings of exp2 and of the reference.  The
+# configs here reach 1.6*(1 + |log2 y|) at most.
+def _escape_ulp_bound(logs):
+    return 4.0 + 4.0 * np.abs(logs)
+
+
 @pytest.mark.parametrize("name", ESCAPE_CONFIGS)
 def test_escape_series_matches_one_index_at_a_time(name):
     config = MARGIN_CONFIGS[name]
     ks = range(16, 5001)
-    rows = _escape_series(16, 5000, config)
     reference = escape_rows_one_by_one(ks, config)
-    # bit for bit: compare the float64 words as integers
-    assert rows.shape == (len(ks), 4)
-    assert np.array_equal(rows.view(np.int64), reference.view(np.int64))
-    # a range that starts later holds the same rows
-    assert np.array_equal(_escape_series(1000, 1200, config), reference[1000 - 16:1201 - 16])
+    # escape_point keeps the bits of the per-index computation in Python floats
     for k in (16, 17, 1000, 5000):
         ep = escape_point(k, config)
-        assert ep.y == tuple(reference[k - 16].tolist())
+        assert np.array_equal(np.array(ep.y).view(np.int64), reference[k - 16].view(np.int64))
         assert ep.pi == tuple((reference[k - 16, :3] - reference[k - 16, 3]).tolist())
+    logs = _escape_logs(16, 5000, config)
+    assert logs.shape == (len(ks), 4) and np.isfinite(logs).all()
+    # a range that starts later holds the same rows
+    assert np.array_equal(_escape_logs(1000, 1200, config), logs[1000 - 16:1201 - 16])
+    values = np.exp2(logs)
+    assert np.isfinite(reference).all() and (reference > 0).all()
+    ulps = np.abs(values - reference) / np.spacing(reference)
+    assert (ulps <= _escape_ulp_bound(logs)).all(), ulps.max()
 
 
 # symmetric, diagonal -1, off-diagonal 100: k**100 leaves the double range at k = 1210
@@ -903,33 +949,127 @@ _OVERFLOW_MIDWAY = KurodaConfig.from_dict(
     (_OVERFLOW_MIDWAY, 1210),
 ])
 def test_escape_series_overflows_at_the_same_index(config, first_bad):
+    # escape_point raises where the per-index computation in Python floats
+    # does; the log rows stay finite over the whole range, and where the
+    # reference is finite, exp2 of them is within the ulp bound of it
     ks = range(16, 2001)
     per_index = [_outcome(lambda k=k: escape_rows_one_by_one([k], config)) for k in ks]
     first_k = next(k for k, outcome in zip(ks, per_index) if outcome)
     assert first_k == first_bad
     error = per_index[first_bad - 16]
     assert error == (OverflowError, "int too large to convert to float")
-    if first_bad > 16:
-        with warnings.catch_warnings():
-            # an inf product whose reciprocal is 0 passes silently, as in Python floats
-            warnings.simplefilter("error")
-            assert _outcome(lambda: _escape_series(16, first_bad - 1, config)) is None
-    assert _outcome(lambda: _escape_series(16, first_bad, config)) == error
-    assert _outcome(lambda: _escape_series(16, 2000, config)) == error
-    assert _outcome(lambda: _escape_series(first_bad, first_bad, config)) == error
     assert _outcome(lambda: escape_point(first_bad, config)) == error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = _escape_logs(16, 2000, config)
+    assert logs.shape == (len(ks), 4) and np.isfinite(logs).all()
+    if first_bad > 16:
+        assert escape_point(first_bad - 1, config).k == first_bad - 1
+        reference = escape_rows_one_by_one(range(16, first_bad), config)
+        # Python floats give 1/inf = 0 where k**m * lg k passes the double
+        # range though k**m does not: the reference is off there
+        exact = reference > 0
+        assert exact[: 1100 - 16].all() and not exact.all()
+        values = np.exp2(logs[: first_bad - 16])
+        ulps = np.abs(values - reference) / np.spacing(reference)
+        assert (ulps <= _escape_ulp_bound(logs[: first_bad - 16]))[exact].all()
 
 
 def test_escape_series_rejects_bad_indices(concrete):
     with pytest.raises(ValueError, match="got 15"):
-        _escape_series(15, 16, concrete)
+        _escape_logs(15, 16, concrete)
     with pytest.raises(ValueError, match="got 15"):
-        _escape_series(16, 15, concrete)
+        _escape_logs(16, 15, concrete)
     with pytest.raises(ValueError, match="got True"):
-        _escape_series(True, 20, concrete)
+        _escape_logs(True, 20, concrete)
     with pytest.raises(ValueError, match="got 20.0"):
-        _escape_series(16, 20.0, concrete)
-    assert _escape_series(17, 16, concrete).shape == (0, 4)
+        _escape_logs(16, 20.0, concrete)
+    assert _escape_logs(17, 16, concrete).shape == (0, 4)
+    for k in (15, True, 20.0):
+        with pytest.raises(ValueError, match=f"got {k!r}"):
+            escape_point(k, concrete)
+
+
+def _log_form(points):
+    """Signs and log2|p| of float points, as the escape series passes them."""
+    with np.errstate(divide="ignore"):
+        return np.sign(points), np.log2(np.abs(points))
+
+
+@pytest.mark.parametrize("budget", [1, 50, 2**16])
+def test_log2_abs_matches_evaluate_abs(monkeypatch, budget):
+    # log2|f| against log2 of the float evaluation, on points with signs and
+    # exact zeros, where the float values are normal; the blocks change no bit
+    monkeypatch.setattr(regions_module, "_EVAL_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(71)
+    box3 = rng.uniform(-20.0, 20.0, size=(400, 3))
+    box3[::9, 1] = 0.0
+    box3[::13, 2] = box3[::13, 0]
+    for f, pts in _evaluate_abs_cases()[:8] + [(pi_variable(2) * pi_variable(3) ** 2, box3)]:
+        pts = box3 if pts.shape[1] == 3 else pts
+        signs, logs = _log_form(pts)
+        ours = _log2_abs(f, logs, signs)
+        reference = evaluate_abs(f, pts)
+        assert not np.isnan(ours).any()
+        normal = reference > 1e-250
+        np.testing.assert_allclose(ours[normal], np.log2(reference[normal]), rtol=0, atol=1e-9)
+        # a zero |f| (all terms vanish, or an exact cancellation) is -inf
+        assert (ours[reference == 0] == -np.inf).all()
+        monkeypatch.setattr(regions_module, "_EVAL_BLOCK_ELEMENTS", 2**16)
+        whole = _log2_abs(f, logs, signs)
+        monkeypatch.setattr(regions_module, "_EVAL_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(ours.view(np.int64), whole.view(np.int64))
+
+
+def test_log2_abs_past_the_double_range():
+    f = SparsePolynomial(System.Y4, {(400, 0, 0, 1): 3, (0, 300, 0, 0): -1})
+    logs = np.array([[10.0, -20.0, 0.0, 0.0], [-10.0, -20.0, 0.0, 0.0], [0.0, 1.0, 0.0, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ours = _log2_abs(f, logs)
+    # 3 * 2**4000 - 2**-6000, 3 * 2**-4000 - 2**-6000 and 1 - 2**300
+    assert ours[0] == pytest.approx(4000 + math.log2(3), abs=1e-9)
+    assert ours[1] == pytest.approx(-4000 + math.log2(3), abs=1e-9)
+    assert ours[2] == pytest.approx(300.0, abs=1e-9)
+    zero = SparsePolynomial(System.Y4, {(1, 0, 0, 0): 1, (0, 0, 0, 2): 5})
+    assert _log2_abs(zero, np.array([[-np.inf, 0.0, 0.0, -np.inf]]))[0] == -np.inf
+
+
+@pytest.mark.parametrize("name", ["concrete", "drawn", "big_weights"])
+def test_projection_logs_match_float_projections(name):
+    config = MARGIN_CONFIGS[name]
+    logs = _escape_logs(16, 3000, config)
+    signs, mags = _projection_logs(logs)
+    assert np.isfinite(mags).all()
+    # y_1 > y_4 > y_2, y_3 at every index
+    assert (signs == [1.0, -1.0, -1.0]).all()
+    if name != "big_weights":
+        y = np.exp2(logs)
+        direct = y[:, :3] - y[:, 3:]
+        np.testing.assert_allclose(signs * np.exp2(mags), direct, rtol=1e-12)
+    # a zero difference is sign 0 and log -inf, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        signs, mags = _projection_logs(np.array([[1.0, -3.0, -2.0, -2.0]]))
+    assert signs.tolist() == [[1.0, -1.0, 0.0]] and mags[0, 2] == -np.inf
+    assert mags[0, :2] == pytest.approx([math.log2(2 - 0.25), math.log2(0.25 - 0.125)])
+
+
+def test_big_weights_probe_escape_series_is_finite():
+    # the series that raised OverflowError: |f| past the double range reads
+    # inf, the verdicts come from log2|f|
+    big = MARGIN_CONFIGS["big_weights"]
+    y1 = SparsePolynomial.monomial(System.Y4, (1, 0, 0, 0))
+    report = boundedness_probe(big, y1, RegionSpec(RegionKind.S_PRIME4, 1.0), 0, seed=0, escape_kmax=2000)
+    assert report.escape_values[0] == 16.0
+    assert report.divergence and report.escape_monotone_from_k == 16
+    tiny = SparsePolynomial.monomial(System.Y4, (0, 1, 0, 0))
+    report = boundedness_probe(big, tiny, RegionSpec(RegionKind.S_PRIME4, 1.0), 0, seed=0, escape_kmax=300)
+    assert report.escape_final_value == 0.0 and not report.divergence
+    assert not report.monotone_tail
+    p1 = pi_variable(1)
+    report = boundedness_probe(big, p1 * p1, RegionSpec(RegionKind.S3, 1.0), 0, seed=0, escape_kmax=5000)
+    assert report.divergence and all(math.isfinite(v) for v in report.escape_values)
 
 
 _RAY_CONFIGS = {**MARGIN_CONFIGS, "symmetric_1_100": _OVERFLOW_MIDWAY}
@@ -1003,7 +1143,7 @@ def test_mesh_margins_match_point_list_margins(config, axes, lam):
     points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         star = _cross_margins(*(np.abs(c) / lam for c in mesh), config)
-        tilde = _tilde_margins(*(c / lam for c in mesh), config)
+        tilde = _tilde_margins(*mesh, config, lam)
         star_ref = s_double_prime_margins(points, lam, config)
         tilde_ref = s_tilde_margins(points, lam, config)
     # int64 views, so that nan and inf positions and bits count too
