@@ -360,15 +360,15 @@ def _cmd_probe(args):
     report = regions.boundedness_probe(
         config, f, spec, args.samples, args.seed, radius=args.radius, escape_kmax=args.kmax
     )
-    # the escape series goes to the CSV rows, not the report body; the rows
-    # are built only when they are written
+    # the escape series goes to the CSV rows, as two columns, not to the
+    # report body
     body = dict(vars(report))
     values = body.pop("escape_values")
     data = {"expr": args.expr, **jsonable(body)}
     rows = None
-    if values is not None and args.format == "csv":
-        first = report.escape_k_range[0]
-        rows = [{"k": first + i, "abs_value": v} for i, v in enumerate(values)]
+    if values is not None:
+        first, last = report.escape_k_range
+        rows = {"k": range(first, last + 1), "abs_value": values}
     code = 0 if report.bound_ok in (None, True) else 1
     return data, rows, code
 

@@ -35,21 +35,22 @@ bound into ``inf * 0 = nan``, which the power form read as outside, and
 the ray strata's far-arm candidates are accepted.  Each array it forms is
 one column long, with the columns read in place from the points.
 
-Membership in ``S3`` quantifies over the diagonal shift and is only
-semi-decided: a grid scan over the shift with two refinement rounds, and a
-tolerance band that returns ``UNCERTAIN`` instead of guessing at the
-boundary.  The search takes any number of points and runs in log form
-(each cross bound as ``e_i*log|q_i| + e_j*log|q_j|``), so large weights
-cannot overflow it; each round takes the points in blocks whose log arrays
-fit one element budget, and a point's result does not depend on the other
-points.  The grid round is a bounded scan: it evaluates every 32nd grid
-shift, bounds each interval between them from below, and evaluates every
-shift only where the bound can hold the minimum, with exactly the answer of
-the full scan.  The best value is mapped back to the ordinary margin, so the
-grid and the band mean what they did for one point.  Non-finite points raise
-``ValueError`` rather than reading as outside, and so does a scale ``lam``
-that is not finite and positive, in every predicate and margin function, and
-a shift search whose shifted coordinates would pass the double range.
+Membership in ``S3`` quantifies over the diagonal shift ``a``.  As a
+function of ``a``, each cross bound holds on at most two open intervals, one
+around each of its two poles (the coordinates it involves).  Newton steps on
+the log of the distance from each pole find the interval ends; with the
+coordinates and ``-lam, lam`` they cut the shift range into segments on
+which no bound changes sign.  :func:`s_shift_margins` evaluates the log-form
+star margin at every segment's midpoint and at every coordinate inside the
+range and keeps the best, so an IN comes with its witness shift, and an end
+off by rounding can hide a window but never fake one.  A tolerance band
+returns ``UNCERTAIN`` instead of guessing at the boundary.  The search takes
+any number of points, in blocks of rows, and a point's result does not
+depend on the other points; no power is formed, so large weights cannot
+overflow it.  Non-finite points raise ``ValueError`` rather than reading as
+outside, and so does a scale ``lam`` that is not finite and positive, in
+every predicate and margin function, and a shift search whose shifted
+coordinates would pass the double range.
 
 The margin functions and ``evaluate_abs`` form integer powers by
 multiplication (square-and-multiply, and per-coordinate power tables), not
@@ -399,25 +400,17 @@ def in_s_tilde(point, lam: float, config: KurodaConfig) -> bool:
     return bool(inside(RegionKind.S_TILDE3, point, lam, config)[0])
 
 
-# The shift search: 1024 interior grid shifts of (-lam, lam), then two
-# refinement rounds of 65 shifts around each point's best shift.
-_SHIFT_GRID = 1024
-_REFINE_GRID = 65
-_REFINEMENTS = 2
-# The grid round evaluates every _STRIDE-th grid shift and the last one (the
-# interval ends), then the other shifts of the intervals whose lower bound
-# can hold the minimum.
-_STRIDE = 32
-_ENDS = np.append(np.arange(0, _SHIFT_GRID, _STRIDE), _SHIFT_GRID - 1)
-# Taken off every log|q| of an interval's lower bound: far more than the
-# few units in the last place by which np.log may round out of order, since
-# |log|q|| stays below 1500 for finite q and scale.
-_LOG_SLACK = 1e-9
-# Largest (3 x rows x shifts) log arrays alive at once in the shift search, in
-# elements: each round takes the rows of a call in blocks that fit it, and the
-# grid round its surviving intervals too, so memory does not grow with the
-# number of rows.
-_SHIFT_ELEMENTS = 3 * 16 * 1024
+# Newton steps per root of the shift search: an element stops once its step
+# is below _NEWTON_TOL of max(1, |x|), or after _NEWTON_STEPS.  Each side's
+# equation is convex or concave in the log of the distance from its pole and
+# starts within a few units of its root: the sandwich's far-zone points
+# settle in 3 to 9 steps, random points with weights up to 300 in at most 11.
+# A root that has not settled can only hide a window, never fake one.
+_NEWTON_TOL = 2.0**-42
+_NEWTON_STEPS = 16
+# Rows per block of the shift search: its largest array, the logs of the
+# (3 x rows x 31) shifted coordinates, stays near 380 KB.
+_SHIFT_ROWS = 512
 
 
 def _blocks(count: int, width: int, budget: int):
@@ -426,164 +419,159 @@ def _blocks(count: int, width: int, budget: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _row_blocks(count: int, width: int):
-    """Slices of ``count`` rows in blocks whose (3 x rows x width) array fits the budget."""
-    return _blocks(count, 3 * width, _SHIFT_ELEMENTS)
+def _newton(step, x: np.ndarray, params, active: np.ndarray) -> np.ndarray:
+    """``x`` after Newton steps ``x = step(x, *params)`` on its ``active`` elements.
 
-
-def _shifted_logs(coords: np.ndarray, shifts: np.ndarray, log_lam: float) -> np.ndarray:
-    """``log|p_c - a| - log(lam)`` for coordinates (3 x rows x 1) and shifts (rows x k or k)."""
-    # in place, to keep the temporaries near one (3 x rows x shifts) array
-    logq = np.subtract(coords, shifts)
-    np.abs(logq, out=logq)
-    # a coordinate hit exactly by the shift gives log 0 = -inf, margin -1
-    with np.errstate(divide="ignore"):
-        np.log(logq, out=logq)
-    logq -= log_lam
-    return logq
-
-
-def _row_linspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
-    """``np.linspace(lo[r], hi[r], num)`` for each row r, as a (rows x num) array.
-
-    On arrays ``np.linspace`` takes its ``step == 0`` branch (a span so small
-    that ``span / (num - 1)`` underflows) for the whole batch when one row
-    needs it, which moves the other rows' last bits; here each row takes the
-    branch a one-row call would take.
+    Each element stops at its first step below ``_NEWTON_TOL`` of
+    ``max(1, |x|)``, or after ``_NEWTON_STEPS``, and later steps run on the
+    elements still moving only: so an element's value does not depend on
+    the others.  ``params`` broadcast to the shape of ``x``.
     """
-    div = num - 1
-    delta = hi - lo
-    step = delta / div
-    y = np.arange(num, dtype=float)
-    shifts = y * step[:, None]
-    zero = step == 0
-    if zero.any():
-        shifts[zero] = (y / div) * delta[zero, None]
-    shifts += lo[:, None]
-    shifts[:, -1] = hi
-    return shifts
+    out = x.ravel()
+    moving = np.flatnonzero(active)
+    xs = out[moving]
+    params = [np.broadcast_to(p, x.shape).ravel()[moving] for p in params]
+    for _ in range(_NEWTON_STEPS):
+        new = step(xs, *params)
+        keep = np.abs(new - xs) > _NEWTON_TOL * np.maximum(np.abs(xs), 1.0)
+        moving, xs = moving[keep], new[keep]
+        out[moving] = xs
+        if not len(moving):
+            break
+        params = [p[keep] for p in params]
+    return out.reshape(x.shape)
 
 
-def _grid_round(coords: np.ndarray, grid: np.ndarray, pairs, log_lam: float):
-    """First minimum (value, shift) of the log-form margin over the grid, per row.
+def _meets(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """Whether the segment between ``a`` and ``b`` meets ``(-lam, lam)``, elementwise."""
+    return (np.minimum(a, b) < lam) & (np.maximum(a, b) > -lam)
 
-    ``coords`` is a (3 x rows x 1) block.  Gives the value and shift that
-    ``argmin`` over all grid shifts gives; see :func:`s_shift_margins`.
+
+def _away_step(x, alpha, beta, c):
+    """A Newton step on ``alpha*x + beta*log(1 + e**x) - c``, without overflow."""
+    w = np.exp(-np.abs(x))
+    h = alpha * x + beta * (np.maximum(x, 0.0) + np.log1p(w)) - c
+    return x - h / (alpha + beta * np.where(x >= 0, 1.0, w) / (1.0 + w))
+
+
+def _near_step(x, alpha, beta, c, peak):
+    """A Newton step on ``alpha*x + beta*log(1 - e**x) - c`` for ``x <= peak < 0``."""
+    m = -np.expm1(x)  # 1 - e**x, in (0, 1)
+    h = alpha * x + beta * np.log(m) - c
+    # past the peak by rounding: fmin keeps x at it
+    return np.fmin(x - h / (alpha + beta - beta / m), peak)
+
+
+def _shift_roots(pts: np.ndarray, lam: float, pairs) -> np.ndarray:
+    """The shifts where a cross bound's log form changes sign: a (24 x rows) array.
+
+    Cross pair ``(i, j, e_i, e_j)`` holds at shift ``a`` iff ``g(a) =
+    e_i*log|p_i - a| + e_j*log|p_j - a| - (e_i + e_j)*log(lam) < 0``.  Seen
+    from its pole ``u`` (weight ``alpha``) with the other pole ``v``
+    (weight ``beta``) at distance ``D``, and ``x`` the log of the distance
+    from ``u`` over ``D``, ``g`` is ``h(x) = alpha*x + beta*log(1 + e**x) -
+    c`` on the side away from ``v`` and ``alpha*x + beta*log(1 - e**x) - c``
+    on the side towards it, with ``c = (alpha + beta)*(log(lam) - log D)``.
+    The first rises from ``-inf`` with slope in ``(alpha, alpha + beta)``
+    and is convex: Newton from ``min(c/alpha, c/(alpha + beta))``, above
+    the root, comes down to it.  The second is concave with its peak at
+    ``log(alpha/(alpha + beta))``: it has a root below the peak iff ``h``
+    is not negative there, and Newton from ``c/alpha``, below the root,
+    climbs to it.  So each pole has one root on its far side and at most
+    one between the poles, the first sign change from the pole; a pair
+    whose poles coincide holds on ``(u - lam, u + lam)``.  A side without a
+    root gives the pole itself.  Newton runs only where the root can fall
+    inside ``(-lam, lam)``: elsewhere the start and the root lie beyond the
+    same end of the range, and the search clips both to that end.
     """
-    n = coords.shape[1]
-    logq = _shifted_logs(coords, grid[_ENDS], log_lam)
-    at_ends = _cross_max(logq, pairs)
-    # the end and bound logs go before the surviving intervals' logs come,
-    # so no more than one budget of logs is alive at a time
-    lower = np.minimum(logq[:, :, :-1], logq[:, :, 1:])
-    del logq
-    lower -= _LOG_SLACK
-    lower[(grid[_ENDS[:-1]] <= coords) & (coords <= grid[_ENDS[1:]])] = -np.inf
-    rows, cells = np.nonzero(_cross_max(lower, pairs) <= at_ends.min(axis=1)[:, None])
-    del lower
-    inner = np.full((n, len(_ENDS) - 1), np.inf)
-    inner_idx = np.zeros(inner.shape, dtype=np.intp)
-    # the shifts of interval k after its first end; the last interval's
-    # include its other end, which changes neither value nor first index
-    interiors = grid.reshape(-1, _STRIDE)[:, 1:]
-    for block in _row_blocks(len(rows), _STRIDE - 1):
-        r, c = rows[block], cells[block]
-        values = _cross_max(_shifted_logs(coords[:, r], interiors[c], log_lam), pairs)
-        first = values.argmin(axis=1)
-        inner[r, c] = values[np.arange(len(r)), first]
-        inner_idx[r, c] = _ENDS[c] + 1 + first
-    # candidates in grid order: end 0, interval 0, end 1, ..., interval 31, end 32
-    cand = np.empty((n, 2 * len(_ENDS) - 1))
-    cand[:, 0::2] = at_ends
-    cand[:, 1::2] = inner
-    cand_idx = np.empty(cand.shape, dtype=np.intp)
-    cand_idx[:, 0::2] = _ENDS
-    cand_idx[:, 1::2] = inner_idx
-    col = cand.argmin(axis=1)
-    k = np.arange(n)
-    return cand[k, col], grid[cand_idx[k, col]]
+    u = np.stack([pts[:, k - 1] for i, j, _, _ in pairs for k in (i, j)])
+    v = np.stack([pts[:, k - 1] for i, j, _, _ in pairs for k in (j, i)])
+    alpha = np.array([[w] for _, _, ei, ej in pairs for w in (ei, ej)], dtype=float)
+    beta = np.array([[w] for _, _, ei, ej in pairs for w in (ej, ei)], dtype=float)
+    total = alpha + beta
+    peak = np.log(alpha / total)
+    log_lam = math.log(lam)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dist = np.abs(u - v)
+        log_d = np.log(dist)
+        # |u - v| may pass the double range where max|p| + lam does not;
+        # halving is exact for coordinates that large
+        huge = np.isinf(dist)
+        log_d[huge] = np.log(np.abs(0.5 * u[huge] - 0.5 * v[huge])) + math.log(2.0)
+        equal = dist == 0
+        log_d[equal] = 0.0  # their roots are set below
+        c = total * (log_lam - log_d)
+        towards = np.where(v >= u, 1.0, -1.0)
 
+        def shift_at(x, side):
+            """The shift at log distance ``x + log D`` from ``u``, towards ``v`` for side 1."""
+            return u + side * towards * np.exp(x + log_d)
 
-def _refine(coords, best, best_a, spacing, lam: float, pairs, log_lam: float):
-    """The refinement rounds on one (3 x rows x 1) block, from the grid round's best."""
-    k = np.arange(len(best))
-    for _ in range(_REFINEMENTS):
-        lo = np.maximum(best_a - spacing, -lam)
-        hi = np.minimum(best_a + spacing, lam)
-        shifts = _row_linspace(lo, hi, _REFINE_GRID)
-        spacing = shifts[:, 1] - shifts[:, 0]
-        values = _cross_max(_shifted_logs(coords, shifts, log_lam), pairs)
-        idx = values.argmin(axis=1)
-        found = values[k, idx]
-        better = found < best
-        best = np.where(better, found, best)
-        best_a = np.where(better, shifts[k, idx], best_a)
-    return best, best_a
+        x = np.minimum(c / alpha, c / total)
+        solve = ~equal & _meets(u, shift_at(x, -1.0), lam)
+        far = _newton(_away_step, x, (alpha, beta, c), solve)
+        crosses = alpha * peak + beta * np.log(beta / total) >= c
+        x = np.minimum(c / alpha, peak)
+        solve = crosses & ~equal & _meets(shift_at(x, 1.0), shift_at(peak, 1.0), lam)
+        near = _newton(_near_step, x, (alpha, beta, c, peak), solve)
+        near[~crosses] = -np.inf  # the pole itself
+        near[equal] = far[equal] = log_lam  # log_d is 0 there: distance lam
+        return np.concatenate([shift_at(near, 1.0), shift_at(far, -1.0)])
 
 
 def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Best (lowest) star margin of ``point - (a,a,a)`` over shifts |a| < lam, per point.
+    """Best star margin of ``point - (a,a,a)`` over the shifts |a| < lam, per point.
 
-    Each row is searched on its own: the interior grid of the shift interval,
-    then refinement rounds around that row's best shift.  The search runs in
-    log form, the max over the cross bounds of ``e_i*log|q_i| + e_j*log|q_j|``
-    with ``log|q| = log|p - a| - log(lam)``: no power is formed, so large
-    weights cannot overflow it.  The best value goes back through ``expm1``,
-    so each margin is the star margin of :func:`s_double_prime_margins` at
-    the best shift.  Returns (margins, shifts), one entry per row; a negative
-    margin certifies membership of the point in the fattened star.  A row's
-    result does not depend on the other rows of the call.
-    Non-finite coordinates and a scale that is not finite and positive raise
-    ``ValueError`` rather than reading as outside, and so do points and a
-    scale whose shifted coordinates ``p - a`` or grid could pass the double
-    range (``max|p| + lam`` or ``2*lam`` not finite).
+    The interval ends of :func:`_shift_roots`, the coordinates and ``-lam,
+    lam`` cut ``[-lam, lam]`` into segments on which no cross bound changes
+    sign.  The search evaluates the log-form star margin, the max over the
+    cross bounds of ``e_i*log|q_i| + e_j*log|q_j|`` with ``log|q| = log|p -
+    a| - log(lam)``, at the midpoint of every segment and at every
+    coordinate inside ``(-lam, lam)`` (a window narrower than one ulp sits
+    at a pole), and keeps the lowest.  So an IN comes with the shift that
+    shows it, and an end off by rounding can hide a window but never fake
+    one.  No power is formed, so large weights cannot overflow it.
 
-    The grid round is a bounded scan with exactly the full scan's answer.
-    Call ``F(a)`` the log-form value at shift ``a``.  ``F`` is evaluated at
-    every 32nd grid shift and the last one (the ends); each interval between
-    two ends gets a lower bound, ``F`` of the smaller end ``log|q_c|`` per
-    coordinate less a slack of 1e-9, or ``-inf`` for a coordinate whose
-    ``p_c`` lies in the interval (its pole).  Every grid shift is evaluated
-    only in the intervals whose bound does not exceed the best end value,
-    and the first minimum over grid index is taken, as ``np.argmin`` does.
-    Why this is exact:
-
-    * on an interval without a pole, ``fl(p_c - a)`` is monotone in ``a``
-      and keeps its sign, so ``|fl(p_c - a)|`` is at least its value at
-      one of the two ends; ``-log(lam)``, the weights ``e >= 1``, ``+``
-      and ``max`` are monotone in floating point too, so ``F`` on the
-      interval is at least the bound as long as ``np.log`` rounds out of
-      order by less than the slack (a few units in the last place of a
-      value below 1500 in size, against 1e-9);
-    * overflow is rejected up front, so no value is ``nan`` and these
-      comparisons mean what they say;
-    * every end is a grid shift, so a pruned interval holds only shifts
-      whose ``F`` is strictly above the best end value, hence above the
-      grid minimum: the minimum and its first index lie among the shifts
-      evaluated, and ``best`` and ``best_a`` keep their bits.
+    Returns (margins, shifts), one entry per row: each margin is ``expm1``
+    of the log-form value at its shift, the margin of
+    :func:`s_double_prime_margins` there.  A row's result does not depend
+    on the other rows of the call.  Non-finite coordinates and a scale that
+    is not finite and positive raise ``ValueError`` rather than reading as
+    outside, and so do points and a scale whose shifted coordinates
+    ``p - a`` could pass the double range (``max|p| + lam`` not finite).
     """
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
         raise ValueError("the shift search needs finite coordinates")
     _check_scale(lam)
     reach = float(np.abs(pts).max(initial=0.0)) + float(lam)
-    if not (math.isfinite(2.0 * lam) and math.isfinite(reach)):
+    if not math.isfinite(reach):
         raise ValueError(
             f"the shift search at scale {lam} passes the double range (max |p| + scale = {reach})"
         )
-    coords = pts.T[:, :, None]
     pairs = _cross_pairs(config)
     log_lam = math.log(lam)
-    grid = np.linspace(-lam, lam, _SHIFT_GRID + 2)[1:-1]
     best = np.empty(len(pts))
     best_a = np.empty(len(pts))
-    # per row, a refinement round holds the logs of 65 shifts, and the grid
-    # round those of its 33 ends and 32 interval bounds
-    for block in _row_blocks(len(pts), _REFINE_GRID):
-        found, shift = _grid_round(coords[:, block], grid, pairs, log_lam)
-        best[block], best_a[block] = _refine(
-            coords[:, block], found, shift, grid[1] - grid[0], lam, pairs, log_lam
-        )
+    for start in range(0, len(pts), _SHIFT_ROWS):
+        p = pts[start:start + _SHIFT_ROWS]
+        n = len(p)
+        ends = np.concatenate([np.tile((-lam, lam), (n, 1)), p, _shift_roots(p, lam, pairs).T], axis=1)
+        np.clip(ends, -lam, lam, out=ends)
+        ends.sort(axis=1)
+        # the segments' midpoints, then the poles, clipped as the ends are:
+        # a pole out of range is no candidate, and no |p - a| passes max|p| + lam
+        shifts = np.concatenate([0.5 * ends[:, :-1] + 0.5 * ends[:, 1:], np.clip(p, -lam, lam)], axis=1)
+        logq = np.subtract(p.T[:, :, None], shifts)
+        np.abs(logq, out=logq)
+        with np.errstate(divide="ignore"):  # a shift at a pole gives log 0 = -inf
+            np.log(logq, out=logq)
+        logq -= log_lam
+        values = _cross_max(logq, pairs)
+        values[~(np.abs(shifts) < lam)] = np.inf
+        first = values.argmin(axis=1)
+        best[start:start + n] = values[np.arange(n), first]
+        best_a[start:start + n] = shifts[np.arange(n), first]
     with np.errstate(over="ignore"):  # a log-form value past 709 is an inf margin: OUT
         return np.expm1(best), best_a
 
@@ -597,7 +585,14 @@ def _band(margins: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray
 def in_s(
     point, lam: float, config: KurodaConfig, tolerance: float = 1e-6
 ) -> Verdict:
-    """Semi-decision of membership in the fattened star (see module notes)."""
+    """Membership of ``point`` in ``lam`` times the fattened star, from :func:`s_shift_margins`.
+
+    IN when the margin is below ``-tolerance``: the search's shift ``a`` is
+    a witness, ``point - (a,a,a)`` lies in ``lam`` times the star.  OUT when
+    it is above ``tolerance``, UNCERTAIN between.  An OUT is not certified:
+    a window narrower than one ulp next to ``-lam`` or ``lam`` holds no
+    shift, as for a coordinate at ``lam`` exactly on large weights.
+    """
     uncertain, outside = _band(s_shift_margins(point, lam, config)[0][0], tolerance)
     if uncertain:
         return Verdict.UNCERTAIN

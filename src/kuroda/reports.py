@@ -151,10 +151,22 @@ def render_text(data, indent: int = 0) -> str:
     return f"{pad}{_scalar_text(data)}"
 
 
-def render_csv(rows: list[dict]) -> str:
+def render_csv(rows: list[dict] | dict) -> str:
+    """CSV text of a list of dict rows, or of a dict of equal-length columns.
+
+    A dict of columns writes its keys as the header and one row per index,
+    each value through :func:`_scalar_text`, with no dict formed per row; a
+    column holds plain ``int`` and ``float`` values, as ``jsonable`` leaves
+    them, so it bypasses ``jsonable``.
+    """
     if not rows:
         return ""
     buffer = io.StringIO()
+    if isinstance(rows, dict):
+        writer = csv.writer(buffer)
+        writer.writerow(rows)
+        writer.writerows(zip(*(map(_scalar_text, column) for column in rows.values())))
+        return buffer.getvalue()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
@@ -166,7 +178,7 @@ def render_csv(rows: list[dict]) -> str:
 NO_CSV_ROWS = "this report has no CSV row form"
 
 
-def emit_report(data, fmt: str, out=None, csv_rows: list[dict] | None = None) -> str:
+def emit_report(data, fmt: str, out=None, csv_rows: list[dict] | dict | None = None) -> str:
     """Render a report in the requested format and write it (stdout or file)."""
     if fmt == "json":
         text = render_json(data)

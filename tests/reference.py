@@ -234,13 +234,13 @@ def ray_tilde_by_masks(sampler, n: int) -> np.ndarray:
 
 
 def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`kuroda.regions.s_shift_margins` with the grid round as a full scan.
+    """A grid search for :func:`kuroda.regions.s_shift_margins`' question, in log form.
 
-    All 1024 grid shifts are evaluated for every row, then the same two
-    refinement rounds of 65 shifts run, with ``np.linspace`` over the whole
-    batch.  So a row gets the bits of the bounded scan whenever no row of
-    the call has a refinement span that underflows ``np.linspace``'s step
-    (only subnormal scales do); a one-row call always does.
+    All 1024 interior grid shifts of ``(-lam, lam)`` are evaluated for every
+    row, then two refinement rounds of 65 shifts around the row's best, with
+    ``np.linspace`` over the whole batch.  Returns (margins, shifts) as
+    ``s_shift_margins`` does.  A negative margin is shown by its shift, so
+    the interval search must never answer OUT where this scan answers IN.
     """
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
@@ -275,7 +275,8 @@ def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[n
         better = found < best
         best = np.where(better, found, best)
         best_a = np.where(better, shifts[rows, idx], best_a)
-    return np.expm1(best), best_a
+    with np.errstate(over="ignore"):  # a log-form value past 709 is an inf margin
+        return np.expm1(best), best_a
 
 
 def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, out,
@@ -451,6 +452,15 @@ def _dy_less(a, b) -> bool:
     return _dy_sub(a, b)[0] < 0
 
 
+def _cross_bounds_hold(q, L, config: KurodaConfig) -> bool:
+    """The six cross bounds ``|q_i|**e_i * |q_j|**e_j < L**(e_i + e_j)`` on dyadic ``q`` and ``L``."""
+    q = [(abs(n), e) for n, e in q]
+    return all(
+        _dy_less(_dy_mul(_dy_pow(q[i - 1], ei), _dy_pow(q[j - 1], ej)), _dy_pow(L, ei + ej))
+        for i, j, ei, ej in _cross_pairs(config)
+    )
+
+
 def _tilde_bounds_hold(p, i: int, L, d, config: KurodaConfig) -> bool:
     """Axis ``i``'s cap and arm bounds of :func:`inside_exact`, on dyadic ``p`` and scale ``L``."""
     four = (1, 2)  # 4 = 1 * 2**2
@@ -502,16 +512,25 @@ def inside_exact(kind: RegionKind, points, lam: float, config: KurodaConfig) -> 
         if kind is RegionKind.S_TILDE3:
             out.append(all(_tilde_bounds_hold(p, i, L, d, config) for i in AXES))
             continue
-        absp = [(abs(n), e) for n, e in p]
-        ok = all(
-            _dy_less(_dy_mul(_dy_pow(absp[i - 1], ei), _dy_pow(absp[j - 1], ej)),
-                     _dy_pow(L, ei + ej))
-            for i, j, ei, ej in _cross_pairs(config)
-        )
+        ok = _cross_bounds_hold(p, L, config)
         if kind is RegionKind.S_PRIME4:
-            ok = ok and _dy_less(absp[3], L)
+            ok = ok and _dy_less((abs(p[3][0]), p[3][1]), L)
         out.append(ok)
     return np.array(out, dtype=bool)
+
+
+def shift_witness_holds(point, shift: float, lam: float, config: KurodaConfig) -> bool:
+    """Whether ``point - (shift, shift, shift)`` lies in ``lam`` times the star, exactly.
+
+    The shifted coordinates ``q = p - a`` are formed exactly, with no
+    rounding, and each cross bound is decided as
+    ``|q_i|**e_i * |q_j|**e_j < lam**(e_i + e_j)`` in integers, as in
+    :func:`inside_exact`.  ``|shift| < lam`` is required too.
+    """
+    L, a = _dyadic(lam), _dyadic(shift)
+    if not _dy_less((abs(a[0]), a[1]), L):
+        return False
+    return _cross_bounds_hold([_dy_sub(_dyadic(x), a) for x in point], L, config)
 
 
 def evaluate_abs_whole(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:

@@ -66,6 +66,7 @@ from reference import (
     sample_region_by_loop,
     sandwich_by_loops,
     shift_margins_full_scan,
+    shift_witness_holds,
     surface_cloud_by_slabs,
 )
 
@@ -122,25 +123,6 @@ def test_in_s_examples(concrete):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _reference_shift_margin(point, lam, config):
-    """The per-point shift scan in pow form, kept as the reference for
-    s_shift_margins: 1024 interior grid shifts, then two refinement rounds
-    of 65 around the best shift."""
-    p = np.asarray(point, dtype=float)
-    shifts = np.linspace(-lam, lam, 1026)[1:-1]
-    spacing = shifts[1] - shifts[0]
-    best_a, best = 0.0, math.inf
-    for _ in range(3):
-        margins = s_double_prime_margins(p[None, :] - shifts[:, None], lam, config)
-        idx = int(np.argmin(margins))
-        if margins[idx] < best:
-            best, best_a = float(margins[idx]), float(shifts[idx])
-        lo, hi = max(best_a - spacing, -lam), min(best_a + spacing, lam)
-        shifts = np.linspace(lo, hi, 65)
-        spacing = shifts[1] - shifts[0]
-    return best
-
-
 def _verdict(margin, tolerance):
     if abs(margin) <= tolerance:
         return Verdict.UNCERTAIN
@@ -169,41 +151,40 @@ SHIFT_SEARCH_CONFIGS = {
 }
 
 
+def _far_points(config, count):
+    """Far-zone basic-set points as sandwich draws them."""
+    points = sample_region(
+        config, RegionSpec(RegionKind.S_TILDE3, 1.0), 1200, seed=61, radius=50.0
+    ).points
+    far = points[(np.abs(points) > 2.0).any(axis=1)][:count]
+    assert len(far) == count
+    return far
+
+
 @pytest.mark.parametrize("name", list(SHIFT_SEARCH_CONFIGS))
-def test_shift_search_matches_pow_reference(name):
+def test_shift_search_margins_are_star_margins_at_the_witness(name):
     config = SHIFT_SEARCH_CONFIGS[name]
     tolerance = 1e-6
-    spec = RegionSpec(RegionKind.S_TILDE3, 1.0)
-    points = sample_region(config, spec, 1200, seed=61, radius=50.0).points
-    far = points[(np.abs(points) > 2.0).any(axis=1)][:300]
-    assert len(far) == 300
+    far = _far_points(config, 300)
     margins, shifts = s_shift_margins(far, 2.0, config)
     assert margins.shape == shifts.shape == (300,)
-    assert (np.abs(shifts) <= 2.0).all()
-    reference = np.array([_reference_shift_margin(p, 2.0, config) for p in far])
-    # log form reorders the float arithmetic: equal margins up to rounding
-    assert np.allclose(margins, reference, rtol=1e-9, atol=1e-12)
-    clear = np.minimum(np.abs(reference - tolerance), np.abs(reference + tolerance)) > 1e-9
-    assert clear.sum() >= 290
-    verdicts = [_verdict(m, tolerance) for m in margins]
-    for verdict, ref, ok in zip(verdicts, reference, clear):
-        if ok:
-            assert verdict is _verdict(ref, tolerance)
-    for p, verdict in zip(far[:40], verdicts):
-        assert in_s(p, 2.0, config, tolerance) is verdict
-    if name in ("symmetric_1_6", "drawn"):
-        # both reach known defect b, so OUT verdicts are compared too
-        assert {Verdict.IN, Verdict.OUT} <= set(verdicts)
+    assert (np.abs(shifts) < 2.0).all()
+    # log form reorders the float arithmetic: the power-form margin at the
+    # returned shift up to rounding
+    star = s_double_prime_margins(far - shifts[:, None], 2.0, config)
+    assert np.allclose(margins, star, rtol=1e-9, atol=1e-12)
+    # symmetric_1_6 and drawn are where the grid search gave false OUTs
+    assert all(_verdict(m, tolerance) is Verdict.IN for m in margins)
+    for p, a in zip(far[:40], shifts[:40]):
+        assert shift_witness_holds(p, a, 2.0, config)
+        assert in_s(p, 2.0, config, tolerance) is Verdict.IN
 
 
 def _shift_search_points(config, lam):
-    """Far-zone basic-set points as sandwich draws them, exact hits of the
-    grid at ``lam`` (interval ends and interior shifts) and diagonal points."""
+    """Far-zone basic-set points as sandwich draws them, coordinates on the
+    full scan's grid at ``lam`` and diagonal points."""
     with np.errstate(over="ignore", invalid="ignore"):
-        points = sample_region(
-            config, RegionSpec(RegionKind.S_TILDE3, 1.0), 1200, seed=61, radius=50.0
-        ).points
-    far = points[(np.abs(points) > 2.0).any(axis=1)][:200]
+        far = _far_points(config, 200)
     grid = np.linspace(-lam, lam, 1026)[1:-1]
     hits = [
         (grid[37], grid[64], 5.0 * lam),
@@ -218,53 +199,91 @@ def _shift_search_points(config, lam):
 
 
 @pytest.mark.parametrize("name", [*SHIFT_SEARCH_CONFIGS, "big_weights"])
-def test_bounded_grid_scan_matches_full_scan(name, big_weights):
+def test_shift_search_is_in_wherever_the_full_scan_is(name, big_weights):
     config = big_weights if name == "big_weights" else SHIFT_SEARCH_CONFIGS[name]
     for lam in (0.7, 1.0, 2.0, 13.0):
         points = _shift_search_points(config, lam)
         for scale in (1.0, 10.0, 1e4):
-            # scaled by 10 or 1e4, the grid hits are hits no more
             margins, shifts = s_shift_margins(points * scale, lam, config)
-            ref_margins, ref_shifts = shift_margins_full_scan(points * scale, lam, config)
-            assert np.array_equal(margins, ref_margins)
-            assert np.array_equal(shifts, ref_shifts)
+            scan, scan_shifts = shift_margins_full_scan(points * scale, lam, config)
+            # the scan's refinement reaches +-lam itself, which is no shift
+            assert (margins[(scan < 0) & (np.abs(scan_shifts) < lam)] < 0).all()
+            assert (np.abs(shifts) < lam).all()
+            for k in np.flatnonzero(margins < -1e-6)[::7]:
+                assert shift_witness_holds(points[k] * scale, shifts[k], lam, config)
 
 
-@pytest.mark.parametrize("lam", [2.0, 13.0, 3e-320, 8e-320])
-def test_shift_search_rows_do_not_depend_on_the_call(lam):
-    # 300 rows span two refinement blocks; at the subnormal scales the
-    # refinement span of a row whose best shift sits near -lam or lam is
-    # clipped, and its np.linspace step underflows to 0 where others do not
+@st.composite
+def _shift_search_point(draw):
+    """A point with coordinates in [-8, 8], two of them equal half the time."""
+    p = [draw(st.floats(-8.0, 8.0)) for _ in range(3)]
+    if draw(st.booleans()):
+        i, j, _ = draw(st.permutations([0, 1, 2]))
+        p[j] = p[i]
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(valid_configs(), st.just(KurodaConfig.from_json_file(BIG_WEIGHTS_PATH))),
+    st.lists(_shift_search_point(), min_size=1, max_size=8),
+    st.sampled_from([0.75, 1.0, 2.0, 3.0]),
+)
+def test_shift_search_witnesses_hold_exactly(config, points, lam):
+    tolerance = 1e-6
+    margins, shifts = s_shift_margins(points, lam, config)
+    scan, scan_shifts = shift_margins_full_scan(points, lam, config)
+    for p, m, a, s, b in zip(points, margins, shifts, scan, scan_shifts):
+        verdict = _verdict(m, tolerance)
+        if verdict is Verdict.IN:
+            assert shift_witness_holds(p, a, lam, config)
+        # the scan's refinement reaches +-lam itself, which is no shift
+        if _verdict(s, tolerance) is Verdict.IN and abs(b) < lam:
+            assert verdict is not Verdict.OUT
+
+
+def test_shift_search_finds_the_window_of_two_close_coordinates(concrete):
+    # p_1 and p_2 lie 7e-9 apart, and the feasible shifts are a window around
+    # them narrower than the grid search's last spacing: it answered OUT
+    p = (0.6009706849342344, 0.6009706781031232, 267.7228782349981)
+    assert in_s_tilde(p, 1.0, concrete)
+    margins, shifts = s_shift_margins([p], 2.0, concrete)
+    assert margins[0] < -0.9
+    assert shift_witness_holds(p, shifts[0], 2.0, concrete)
+    assert in_s(p, 2.0, concrete) is Verdict.IN
+    assert shift_margins_full_scan([p], 2.0, concrete)[0][0] > 0
+
+
+@pytest.mark.parametrize("lam", [2.0, 13.0, 3e-320])
+def test_shift_search_rows_do_not_depend_on_the_block(lam):
+    # 1100 rows span three blocks of the search
     config = SHIFT_SEARCH_CONFIGS["drawn"]
     rng = np.random.default_rng(8)
-    points = rng.uniform(-3.0, 3.0, size=(300, 3)) * lam
+    points = rng.uniform(-3.0, 3.0, size=(1100, 3)) * lam
     points[:40] = _shift_search_points(config, lam)[-40:]
-    points[40:60] = rng.uniform(-1.0, 1.0, size=(20, 3)) * 0.1 * lam
-    points[40:50, 0] = 0.999 * lam
-    points[50:60, 0] = -0.999 * lam
+    points[40:60, 1] = points[40:60, 0]
     margins, shifts = s_shift_margins(points, lam, config)
-    for size in (1, 16, 17):
-        parts = [s_shift_margins(points[i:i + size], lam, config) for i in range(0, 300, size)]
+    for size in (1, 17, 512):
+        parts = [s_shift_margins(points[i:i + size], lam, config) for i in range(0, 1100, size)]
         assert np.array_equal(np.concatenate([m for m, _ in parts]), margins)
         assert np.array_equal(np.concatenate([a for _, a in parts]), shifts)
-    for row in (0, 7, 45, 55, 150, 299):
-        alone = shift_margins_full_scan(points[row], lam, config)
-        assert alone[0][0] == margins[row] and alone[1][0] == shifts[row]
 
 
 def test_shift_search_rejects_overflow(concrete):
-    # the grid of 1e308 is not finite, and at 8e307 p - a passes the double
-    # range for a = -g: both once read as a verdict (OUT, and a margin from NaN values)
-    with pytest.raises(ValueError, match="double range"):
-        s_shift_margins([(3.0, 0.25, 0.25)], 1e308, concrete)
-    with pytest.raises(ValueError, match="double range"):
-        in_s((3.0, 0.25, 0.25), 1e308, concrete)
+    # at 8e307, p - a passes the double range for a = -g: once read as a
+    # margin from NaN values
     lam = 8e307
     g = np.linspace(-lam, lam, 1026)[1:-1][600]
     with pytest.raises(ValueError, match="double range"):
         s_shift_margins([(10.0, 0.4, 0.4), (1.7e308, g, 5.0)], lam, concrete)
+    with pytest.raises(ValueError, match="double range"):
+        in_s((1e308, 0.25, 0.25), 1e308, concrete)
     margins, _ = s_shift_margins([(9e307, g, 5.0)], lam, concrete)
     assert not np.isnan(margins).any()
+    # 2 * lam and p_1 - p_2 pass the double range where max|p| + lam does not
+    assert in_s((3.0, 0.25, 0.25), 1e308, concrete) is Verdict.IN
+    margins, shifts = s_shift_margins([(1.2e308, -1.2e308, 0.0)], 1e307, concrete)
+    assert not np.isnan(margins).any() and abs(shifts[0]) < 1e307
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -492,19 +511,20 @@ def test_sandwich_needs_radius_above_three(concrete, radius):
         sandwich_check(concrete, 10, seed=1, radius=radius)
 
 
-def test_sandwich_counts_the_in_s_verdicts(monkeypatch):
-    # a wide band on a config with known defect b: IN, OUT and UNCERTAIN all occur
-    config = SHIFT_SEARCH_CONFIGS["symmetric_1_6"]
+def test_sandwich_counts_the_in_s_verdicts(monkeypatch, concrete):
+    # the search's margins moved into a pattern, so that IN, OUT and
+    # UNCERTAIN all occur in a wide band
     tolerance = 0.2
     searched = []
 
     def spy(points, lam, cfg):
         margins, shifts = s_shift_margins(points, lam, cfg)
+        margins = margins + np.resize([0.0, 1.0, 1.9, 0.5], len(margins))
         searched.append((np.array(points), margins))
         return margins, shifts
 
     monkeypatch.setattr(regions_module, "s_shift_margins", spy)
-    report = sandwich_check(config, 300, seed=5, tolerance=tolerance)
+    report = sandwich_check(concrete, 300, seed=5, tolerance=tolerance)
     (points, margins), = searched
     verdicts = [_verdict(m, tolerance) for m in margins]
     assert report.tilde_checked == len(points) == 300

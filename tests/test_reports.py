@@ -1,4 +1,5 @@
-"""``render_json`` writes exactly ``json.dumps(jsonable(x), indent=2)``."""
+"""``render_json`` writes exactly ``json.dumps(jsonable(x), indent=2)``, and
+``render_csv`` writes the same bytes for columns as for the rows they hold."""
 
 import dataclasses
 import enum
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuroda.reports import jsonable, render_json
+from kuroda.reports import jsonable, render_csv, render_json
 
 
 class Color(enum.Enum):
@@ -120,3 +121,14 @@ def test_render_json_rejects_what_json_rejects(x, bad):
             reference(doc)
         with pytest.raises(TypeError):
             render_json(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n),
+    st.lists(st.floats(), min_size=n, max_size=n),
+)))
+def test_render_csv_of_columns_equals_render_csv_of_rows(columns):
+    ks, values = columns
+    rows = [{"k": k, "abs_value": v} for k, v in zip(ks, values)]
+    assert render_csv({"k": ks, "abs_value": values}) == render_csv(rows)
