@@ -57,7 +57,6 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _sandwich_radius = _checked(
@@ -140,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--grid", type=_grid, default=64)
-    p.add_argument("--radius", type=_finite, default=5.0)
-    p.add_argument("--band", type=_finite, default=0.25)
+    p.add_argument("--radius", type=_positive, default=5.0)
+    p.add_argument("--band", type=_positive, default=0.25, help="band on the log margin")
     p.add_argument("--cloud-out", required=True, help="CSV file for the point cloud")
 
     return parser

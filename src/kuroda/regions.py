@@ -17,31 +17,34 @@ Regions (all open, all defined by strict inequalities):
   (three "arm" bounds and three "cap" bounds) cutting out a basic open set
   that agrees with ``S3`` far from the origin.
 
-Scaling is uniform: a point lies in ``lam * region`` iff ``point / lam``
-lies in the region.  The margin functions divide each coordinate by
-``lam`` first, except that :func:`s_tilde_margins` divides ``p_j - p_k``
-and ``p_j + p_k``, so a difference that cancels keeps its bits at any
-scale; the region test takes ``log|p| - log(lam)`` and so decides the
-exact ``p / lam``.
-
-The region test :func:`inside` decides the samplers' candidates, the
-sandwich's half-scaled points and :func:`in_s_prime` / :func:`in_s_tilde`.
-It runs in log form, as the shift search does: the cross bounds as
-``e_i*log|q_i| + e_j*log|q_j| < 0`` and the arms of the basic open set as
-``L <= 0 or L < log(1 + exp(-G))`` (``L`` and ``G`` the logs of the arm's
-two factors), with ``exp`` and ``log1p`` only on the points near that
-threshold; the caps keep their squares.  So large weights cannot turn a
-bound into ``inf * 0 = nan``, which the power form read as outside, and
-the ray strata's far-arm candidates are accepted.  Each array it forms is
-one column long, with the columns read in place from the points.
+Each closed-form region has one definition, its signed log margin
+(:func:`s_prime_margins`, :func:`s_double_prime_margins`,
+:func:`s_tilde_margins`): negative exactly inside, 0 on the boundary, and
+never ``nan`` for a finite point.  With ``log|q| = log|p| - log(lam)``, no
+quotient ``p / lam`` is formed, so a point lies in ``lam * region`` iff the
+exact ``p / lam`` lies in the region, up to rounding of the logs.  A cross
+bound's margin is ``e_i*log|q_i| + e_j*log|q_j|``, that of ``|y_4| < 1`` is
+``log|q_4|``, and an arm's is ``L - softplus(t)``, the log form of
+``(q_i**(2*d_i) - 1) * (q_j - q_k)**(2*delta_ii) < 1`` with ``L`` and
+``-t`` the logs of its two powers; the caps keep their squares, each
+factor capped at the largest double.  So large weights cannot turn a bound
+into ``inf * 0 = nan``.  The region test :func:`inside` is the margin's
+sign: it decides the samplers' candidates, the sandwich's half-scaled
+points and :func:`in_s_prime` / :func:`in_s_tilde`, and runs the arms'
+``exp`` and ``log1p`` only on the points near their threshold.  The margin
+bodies take coordinate arrays of any shapes that broadcast: the point-list
+margins pass the columns of their points, and the boundary cloud the open
+mesh of its grid axis, in blocks of x-slabs that fit one element budget.
+Each cross term and arm softplus takes two axes only, and each margin has
+the bits of the point-list call.
 
 Membership in ``S3`` quantifies over the diagonal shift ``a``.  As a
 function of ``a``, each cross bound holds on at most two open intervals, one
 around each of its two poles (the coordinates it involves).  Newton steps on
 the log of the distance from each pole find the interval ends; with the
 coordinates and ``-lam, lam`` they cut the shift range into segments on
-which no bound changes sign.  :func:`s_shift_margins` evaluates the log-form
-star margin at every segment's midpoint and at every coordinate inside the
+which no bound changes sign.  :func:`s_shift_margins` evaluates the star's log
+margin at every segment's midpoint and at every coordinate inside the
 range and keeps the best, so an IN comes with its witness shift, and an end
 off by rounding can hide a window but never fake one.  A tolerance band
 returns ``UNCERTAIN`` instead of guessing at the boundary.  The search takes
@@ -52,11 +55,9 @@ outside, and so does a scale ``lam`` that is not finite and positive, in
 every predicate and margin function, and a shift search whose shifted
 coordinates would pass the double range.
 
-The margin functions and ``evaluate_abs`` form integer powers by
-multiplication (square-and-multiply, and per-coordinate power tables), not
-by libm ``pow``; only the samplers' ray powers use ``pow``.  The candidate
-generators are untouched, so each seed draws the same candidates, and
-margins and ``|f|`` may differ from ``pow`` only in the last bits.  The ray
+``evaluate_abs`` forms integer powers by multiplication (per-coordinate
+power tables), not by libm ``pow``, so ``|f|`` may differ from ``pow`` only
+in the last bits; only the samplers' ray powers use ``pow``.  The ray
 powers ``v**e`` (``v >= 1``) run ``pow`` only below a cutoff past which the
 result is surely 0 or inf, and take that value above it: the same bits
 without ``pow``'s slow path for results out of the normal range.
@@ -65,15 +66,6 @@ without ``pow``'s slow path for results out of the normal range.
 elements per (terms x rows) array, 512 KiB) and reuses one pair of arrays
 for every block; each row's terms are summed in a fixed order, so a row's
 value does not depend on the block size.
-
-The margin bodies take three coordinate arrays of any shapes that
-broadcast.  The point-list margins pass the columns of their points; the
-boundary cloud passes the open mesh of its grid axis, in blocks of x-slabs
-that fit one element budget.  So each power is formed once per grid value
-(or once per (y, z) pair for ``q_j - q_k``), only the final products,
-subtractions and maxima run over the grid, and each margin has the bits of
-the point-list call.  The terms that take (y, z) only, axis 1's arm and cap
-factors and the (2, 3) and (3, 2) cross bounds, are formed once per call.
 
 The escape sequence uses base-2 iterated logarithms (``lg``, ``lg lg``,
 ``lg lg lg``); its fourth coordinate ``1 / lglglg(k)`` drops strictly below
@@ -98,7 +90,6 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -164,136 +155,25 @@ def _as_points(points, dim: int) -> np.ndarray:
     return arr
 
 
-def _int_power(x: np.ndarray, n: int) -> np.ndarray:
-    """``x**n`` for an integer ``n >= 0`` by square-and-multiply.
-
-    About log2(n) array multiplications instead of one libm ``pow`` per
-    element; the relative error stays below ``(n - 1) * 2**-53`` to first
-    order.  No square beyond the top bit of ``n`` is formed, so the result
-    overflows to ``inf`` and underflows to 0 where ``pow`` does, up to
-    rounding at the edge of the double range.  May return ``x`` itself.
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else result * x
-        n >>= 1
-        if not n:
-            break
-        x = x * x
-    return np.ones_like(x) if result is None else result
-
-
-def _pair_margins(q, pairs, margin=-np.inf):
-    """Max of ``margin`` and each pair's ``q_i**e_i * q_j**e_j - 1``."""
-    for i, j, ei, ej in pairs:
-        bound = _int_power(q[i - 1], ei) * _int_power(q[j - 1], ej)
-        margin = np.maximum(margin, bound - 1.0)
-    return margin
-
-
-def _yz_pairs(config: KurodaConfig):
-    """The (2, 3) and (3, 2) cross bounds: the two that leave out axis 1."""
-    return [pair for pair in _cross_pairs(config) if 1 not in pair[:2]]
-
-
-def _cross_margins(q1, q2, q3, config: KurodaConfig, yz_margin=None) -> np.ndarray:
-    """Max over the six cross bounds of q_i**e_i * q_j**e_j - 1 (q prescaled, abs).
-
-    The three coordinate arrays may have any shapes that broadcast: each
-    power is formed on its own coordinate's array, and only the products,
-    subtractions and maxima run on the broadcast shape.  ``yz_margin``,
-    when given, is the max of the :func:`_yz_pairs` bounds, which take only
-    ``(q2, q3)``: the cloud forms it once per call instead of once per
-    block of x-slabs.  A max is exact, so the bits do not depend on it.
-    """
-    pairs = _cross_pairs(config)
-    if yz_margin is None:
-        return _pair_margins((q1, q2, q3), pairs)
-    yz = _yz_pairs(config)
-    return _pair_margins((q1, q2, q3), [p for p in pairs if p not in yz], yz_margin)
+def _into(op, values, term):
+    """``op(values, term)``, in place in ``values`` where its shape allows; ``term`` if no ``values``."""
+    if values is None:
+        return term
+    if values.shape == term.shape or np.broadcast_shapes(values.shape, term.shape) == values.shape:
+        return op(values, term, out=values)
+    return op(values, term)
 
 
 def _cross_max(logq, pairs) -> np.ndarray:
     """Max over the cross bounds of ``e_i*logq_i + e_j*logq_j``, elementwise.
 
-    ``logq[c - 1]`` is the array of axis ``c``: a row of one array, or one
-    array of a list.
+    ``logq[c - 1]`` is the array of axis ``c``; the arrays may have any
+    shapes that broadcast, and each term takes the shape of its two axes.
     """
     values = None
     for i, j, ei, ej in pairs:
-        term = ei * logq[i - 1]
-        term += ej * logq[j - 1]
-        values = term if values is None else np.maximum(values, term, out=values)
+        values = _into(np.maximum, values, _into(np.add, ei * logq[i - 1], ej * logq[j - 1]))
     return values
-
-
-def s_double_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
-    """Negative exactly on the inside of the scaled star."""
-    _check_scale(lam)
-    pts = _as_points(points, 3)
-    return _cross_margins(*(np.abs(pts) / lam).T, config)
-
-
-def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
-    _check_scale(lam)
-    pts = _as_points(points, 4)
-    margin = _cross_margins(*(np.abs(pts[:, :3]) / lam).T, config)
-    return np.maximum(margin, np.abs(pts[:, 3]) / lam - 1.0)
-
-
-def _pair_factors(pj, pk, exponent: int, lam: float):
-    """``((p_j - p_k)/lam)**exponent`` and ``((p_j + p_k)/lam)**2 - 4``: the
-    factors of an axis's arm and cap bounds that do not involve its own
-    coordinate.  The difference and the sum are formed before the division,
-    so a difference that cancels is not lost to ``fl(p_j/lam) - fl(p_k/lam)``."""
-    diff = pj - pk
-    s = pj + pk
-    if lam != 1.0:
-        diff /= lam
-        s /= lam
-    return _int_power(diff, exponent), s * s - 4.0
-
-
-def _tilde_margins(p1, p2, p3, config: KurodaConfig, lam: float, yz_factors=None) -> np.ndarray:
-    """The arm/cap margin of :func:`s_tilde_margins` at scale ``lam``.
-
-    The three coordinate arrays may have any shapes that broadcast, as in
-    :func:`_cross_margins`; ``p_j - p_k`` and ``p_j + p_k`` take the shape
-    of their two coordinates only.  ``yz_factors``, when given, are axis
-    1's :func:`_pair_factors`, which take only ``(p2, p3)``: the cloud forms
-    them once per call instead of once per block of x-slabs.
-    """
-    p = (p1, p2, p3)
-    d = column_minima(config)
-    margin = -np.inf
-    for i in AXES:
-        j, k = (t for t in AXES if t != i)
-        qi = p[i - 1] if lam == 1.0 else p[i - 1] / lam
-        if i == 1 and yz_factors is not None:
-            arm_factor, cap_factor = yz_factors
-        else:
-            arm_factor, cap_factor = _pair_factors(
-                p[j - 1], p[k - 1], 2 * config.magnitude(i, i), lam
-            )
-        arm = (_int_power(qi, 2 * d[i - 1]) - 1.0) * arm_factor
-        cap = (qi * qi - 1.0) * cap_factor
-        margin = np.maximum(margin, arm - _ARM_RHS)
-        margin = np.maximum(margin, cap - _CAP_RHS)
-    return margin
-
-
-def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
-    """Max of the six arm/cap constraint values minus their right sides.
-
-    Arm bound for axis i:  (q_i**(2*d_i) - 1) * (q_j - q_k)**(2*delta_ii) < 1
-    Cap bound for axis i:  (q_i**2 - 1) * ((q_j + q_k)**2 - 4) < 4
-    with (j, k) the other two axes and q = p / lam; ``q_j - q_k`` and
-    ``q_j + q_k`` are formed as ``(p_j - p_k) / lam`` and ``(p_j + p_k) / lam``.
-    """
-    _check_scale(lam)
-    pts = _as_points(points, 3)
-    return _tilde_margins(*pts.T, config, lam)
 
 
 # softplus(t) = log(1 + exp(t)) lies in [max(t, 0), max(t, 0) + log 2]: an
@@ -301,6 +181,9 @@ def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
 _SOFTPLUS_SPAN = 0.7
 # The least positive double: x < _TINY holds iff x <= 0.
 _TINY = 5e-324
+# The largest double: a cap factor past it is read as it, so that a factor of
+# 0 gives a product of 0, not inf * 0 = nan.
+_MAX = np.finfo(float).max
 
 
 def _log_of(x: np.ndarray, log_lam: float) -> np.ndarray:
@@ -316,80 +199,131 @@ def _log_of(x: np.ndarray, log_lam: float) -> np.ndarray:
     return x
 
 
-def _tilde_inside(pts: np.ndarray, lam: float, config: KurodaConfig) -> np.ndarray:
-    """The six arm and cap bounds of :func:`s_tilde_margins`, all strict, per point.
-
-    With ``L = 2*d_i*log|q_i|`` and ``t = -2*delta_ii*log|q_j - q_k|``, the
-    arm ``(e**L - 1) * e**-t < 1`` (``_ARM_RHS`` is 1) holds iff ``L <= 0``
-    or ``L < softplus(t) = log(1 + exp(t))``.  Both are ``L < floor`` with
-    ``floor = max(t, _TINY)`` wherever softplus is not needed, and softplus
-    lies within log 2 above ``floor``: so ``exp`` and ``log1p`` run only on
-    the points whose ``L`` falls in that band.  The logs are taken as
-    ``log|p| - log(lam)`` and ``log|p_j - p_k| - log(lam)``, so no arm
-    bound overflows or gives ``nan`` on finite points.  The cap bounds form
-    squares only and keep the power form of :func:`s_tilde_margins`.  The
-    arrays are one column long, with the columns read in place from ``pts``
-    (and from ``pts / lam`` for the caps at a scale other than 1).
-    """
-    d = column_minima(config)
+def _star_margins(p, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The log margin of the cross bounds, with ``log|q_4|`` for a fourth coordinate array."""
     log_lam = math.log(lam)
-    q = pts if lam == 1.0 else pts / lam
-    held = np.ones(len(pts), dtype=bool)
+    logq = [_log_of(np.abs(c), log_lam) for c in p]
+    margin = _cross_max(logq, _cross_pairs(config))
+    return margin if len(p) == 3 else _into(np.maximum, margin, logq[3])
+
+
+def _arm_logs(p, i: int, log_lam: float, d, config: KurodaConfig):
+    """``L = 2*d_i*log|q_i|`` and ``t = -2*delta_ii*log|q_j - q_k|`` of axis ``i``'s arm.
+
+    The arm ``(e**L - 1) * e**-t < 1`` (``_ARM_RHS`` is 1) holds iff ``L <=
+    0`` or ``L < softplus(t)``.  The logs are ``log|p| - log(lam)`` and
+    ``log|p_j - p_k| - log(lam)``: finite, or ``-inf`` at 0 (``t = -inf``
+    where ``p_j - p_k`` passes the double range).  ``d`` is the column minima.
+    """
+    j, k = (c for c in AXES if c != i)
+    arm_log = _log_of(np.abs(p[i - 1]), log_lam)
+    arm_log *= 2.0 * d[i - 1]
+    t = np.subtract(p[j - 1], p[k - 1])
+    t = _log_of(np.abs(t, out=t), log_lam)
+    t *= -2.0 * config.magnitude(i, i)
+    return arm_log, t
+
+
+def _cap_product(p, i: int, lam: float) -> np.ndarray:
+    """``(q_i**2 - 1) * ((q_j + q_k)**2 - 4)``, with ``q_j + q_k`` formed as ``(p_j + p_k) / lam``.
+
+    A factor past the double range is read as the largest double, so the
+    product keeps its sign and is 0 wherever the other factor is.
+    """
+    j, k = (c for c in AXES if c != i)
+    qi = p[i - 1] if lam == 1.0 else p[i - 1] / lam
+    own = qi * qi
+    own -= 1.0
+    s = np.add(p[j - 1], p[k - 1])
+    if lam != 1.0:
+        s /= lam
+    s *= s
+    s -= 4.0
+    return np.minimum(own, _MAX, out=own) * np.minimum(s, _MAX, out=s)
+
+
+def _tilde_margins(p, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The log margin of the basic open set: the max of its arm and cap margins.
+
+    An arm's is ``L - softplus(t)``, with softplus as ``max(t, _TINY) +
+    log1p(exp(-|t|))``, so that ``L = 0`` stays inside where ``exp(t)``
+    underflows; a cap's is its product minus ``_CAP_RHS``.
+    """
+    log_lam, d = math.log(lam), column_minima(config)
+    margin = None
     for i in AXES:
-        j, k = (t for t in AXES if t != i)
-        qi = q[:, i - 1]
-        cap = np.add(q[:, j - 1], q[:, k - 1])
-        cap *= cap
-        cap -= 4.0
-        cap *= qi * qi - 1.0
-        held &= cap < _CAP_RHS
-        arm_log = _log_of(np.abs(pts[:, i - 1]), log_lam)
-        arm_log *= 2.0 * d[i - 1]
-        t = np.subtract(pts[:, j - 1], pts[:, k - 1])
-        t = _log_of(np.abs(t, out=t), log_lam)
-        t *= -2.0 * config.magnitude(i, i)
+        arm_log, t = _arm_logs(p, i, log_lam, d, config)
+        softplus = np.maximum(t, _TINY)
+        softplus += np.log1p(np.exp(-np.abs(t)))
+        margin = _into(np.maximum, margin, arm_log - softplus)
+        cap = _cap_product(p, i, lam)
+        cap -= _CAP_RHS
+        margin = _into(np.maximum, margin, cap)
+    return margin
+
+
+def _tilde_inside(p, lam: float, config: KurodaConfig) -> np.ndarray:
+    """``_tilde_margins(p, lam, config) < 0`` on point columns, with softplus only where it decides.
+
+    An arm holds wherever ``L < floor = max(t, _TINY)`` and fails wherever
+    ``L >= floor + _SOFTPLUS_SPAN``; ``exp`` and ``log1p`` run only on the
+    points in that band, with the operations of :func:`_tilde_margins`.
+    """
+    log_lam, d = math.log(lam), column_minima(config)
+    held = np.ones(len(p[0]), dtype=bool)
+    for i in AXES:
+        held &= _cap_product(p, i, lam) < _CAP_RHS
+        arm_log, t = _arm_logs(p, i, log_lam, d, config)
         floor = np.maximum(t, _TINY)
         arm = arm_log < floor
         # the band: arm_log in [floor, floor + span), where arm is False
         band = np.flatnonzero((arm_log < floor + _SOFTPLUS_SPAN) ^ arm)
         if len(band):
-            softplus = floor[band] + np.log1p(np.exp(-np.abs(t[band])))
-            arm[band] = arm_log[band] < softplus
+            arm[band] = arm_log[band] < floor[band] + np.log1p(np.exp(-np.abs(t[band])))
         held &= arm
     return held
+
+
+def _on_points(body, kind: RegionKind, points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """``body`` on the coordinate columns of ``points`` in ``kind``'s dimension."""
+    _check_scale(lam)
+    pts = _as_points(points, kind.dim)
+    # log 0 = -inf is meant, and so is a cap square past the double range;
+    # inf - inf and inf * 0 come only from non-finite points
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return body(pts.T, lam, config)
+
+
+def s_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The log margin of ``lam`` times ``S_PRIME4``: negative exactly where :func:`inside` holds."""
+    return _on_points(_star_margins, RegionKind.S_PRIME4, points, lam, config)
+
+
+def s_double_prime_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The log margin of ``lam`` times the star: negative exactly where :func:`inside` holds."""
+    return _on_points(_star_margins, RegionKind.S_DOUBLE_PRIME3, points, lam, config)
+
+
+def s_tilde_margins(points, lam: float, config: KurodaConfig) -> np.ndarray:
+    """The log margin of ``lam`` times the basic open set: negative exactly where :func:`inside` is."""
+    return _on_points(_tilde_margins, RegionKind.S_TILDE3, points, lam, config)
 
 
 def inside(kind: RegionKind, points, lam: float, config: KurodaConfig) -> np.ndarray:
     """Membership of each point in ``lam`` times a closed-form region, as booleans.
 
     This is the region test of the samplers, the sandwich check and
-    :func:`in_s_prime` / :func:`in_s_tilde`.  It runs in log form, as the
-    shift search does: the cross bounds of ``S_PRIME4`` and
-    ``S_DOUBLE_PRIME3`` as the max over pairs of
-    ``e_i*log|q_i| + e_j*log|q_j|`` below 0, ``|y_4| < 1`` as
-    ``log|q_4| < 0``, and the arms of ``S_TILDE3`` as in
-    :func:`_tilde_inside`.  Each ``log|q|`` is ``log|p| - log(lam)``, so
-    large weights cannot turn a bound into ``inf * 0 = nan`` and read a
-    point of the region as outside.  At scale 1 the verdict agrees with the
-    sign of the margin functions wherever their margin is finite and not
-    within rounding of 0.  A point with a non-finite coordinate is outside.
-    ``S3`` is only semi-decided: use :func:`in_s`.
+    :func:`in_s_prime` / :func:`in_s_tilde`: the sign of the region's log
+    margin, from the margin body itself for the cross bounds and ``|y_4| <
+    1``, and from :func:`_tilde_inside` for ``S_TILDE3``.  A point with a
+    non-finite coordinate is outside.  ``S3`` is only semi-decided: use
+    :func:`in_s`.
     """
     if kind is RegionKind.S3:
         raise ValueError("membership in the fattened star is semi-decided: use in_s")
-    _check_scale(lam)
-    pts = _as_points(points, kind.dim)
-    # log 0 = -inf is meant, and so is a cap square past the double range (its
-    # product is +-inf); -inf + inf comes only from non-finite points
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind is RegionKind.S_TILDE3:
-            return _tilde_inside(pts, lam, config)
-        log_lam = math.log(lam)
-        logq = [_log_of(np.abs(pts[:, c]), log_lam) for c in range(kind.dim)]
-        result = _cross_max(logq, _cross_pairs(config)) < 0
-    if kind is RegionKind.S_PRIME4:
-        result &= logq[3] < 0
-    return result
+    if kind is RegionKind.S_TILDE3:
+        return _on_points(_tilde_inside, kind, points, lam, config)
+    return _on_points(_star_margins, kind, points, lam, config) < 0
 
 
 def in_s_prime(point, lam: float, config: KurodaConfig) -> bool:
@@ -532,13 +466,13 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
     shows it, and an end off by rounding can hide a window but never fake
     one.  No power is formed, so large weights cannot overflow it.
 
-    Returns (margins, shifts), one entry per row: each margin is ``expm1``
-    of the log-form value at its shift, the margin of
-    :func:`s_double_prime_margins` there.  A row's result does not depend
-    on the other rows of the call.  Non-finite coordinates and a scale that
-    is not finite and positive raise ``ValueError`` rather than reading as
-    outside, and so do points and a scale whose shifted coordinates
-    ``p - a`` could pass the double range (``max|p| + lam`` not finite).
+    Returns (margins, shifts), one entry per row: each margin is the star's
+    log margin at its shift, that of :func:`s_double_prime_margins` there.
+    A row's result does not depend on the other rows of the call.
+    Non-finite coordinates and a scale that is not finite and positive raise
+    ``ValueError`` rather than reading as outside, and so do points and a
+    scale whose shifted coordinates ``p - a`` could pass the double range
+    (``max|p| + lam`` not finite).
     """
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
@@ -572,8 +506,7 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
         first = values.argmin(axis=1)
         best[start:start + n] = values[np.arange(n), first]
         best_a[start:start + n] = shifts[np.arange(n), first]
-    with np.errstate(over="ignore"):  # a log-form value past 709 is an inf margin: OUT
-        return np.expm1(best), best_a
+    return best, best_a
 
 
 def _band(margins: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -587,9 +520,11 @@ def in_s(
 ) -> Verdict:
     """Membership of ``point`` in ``lam`` times the fattened star, from :func:`s_shift_margins`.
 
-    IN when the margin is below ``-tolerance``: the search's shift ``a`` is
-    a witness, ``point - (a,a,a)`` lies in ``lam`` times the star.  OUT when
-    it is above ``tolerance``, UNCERTAIN between.  An OUT is not certified:
+    IN when the log-form margin is below ``-tolerance``: the search's shift
+    ``a`` is a witness, ``point - (a,a,a)`` lies in ``lam`` times the star.
+    OUT when it is above ``tolerance``, UNCERTAIN between: the band is the
+    one ``sandwich --tolerance`` and the cloud's ``--band`` read, on the
+    same margin.  An OUT is not certified:
     a window narrower than one ulp next to ``-lam`` or ``lam`` holds no
     shift, as for a coordinate at ``lam`` exactly on large weights.
     """
@@ -890,7 +825,7 @@ _SANDWICH_ROUNDS = 400
 
 def _check_radius(radius: float) -> None:
     if not (radius > 0 and math.isfinite(2.0 * radius)):
-        raise ValueError(f"sampling radius must be > 0 with a finite double, got {radius}")
+        raise ValueError(f"radius must be > 0 with a finite double, got {radius}")
 
 
 def sample_region(
@@ -932,6 +867,26 @@ def sample_region(
 
 
 # -- probes ----------------------------------------------------------------
+
+
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """``x**n`` for an integer ``n >= 0`` by square-and-multiply.
+
+    About log2(n) array multiplications instead of one libm ``pow`` per
+    element; the relative error stays below ``(n - 1) * 2**-53`` to first
+    order.  No square beyond the top bit of ``n`` is formed, so the result
+    overflows to ``inf`` and underflows to 0 where ``pow`` does, up to
+    rounding at the edge of the double range.  May return ``x`` itself.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            break
+        x = x * x
+    return np.ones_like(x) if result is None else result
 
 
 def _power_table(x: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -1312,8 +1267,8 @@ def sandwich_check(
     :class:`SamplingError` is raised when either direction found fewer than
     ``count`` far-zone points within its candidate budget, so a run never
     passes on fewer points than it was asked to check.  The half-scaled
-    points are checked with the region test :func:`inside`, so a bound that
-    overflows in the power form cannot read as a pass or a violation.
+    points are checked with the region test :func:`inside`, in log form, so
+    no bound overflows into a pass or a violation.
     """
     if not (radius > SANDWICH_MIN_RADIUS and math.isfinite(2.0 * radius)):
         raise ValueError(
@@ -1384,44 +1339,35 @@ def export_surface_cloud(
 ) -> CloudReport:
     """Write near-boundary grid points (|margin| < band) as CSV x,y,z,margin.
 
-    Supports the 3-dimensional star and the basic open set; the margin is
-    the max constraint value, so the zero level set is the region boundary.
-    The rows come in grid order, x outermost, then y, then z, each margin
-    with the bits of the point-list margin at scale 1.  A margin that is
-    ``nan`` (an integer power past the double range times a factor of 0, as
-    on large weights) lies in no band: it is not written, and the report
-    counts it in ``nan_margins``.
+    Supports the 3-dimensional star and the basic open set.  The margin is
+    the region's log margin at scale 1 (:func:`s_double_prime_margins`,
+    :func:`s_tilde_margins`), so the zero level set is the region boundary
+    and ``band`` is a band on that log margin.  The margin body runs on the
+    open mesh of the grid axis, in blocks of x-slabs that fit one element
+    budget; each cross term and arm softplus takes two axes only, and each
+    margin has the bits of the point-list margin.  The rows come in grid
+    order, x outermost, then y, then z.  A margin that is ``nan`` lies in no
+    band: it is not written, and the report counts it in ``nan_margins``,
+    which reads 0 on every finite grid.  ``radius`` must be > 0 with a
+    finite double, else ``ValueError`` is raised.
     """
     if which not in (RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3):
         raise ValueError("cloud export supports the two 3-dimensional closed-form regions")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    _check_radius(radius)
     axis = np.linspace(-radius, radius, grid)
-    # A power past the double range is an inf margin, outside every band, and
-    # one that meets a factor of 0 is inf * 0 = nan, counted in nan_margins:
-    # neither warns.  The margin bodies run at scale 1, where q is p itself:
-    # |p| for the star.
-    quiet = partial(np.errstate, over="ignore", invalid="ignore")
-    if which is RegionKind.S_DOUBLE_PRIME3:
-        q = np.abs(axis)
-        # the (2, 3) and (3, 2) bounds take (y, z) only: the same for every block
-        with quiet():
-            yz = _pair_margins((None, q[None, :, None], q[None, None, :]), _yz_pairs(config))
-        margins_of = partial(_cross_margins, yz_margin=yz)
-    else:
-        q = axis
-        # axis 1's (y, z)-only factors are the same for every block
-        with quiet():
-            yz = _pair_factors(q[None, :, None], q[None, None, :], 2 * config.magnitude(1, 1), 1.0)
-        margins_of = partial(_tilde_margins, lam=1.0, yz_factors=yz)
+    margins_of = _tilde_margins if which is RegionKind.S_TILDE3 else _star_margins
     written = nan_margins = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "margin"])
         # blocks of x-slabs on the open mesh keep memory near one budget
         for block in _blocks(grid, grid * grid, _CLOUD_ELEMENTS):
-            with quiet():
-                margins = margins_of(q[block, None, None], q[None, :, None], q[None, None, :], config)
+            mesh = (axis[block, None, None], axis[None, :, None], axis[None, None, :])
+            # log 0 = -inf is meant, and so is a cap square past the double range
+            with np.errstate(divide="ignore", over="ignore"):
+                margins = margins_of(mesh, 1.0, config)
             nan_margins += int(np.isnan(margins).sum())
             ix, iy, iz = np.nonzero(np.abs(margins) < band)  # x, then y, then z
             rows = np.column_stack(

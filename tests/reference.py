@@ -238,9 +238,12 @@ def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[n
 
     All 1024 interior grid shifts of ``(-lam, lam)`` are evaluated for every
     row, then two refinement rounds of 65 shifts around the row's best, with
-    ``np.linspace`` over the whole batch.  Returns (margins, shifts) as
-    ``s_shift_margins`` does.  A negative margin is shown by its shift, so
-    the interval search must never answer OUT where this scan answers IN.
+    ``np.linspace`` over the whole batch.  The refinement reaches ``-lam``
+    and ``lam`` themselves, which are no shifts: every round reads a shift
+    with ``|a| >= lam`` as ``inf``, as ``s_shift_margins`` does.  Returns
+    (margins, shifts) as ``s_shift_margins`` does, the margins in log form.
+    A negative margin is shown by its shift, so the interval search must
+    never answer OUT where this scan answers IN.
     """
     pts = _as_points(points, 3)
     if not np.isfinite(pts).all():
@@ -270,13 +273,13 @@ def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[n
             term = ei * logq[i - 1]
             term += ej * logq[j - 1]
             values = term if values is None else np.maximum(values, term, out=values)
+        values[~(np.abs(shifts) < lam)] = np.inf
         idx = values.argmin(axis=1)
         found = values[rows, idx]
         better = found < best
         best = np.where(better, found, best)
         best_a = np.where(better, shifts[rows, idx], best_a)
-    with np.errstate(over="ignore"):  # a log-form value past 709 is an inf margin
-        return np.expm1(best), best_a
+    return best, best_a
 
 
 def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, out,

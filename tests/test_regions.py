@@ -37,7 +37,6 @@ from kuroda.config import column_minima, condition_value
 from kuroda.exprparse import parse_polynomial
 from kuroda.regions import (
     Verdict,
-    _cross_margins,
     _cross_pairs,
     _escape_logs,
     _log2_abs,
@@ -45,6 +44,7 @@ from kuroda.regions import (
     _int_power,
     _pow_from_one,
     _StarSampler,
+    _star_margins,
     _tilde_margins,
     evaluate_abs,
     inside,
@@ -169,10 +169,12 @@ def test_shift_search_margins_are_star_margins_at_the_witness(name):
     margins, shifts = s_shift_margins(far, 2.0, config)
     assert margins.shape == shifts.shape == (300,)
     assert (np.abs(shifts) < 2.0).all()
-    # log form reorders the float arithmetic: the power-form margin at the
-    # returned shift up to rounding
-    star = s_double_prime_margins(far - shifts[:, None], 2.0, config)
-    assert np.allclose(margins, star, rtol=1e-9, atol=1e-12)
+    # the star's log margin at the returned shift, bit for bit, and the
+    # power-form margin there up to rounding
+    shifted = far - shifts[:, None]
+    assert np.array_equal(margins, s_double_prime_margins(shifted, 2.0, config))
+    star = _pow_s_double_prime_margins(shifted, 2.0, config)
+    assert np.allclose(np.expm1(margins), star, rtol=1e-9, atol=1e-12)
     # symmetric_1_6 and drawn are where the grid search gave false OUTs
     assert all(_verdict(m, tolerance) is Verdict.IN for m in margins)
     for p, a in zip(far[:40], shifts[:40]):
@@ -206,8 +208,8 @@ def test_shift_search_is_in_wherever_the_full_scan_is(name, big_weights):
         for scale in (1.0, 10.0, 1e4):
             margins, shifts = s_shift_margins(points * scale, lam, config)
             scan, scan_shifts = shift_margins_full_scan(points * scale, lam, config)
-            # the scan's refinement reaches +-lam itself, which is no shift
-            assert (margins[(scan < 0) & (np.abs(scan_shifts) < lam)] < 0).all()
+            assert (margins[scan < 0] < 0).all()
+            assert (np.abs(scan_shifts[scan < np.inf]) < lam).all()
             assert (np.abs(shifts) < lam).all()
             for k in np.flatnonzero(margins < -1e-6)[::7]:
                 assert shift_witness_holds(points[k] * scale, shifts[k], lam, config)
@@ -237,9 +239,8 @@ def test_shift_search_witnesses_hold_exactly(config, points, lam):
         verdict = _verdict(m, tolerance)
         if verdict is Verdict.IN:
             assert shift_witness_holds(p, a, lam, config)
-        # the scan's refinement reaches +-lam itself, which is no shift
-        if _verdict(s, tolerance) is Verdict.IN and abs(b) < lam:
-            assert verdict is not Verdict.OUT
+        if _verdict(s, tolerance) is Verdict.IN:
+            assert abs(b) < lam and verdict is not Verdict.OUT
 
 
 def test_shift_search_finds_the_window_of_two_close_coordinates(concrete):
@@ -513,13 +514,14 @@ def test_sandwich_needs_radius_above_three(concrete, radius):
 
 def test_sandwich_counts_the_in_s_verdicts(monkeypatch, concrete):
     # the search's margins moved into a pattern, so that IN, OUT and
-    # UNCERTAIN all occur in a wide band
+    # UNCERTAIN all occur in a wide band; expm1 puts the INs' log margins in
+    # (-1, 0) first
     tolerance = 0.2
     searched = []
 
     def spy(points, lam, cfg):
         margins, shifts = s_shift_margins(points, lam, cfg)
-        margins = margins + np.resize([0.0, 1.0, 1.9, 0.5], len(margins))
+        margins = np.expm1(margins) + np.resize([0.0, 1.0, 1.9, 0.5], len(margins))
         searched.append((np.array(points), margins))
         return margins, shifts
 
@@ -633,22 +635,33 @@ def test_cloud_tilde_antipodal_symmetry(tmp_path, concrete):
     assert pts == flipped
 
 
-@pytest.mark.parametrize("kind", [RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3])
-def test_cloud_counts_nan_margins_without_warnings(tmp_path, kind):
-    # at radius 50 on big weights, q**300 overflows to inf and meets factors
-    # that underflowed to 0 (or q_2 - q_3 = 0): inf * 0 = nan, in no band
+@pytest.mark.parametrize("kind, rows", [(RegionKind.S_DOUBLE_PRIME3, 0), (RegionKind.S_TILDE3, 1)])
+def test_cloud_counts_no_nan_margins_without_warnings(tmp_path, kind, rows):
+    # at radius 50 on big weights, the power form's q**300 overflows to inf
+    # and meets factors that underflowed to 0 (or q_2 - q_3 = 0): inf * 0 =
+    # nan, in no band.  The log margins are never nan.  The star's arms are
+    # thinner than the grid spacing here, so few rows lie in the band.
     big = MARGIN_CONFIGS["big_weights"]
     out = tmp_path / "big.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = export_surface_cloud(big, kind, 17, out, radius=50.0)
+        huge = export_surface_cloud(big, kind, 6, out, radius=1e300)
+    assert (report.nan_margins, report.points_written) == (0, rows)
+    assert huge.nan_margins == 0
+    axis = np.linspace(-50.0, 50.0, 17)
+    mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        axis = np.linspace(-50.0, 50.0, 17)
-        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        margins_of = s_tilde_margins if kind is RegionKind.S_TILDE3 else s_double_prime_margins
-        expected = int(np.isnan(margins_of(mesh, 1.0, big)).sum())
-    assert report.nan_margins == expected > 700
+        power = _POW_MARGINS[kind](mesh, 1.0, big)
+    assert np.isnan(power).sum() > 700
     assert not export_surface_cloud(MARGIN_CONFIGS["concrete"], kind, 17, out, radius=50.0).nan_margins
+
+
+@pytest.mark.parametrize("radius", [0.0, -5.0, math.nan, math.inf, 1e308])
+def test_cloud_rejects_bad_radius(tmp_path, concrete, radius):
+    # linspace(-1e308, 1e308) passes the double range: nan and inf grid points
+    with pytest.raises(ValueError, match="radius"):
+        export_surface_cloud(concrete, RegionKind.S_TILDE3, 6, tmp_path / "bad.csv", radius=radius)
 
 
 def test_cloud_single_cell(tmp_path, concrete):
@@ -713,8 +726,9 @@ def test_cloud_blocks_are_bit_identical(monkeypatch, tmp_path, budget):
 
 # -- integer powers by multiplication, against the pow forms ---------------
 #
-# The margin filters and evaluate_abs used to form integer powers with
-# ``**`` (libm pow).  Those forms are kept here, test-only, as the reference.
+# evaluate_abs used to form integer powers with ``**`` (libm pow), and the
+# region margins were power forms too.  Those forms are kept here,
+# test-only, as the reference.
 
 
 def _pow_cross_margins(q3_abs, config):
@@ -830,6 +844,52 @@ def test_margin_filters_match_pow_reference(name, kind):
     assert np.array_equal(inside_exact(kind, candidates[some], 1.0, config), reference[some] < 0)
 
 
+_PUBLIC_MARGINS = {
+    RegionKind.S_PRIME4: s_prime_margins,
+    RegionKind.S_DOUBLE_PRIME3: s_double_prime_margins,
+    RegionKind.S_TILDE3: s_tilde_margins,
+}
+
+# |p| from 1e-300 to 1e300: drawn as floats, as powers of ten, and as values
+# on the bounds (0 and 1 make factors of 0, 2 a cap sum of 4)
+_WIDE_MAGNITUDE = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.integers(-300, 300).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 20.0]),
+)
+
+
+@st.composite
+def _wide_points(draw):
+    """Four-coordinate points with magnitudes from 1e-300 to 1e300, some coordinates equal."""
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = [draw(st.sampled_from([-1.0, 1.0])) * draw(_WIDE_MAGNITUDE) for _ in range(4)]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j, _, _ = draw(st.permutations([0, 1, 2, 3]))
+            p[j] = p[i]
+        points.append(p)
+    return np.array(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(valid_configs(), st.just(MARGIN_CONFIGS["big_weights"])),
+    _wide_points(),
+    st.sampled_from([1.0, 0.75, 3.0]),
+)
+def test_log_margins_are_never_nan_and_decide_inside(config, points, lam):
+    for kind, margins_of in _PUBLIC_MARGINS.items():
+        pts = points[:, : kind.dim]
+        margins = margins_of(pts, lam, config)
+        assert not np.isnan(margins).any()
+        # the region test is the margin's sign, at every point
+        assert np.array_equal(inside(kind, pts, lam, config), margins < 0)
+        # and that sign is exact wherever the margin is clear of rounding
+        clear = np.abs(margins) > 1e-9
+        assert np.array_equal(inside_exact(kind, pts[clear], lam, config), margins[clear] < 0)
+
+
 @pytest.mark.parametrize("lam", [0.75, 3.0])
 @pytest.mark.parametrize("kind", list(_POW_MARGINS))
 @pytest.mark.parametrize("name", ["drawn", "big_weights"])
@@ -850,11 +910,16 @@ def test_region_test_matches_exact_at_other_scales(name, kind, lam):
     (3.0, (0.8984634680767273, 0.8984634680767271, -14.380853138263088)),
 ])
 def test_tilde_margins_keep_a_cancelling_difference_at_other_scales(lam, point):
-    # fl(p_1/lam) - fl(p_2/lam) lost the difference and gave margin +0.4588;
-    # every bound holds in exact arithmetic, the largest at -0.71
+    # fl(p_1/lam) - fl(p_2/lam) loses the difference: the power form gives
+    # +0.4588, and the log margin of the rescaled point is positive too.
+    # Every bound holds in exact arithmetic, the largest at -0.71 in power
+    # form (axis 3's arm), -1.2442 in log form.
     config = MARGIN_CONFIGS["drawn"]
     (margin,) = s_tilde_margins(point, lam, config)
-    assert margin == pytest.approx(-0.7118, abs=1e-4)
+    assert margin == pytest.approx(-1.2442, abs=1e-4)
+    (power,) = _pow_s_tilde_margins(np.array([point]), lam, config)
+    assert power == pytest.approx(0.4588, abs=1e-4)
+    assert s_tilde_margins(np.array(point) / lam, 1.0, config)[0] > 0
     assert inside_exact(RegionKind.S_TILDE3, [point], lam, config).all()
 
 
@@ -879,8 +944,10 @@ def test_region_test_on_big_weights_points():
     # overflows and meets a coordinate of 0 (or q_2 - q_3 = 0)
     big = MARGIN_CONFIGS["big_weights"]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(s_prime_margins((20, 0, 0, 0), 1.0, big)).all()
-        assert np.isnan(s_tilde_margins((20, 0.3, 0.3), 1.0, big)).all()
+        assert np.isnan(_pow_s_prime_margins(np.array([(20.0, 0, 0, 0)]), 1.0, big)).all()
+        assert np.isnan(_pow_s_tilde_margins(np.array([(20, 0.3, 0.3)]), 1.0, big)).all()
+    assert (s_prime_margins((20, 0, 0, 0), 1.0, big) < 0).all()
+    assert (s_tilde_margins((20, 0.3, 0.3), 1.0, big) < 0).all()
     assert in_s_prime((20, 0, 0, 0), 1.0, big)
     assert in_s_tilde((20, 0.3, 0.3), 1.0, big)
     assert inside_exact(RegionKind.S_PRIME4, (20, 0, 0, 0), 1.0, big).all()
@@ -890,6 +957,13 @@ def test_region_test_on_big_weights_points():
     far = [(1e200, 0.25, 0.25), (1e200, 0.25, 0.25 + 2.0**-54)]
     assert inside(RegionKind.S_TILDE3, far, 1.0, big).tolist() == [True, False]
     assert inside_exact(RegionKind.S_TILDE3, far, 1.0, big).tolist() == [True, False]
+    # a cap factor past the double range meets a factor of exactly 0: the
+    # product once read inf * 0 = nan, outside; every bound holds exactly
+    capped = [(1e200, 1.0, 1.0), (1.0, 1e200, 1.0), (-1.0, -1.0, -3e180)]
+    for config in (big, MARGIN_CONFIGS["concrete"]):
+        assert inside_exact(RegionKind.S_TILDE3, capped, 1.0, config).all()
+        assert inside(RegionKind.S_TILDE3, capped, 1.0, config).all()
+        assert (s_tilde_margins(capped, 1.0, config) < 0).all()
 
 
 def test_sandwich_half_check_is_exact_on_big_weights(monkeypatch):
@@ -913,7 +987,8 @@ def test_sandwich_half_check_is_exact_on_big_weights(monkeypatch):
     assert np.array_equal(verdicts, exact)
     assert report.half_s_violations == int((~exact).sum())
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(s_tilde_margins(half, 1.0, big)).sum() > 50
+        assert np.isnan(_pow_s_tilde_margins(half, 1.0, big)).sum() > 50
+    assert np.array_equal(s_tilde_margins(half, 1.0, big) < 0, exact)
 
 
 ESCAPE_CONFIGS = ("concrete", "min2_7", "drawn")
@@ -1161,12 +1236,12 @@ def test_mesh_margins_match_point_list_margins(config, axes, lam):
     x, y, z = axes
     mesh = (x[:, None, None], y[None, :, None], z[None, None, :])
     points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        star = _cross_margins(*(np.abs(c) / lam for c in mesh), config)
-        tilde = _tilde_margins(*mesh, config, lam)
-        star_ref = s_double_prime_margins(points, lam, config)
-        tilde_ref = s_tilde_margins(points, lam, config)
-    # int64 views, so that nan and inf positions and bits count too
+    with np.errstate(divide="ignore", over="ignore"):
+        star = _star_margins(mesh, lam, config)
+        tilde = _tilde_margins(mesh, lam, config)
+    star_ref = s_double_prime_margins(points, lam, config)
+    tilde_ref = s_tilde_margins(points, lam, config)
+    # int64 views, so that inf positions and bits count too
     for ours, ref in ((star, star_ref), (tilde, tilde_ref)):
         assert ours.shape == (len(x), len(y), len(z))
         assert np.array_equal(ours.reshape(-1).view(np.int64), ref.view(np.int64))
