@@ -27,8 +27,9 @@ and :meth:`~SparsePolynomial.coefficient` return ``Fraction`` values.
 ``==`` and ``hash`` never build one.
 
 The change-of-variable maps are closed forms, written once each:
-``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by the binomial theorem (oracle
-route), ``PI3 -> AXIS3`` is one binomial row per term (star route), and
+``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by Taylor's formula along
+(1, 1, 1), one derivative step per power of ``y_4`` (oracle route),
+``PI3 -> AXIS3`` is one binomial row per term (star route), and
 :func:`expand_y_to_x` sends a ``Y4`` exponent vector to the ambient exponent
 vector ``x1..x4`` by combining the signed rows (a plain tuple whose entries
 may be negative, not a polynomial).  The two routes share no expansion code;
@@ -330,10 +331,19 @@ def _signed_binomials(e: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
-    """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4.
+    """Expand a PI3 polynomial into Y4 via P_i -> y_i - y_4, by Taylor's formula.
 
-    A term ``P^a`` gives ``y1^k1 y2^k2 y3^k3 y4^n4``, ``n4 = |a| - |k|``,
-    with coefficient the product of the three signed binomials.
+    Along the direction (1, 1, 1), ``f(y - y4 (1, 1, 1)) = sum_j (-y4)^j
+    g_j(y)`` with ``g_j = d^j f / j!`` and ``d = d/dP1 + d/dP2 + d/dP3``, so
+    the coefficient of ``y1^m1 y2^m2 y3^m3 y4^j`` is ``(-1)^j [P^m] g_j``.
+    The numerators of ``g_0`` are the stored ones, ``g_(j+1)`` is
+    ``d g_j // (j + 1)`` and the loop stops at the first ``g_j`` that is 0.
+    The division is exact on integer numerators, because
+    ``d^j P^a / j! = sum_b C(a1, b1) C(a2, b2) C(a3, b3) P^b`` over
+    ``|b| = |a| - j``.  Terms that meet under ``d`` merge before the next
+    step, so a dense input, or a member of the kernel of ``d`` such as a
+    product of differences ``P_i - P_k``, takes far fewer dict updates than
+    one row of signed binomials per term.
 
     The last image is cached, so the listing pass of a non-member reuses
     the verdict pass's expansion.  Inputs are immutable and compare by
@@ -342,19 +352,28 @@ def expand_pi_to_y(f: SparsePolynomial) -> SparsePolynomial:
     """
     if f.system is not System.PI3:
         raise SystemMismatchError("expand_pi_to_y expects a PI3 polynomial")
-    nums, den = f._numerators()
+    g, den = f._numerators()
     out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for (a1, a2, a3), c in nums.items():
-        row3 = tuple(enumerate(_signed_binomials(a3)))
-        for k1, b1 in enumerate(_signed_binomials(a1)):
-            c1 = c * b1
-            for k2, b2 in enumerate(_signed_binomials(a2)):
-                c2 = c1 * b2
-                rest = a1 + a2 + a3 - k1 - k2
-                for k3, b3 in row3:
-                    key = (k1, k2, k3, rest - k3)
-                    out[key] = get(key, 0) + c2 * b3
+    j = 0
+    while g:
+        if j % 2:
+            out.update({(m1, m2, m3, j): -c for (m1, m2, m3), c in g.items()})
+        else:
+            out.update({(m1, m2, m3, j): c for (m1, m2, m3), c in g.items()})
+        j += 1
+        step: dict[tuple[int, int, int], int] = {}
+        get = step.get
+        for (m1, m2, m3), c in g.items():
+            if m1:
+                key = (m1 - 1, m2, m3)
+                step[key] = get(key, 0) + m1 * c
+            if m2:
+                key = (m1, m2 - 1, m3)
+                step[key] = get(key, 0) + m2 * c
+            if m3:
+                key = (m1, m2, m3 - 1)
+                step[key] = get(key, 0) + m3 * c
+        g = {m: c // j for m, c in step.items() if c}
     return SparsePolynomial._from_numerators(System.Y4, out, den)
 
 

@@ -246,8 +246,8 @@ def _cmd_member(args):
     # (expand_pi_to_y, reexpress_for_axis).  Reading the verdict off the listing
     # would call each route once, but the benchmark's route-agreement metric
     # reads the in_r_star/in_r_oracle spans (perfbench
-    # test_short_traced_run_gives_every_layer_metric); that waits for tracing
-    # inside src/ (ROADMAP item 6).
+    # test_short_traced_run_gives_every_layer_metric); that waits for the
+    # ROADMAP item on tracing inside src/ (kuroda.trace).
     violations = () if star else membership.star_violations(f, config)
     outside = () if oracle else membership.oracle_violations(f, config)
     rows = [

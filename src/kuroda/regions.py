@@ -917,9 +917,13 @@ def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
     """|f| at each row of ``pts``; overflow comes out non-finite.
 
     The rows go in blocks of at most ``_EVAL_BLOCK_ELEMENTS // terms`` (at
-    least one row).  Per block, each coordinate gets a table of the powers
-    its terms use and one gather of that table into a (terms x rows) array;
-    the gathers are multiplied together and by the coefficients, and each
+    least one row).  Each coordinate gets a table of the powers its terms
+    use, over a group of whole blocks whose tables together fit the same
+    budget (one block when they do not), and per block one gather of that
+    table into a (terms x rows) array.  A table entry depends on its own
+    row only, so the grouping changes no bit; past 2**15 terms a block is
+    one row, and the groups spare one table per coordinate and row.  The
+    gathers are multiplied together and by the coefficients, and each
     row's terms are summed from a C-ordered (rows x terms) copy, so the
     pairwise summation adds them in a fixed order and a row's value does not
     depend on the block it is in.  Every block reuses the same two arrays,
@@ -949,27 +953,42 @@ def evaluate_abs(f: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
     coeffs = np.array([nums[e] / den for e in support])[:, None]
     columns = [np.unique(column, return_inverse=True) for column in np.array(support).T]
     step = max(1, _EVAL_BLOCK_ELEMENTS // terms)
+    # the power tables cover a group of whole blocks, as many as the same
+    # budget holds: past 2**15 terms a block is one row, and per-block tables
+    # would be rebuilt for every row
+    table_rows = sum(len(used) for used, _ in columns)
+    group = step * max(1, _EVAL_BLOCK_ELEMENTS // (table_rows * step))
     # the two (terms x rows) arrays of a block, allocated once per call
     space = np.empty((2, terms * min(step, len(pts))))
     values = np.empty(len(pts))
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, len(pts), step):
-            x = pts[start:start + step]
-            n = len(x)
-            product, factor = (a[: terms * n].reshape(terms, n) for a in space)
-            for c, (used, idx) in enumerate(columns):
-                out = factor if c else product
-                # idx is in range, and "clip" writes to out without a buffer
-                np.take(_power_table(x[:, c], used), idx, axis=0, out=out, mode="clip")
-                if c:
-                    product *= factor
-            product *= coeffs
-            # sum a C-ordered (rows x terms) array, as the pow form did, so the
-            # pairwise summation adds the terms in the same order; it reuses
-            # the factor's space
-            by_row = space[1, : terms * n].reshape(n, terms)
-            by_row[...] = product.T
-            by_row.sum(axis=1, out=values[start:start + n])
+        for first in range(0, len(pts), group):
+            rows = pts[first:first + group]
+            # a group of several blocks keeps its tables for all of them; a
+            # one-block group builds each table for its one gather, so that
+            # only one table is alive at a time
+            tables = [
+                _power_table(rows[:, c], used) for c, (used, _) in enumerate(columns)
+            ] if group > step else None
+            for start in range(0, len(rows), step):
+                n = len(rows[start:start + step])
+                product, factor = (a[: terms * n].reshape(terms, n) for a in space)
+                for c, (used, idx) in enumerate(columns):
+                    out = factor if c else product
+                    table = (_power_table(rows[:, c], used) if tables is None
+                             else tables[c][:, start:start + n])
+                    # idx is in range, and "clip" writes to out without a buffer
+                    np.take(table, idx, axis=0, out=out, mode="clip")
+                    del table
+                    if c:
+                        product *= factor
+                product *= coeffs
+                # sum a C-ordered (rows x terms) array, as the pow form did, so
+                # the pairwise summation adds the terms in the same order; it
+                # reuses the factor's space
+                by_row = space[1, : terms * n].reshape(n, terms)
+                by_row[...] = product.T
+                by_row.sum(axis=1, out=values[first + start:first + start + n])
     return np.abs(values, out=values)
 
 

@@ -20,6 +20,7 @@ from kuroda.algebra import (
     System,
     SystemMismatchError,
     _shear,
+    _signed_binomials,
     ambient_columns,
     expand_pi_to_y,
 )
@@ -109,6 +110,30 @@ def polynomial_to_text_via_fractions(p: SparsePolynomial) -> str:
         else:
             pieces.append(f"+ {rendered}" if coeff > 0 else f"- {rendered}")
     return " ".join(pieces)
+
+
+def expand_pi_to_y_binomial(f: SparsePolynomial) -> SparsePolynomial:
+    """:func:`kuroda.algebra.expand_pi_to_y` by the binomial theorem, term by term.
+
+    A term ``P^a`` gives ``y1^k1 y2^k2 y3^k3 y4^n4``, ``n4 = |a| - |k|``,
+    with coefficient the product of the three signed binomials.
+    """
+    if f.system is not System.PI3:
+        raise SystemMismatchError("expand_pi_to_y expects a PI3 polynomial")
+    nums, den = f._numerators()
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for (a1, a2, a3), c in nums.items():
+        row3 = tuple(enumerate(_signed_binomials(a3)))
+        for k1, b1 in enumerate(_signed_binomials(a1)):
+            c1 = c * b1
+            for k2, b2 in enumerate(_signed_binomials(a2)):
+                c2 = c1 * b2
+                rest = a1 + a2 + a3 - k1 - k2
+                for k3, b3 in row3:
+                    key = (k1, k2, k3, rest - k3)
+                    out[key] = get(key, 0) + c2 * b3
+    return SparsePolynomial._from_numerators(System.Y4, out, den)
 
 
 def oracle_violations_by_column_sums(

@@ -15,7 +15,7 @@ from kuroda.algebra import (
     substitute,
 )
 
-from reference import axis_to_pi, pi_variable, y_variable
+from reference import axis_to_pi, expand_pi_to_y_binomial, pi_variable, y_variable
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 U1, U2, U3 = (SparsePolynomial.variable(System.AXIS3, i) for i in (1, 2, 3))
@@ -168,6 +168,47 @@ def test_ring_axioms(f, g, h):
 def test_expand_pi_to_y_is_a_ring_homomorphism(f, g):
     assert expand_pi_to_y(f * g) == expand_pi_to_y(f) * expand_pi_to_y(g)
     assert expand_pi_to_y(f + g) == expand_pi_to_y(f) + expand_pi_to_y(g)
+
+
+@st.composite
+def difference_sums(draw):
+    """Up to 3 terms ``c (P1-P2)^a (P1-P3)^b (P2-P3)^e``, ``a, b, e <= 3``: killed by d."""
+    f = SparsePolynomial.zero(System.PI3)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, e = (draw(st.integers(0, 3)) for _ in range(3))
+        coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+        f = f + coeff * (P1 - P2) ** a * (P1 - P3) ** b * (P2 - P3) ** e
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        pi_polynomials(),
+        st.fractions(max_denominator=7).map(lambda c: SparsePolynomial.constant(System.PI3, c)),
+    )
+)
+def test_expand_pi_to_y_matches_the_binomial_form(f):
+    image = expand_pi_to_y.__wrapped__(f)
+    assert image == expand_pi_to_y_binomial(f)
+    assert_canonical(image, System.Y4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(difference_sums())
+def test_expand_pi_to_y_matches_the_binomial_form_on_the_kernel_of_d(f):
+    # d f = 0, so the Taylor form stops after g_0: no power of y4 appears
+    image = expand_pi_to_y.__wrapped__(f)
+    assert image == expand_pi_to_y_binomial(f)
+    assert all(n[3] == 0 for n in image.support())
+
+
+def test_expand_pi_to_y_matches_the_binomial_form_at_degree_24():
+    f = (P1 + P2 + P3 + 1) ** 24
+    assert f.term_count() == 2925
+    image = expand_pi_to_y.__wrapped__(f)
+    assert image == expand_pi_to_y_binomial(f)
+    assert_canonical(image, System.Y4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1292,6 +1292,15 @@ def _whole_array_cases():
         System.PI3, {(a, b, c): (a - b + c) % 7 - 3 or 1 for a in range(42)
                      for b in range(42) for c in range(42)}
     )
+    # 70 000 terms with exponents up to 2999, from their own generator: about
+    # 9 000 power-table rows, so the tables cover 7 one-row blocks at a time
+    # and the 24 rows take 4 groups
+    wide = np.random.default_rng(23)
+    spread = SparsePolynomial(
+        System.PI3, {tuple(e): c for e, c in zip(wide.integers(0, 3000, size=(70000, 3)).tolist(),
+                                                wide.integers(1, 9, size=70000).tolist())}
+    )
+    near_one = wide.choice([-1.0, 1.0], size=(24, 3)) * wide.uniform(0.995, 1.005, size=(24, 3))
     # y1**40 overflows above about 5e7, and y1**40 - y2**40 is inf - inf = nan
     overflow = SparsePolynomial(System.Y4, {(40, 0, 0, 0): 1, (0, 40, 0, 0): -1, (0, 0, 1, 1): 3})
     huge = np.array([[1e10, 1.0, 2.0, 3.0], [-1e10, 1e10, 0.5, 0.5], [1e9, -1e9, 1.0, 1.0],
@@ -1305,6 +1314,7 @@ def _whole_array_cases():
         (parse_polynomial(CUBIC20), box3),
         (parse_polynomial("(P1 + 2*P2 - P3 + 1/2)^8"), rng.uniform(-3.0, 3.0, size=(20000, 3))),
         (many, rng.uniform(-1.2, 1.2, size=(5, 3))),
+        (spread, near_one),
         (overflow, huge),
         (parse_polynomial("(Y1 - 2*Y2 + Y3*Y4 + 1/3)^5"), rng.uniform(-2.0, 2.0, size=(3000, 4))),
     ]
@@ -1327,6 +1337,10 @@ def test_whole_array_cases_cover_overflow_and_several_blocks():
     f, pts = cases[4]
     assert f.term_count() == 16 and len(pts) > regions_module._EVAL_BLOCK_ELEMENTS // 16
     assert cases[7][0].term_count() > regions_module._EVAL_BLOCK_ELEMENTS
+    f, pts = cases[8]
+    table_rows = sum(len(set(column)) for column in zip(*f.support()))
+    assert f.term_count() > regions_module._EVAL_BLOCK_ELEMENTS
+    assert len(pts) * table_rows > 2 * regions_module._EVAL_BLOCK_ELEMENTS
 
 
 def test_evaluate_abs_memory_stays_near_one_block():

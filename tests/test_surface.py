@@ -26,7 +26,8 @@ SRC = ROOT / "src" / "kuroda"
 
 # Public names kept without another reference, each with its reason.
 ALLOWED_UNREFERENCED = {
-    "ring_generator_census": "the ring census has no subcommand yet (ROADMAP item 1)",
+    "ring_generator_census": "the ring census has no subcommand yet "
+    "(the ROADMAP item `kuroda ringgens`)",
 }
 
 # Defaulted parameters kept without a call that sets them, each with its reason.
