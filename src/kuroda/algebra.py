@@ -19,10 +19,17 @@ equality and hashing compare the stored fields.  All arithmetic is exact.
 The inner loops of ``+``, ``-``, ``*``, ``**`` and the change-of-variable maps
 run on the stored numerators and build their results through a private
 trusted constructor, which skips the exponent checks (the library built
-those exponents itself) and divides out one gcd.  ``Fraction`` appears only
-at the edges: the public constructor takes ``Fraction``-compatible
-coefficients and keeps every exponent check, and :meth:`~SparsePolynomial.terms`
-and :meth:`~SparsePolynomial.coefficient` return ``Fraction`` values.
+those exponents itself) and divides out one gcd.  There is one product
+loop, :func:`_product`, on packed keys: :func:`_pack` puts exponent ``e_i``
+at bit ``bits * i`` of one int, so multiplying two monomials is one integer
+addition, and :func:`_unpack` turns the keys back into tuples.  ``*`` and
+``**`` pack once per call, with slots wide enough for the largest exponent
+the result can have, so any exponent works; the expression parser folds
+its packed maps through the same loop with 7-bit slots.  ``Fraction``
+appears only at the edges: the public constructor takes
+``Fraction``-compatible coefficients and keeps every exponent check, and
+:meth:`~SparsePolynomial.terms` and :meth:`~SparsePolynomial.coefficient`
+return ``Fraction`` values.
 :meth:`~SparsePolynomial.support`, :meth:`~SparsePolynomial.term_count`,
 ``==`` and ``hash`` never build one.
 
@@ -50,7 +57,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .config import AXES, KurodaConfig
@@ -243,28 +250,41 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return SparsePolynomial.zero(self.system)
+        bits = _slot_bits(_top(a) + _top(b))
+        arity = self.system.arity
+        out = _product(_pack(a, arity, bits), _pack(b, arity, bits))
         return SparsePolynomial._from_numerators(
-            self.system, _product(self._nums, other._nums), self._den * other._den
+            self.system, _unpack(out, arity, bits), self._den * other._den
         )
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """``self ** k`` by ``k - 1`` multiplications by ``self``.
+        """``self ** k`` by ``k - 1`` multiplications by ``self``, on packed keys.
 
         Each step multiplies by the base, never by a large power: for a dense
         base in three variables the cost grows like ``k^4``, where the last
-        step of repeated squaring alone grows like ``k^6``.
+        step of repeated squaring alone grows like ``k^6``.  The base is
+        packed once, with slots wide enough for ``k`` times its largest
+        exponent, and the result is unpacked once.
         """
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         if k == 0:
             return SparsePolynomial.constant(self.system, 1)
-        base = self._nums
+        if not self._nums:
+            return self
+        bits = _slot_bits(_top(self._nums) * k)
+        base = _pack(self._nums, self.system.arity, bits)
         out = base
         for _ in range(k - 1):
             out = _product(out, base)
-        return SparsePolynomial._from_numerators(self.system, out, self._den**k)
+        return SparsePolynomial._from_numerators(
+            self.system, _unpack(out, self.system.arity, bits), self._den**k
+        )
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -290,16 +310,54 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.system.label}, {polynomial_to_text(self)!r})"
 
 
-def _product(
-    a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    """Numerators of the product of two numerator maps (zeros not yet dropped)."""
+# -- the product kernel on packed keys ----------------------------------------
+#
+# A packed key holds exponent e_i in the ``bits`` bits from bit ``bits * i``
+# up, so adding two keys adds their exponent vectors, provided that no sum
+# reaches ``2**bits`` (the caller sizes the slots so that none does).  The
+# top slot is read without a mask, so a carry out of it would show as a
+# large exponent rather than wrap.
+
+
+def _top(nums: Mapping[tuple[int, ...], int]) -> int:
+    """Largest single exponent among the keys of a nonempty numerator map."""
+    return max(map(max, nums))
+
+
+def _slot_bits(top: int) -> int:
+    """Slot width that holds every exponent up to ``top`` without a carry."""
+    return max(1, top.bit_length())
+
+
+def _pack(nums: Mapping[tuple[int, ...], int], arity: int, bits: int) -> dict[int, int]:
+    """The numerator map with each exponent tuple of ``arity`` (3 or 4) packed into one int."""
+    b2 = 2 * bits
+    if arity == 3:
+        return {e1 | e2 << bits | e3 << b2: n for (e1, e2, e3), n in nums.items()}
+    b3 = 3 * bits
+    return {e1 | e2 << bits | e3 << b2 | e4 << b3: n for (e1, e2, e3, e4), n in nums.items()}
+
+
+def _unpack(packed: Mapping[int, int], arity: int, bits: int) -> dict[tuple[int, ...], int]:
+    """Inverse of :func:`_pack` for ``arity`` (3 or 4) slots of ``bits`` bits."""
+    mask = (1 << bits) - 1
+    b2 = 2 * bits
+    if arity == 3:
+        return {(k & mask, k >> bits & mask, k >> b2): n for k, n in packed.items()}
+    b3 = 3 * bits
+    return {
+        (k & mask, k >> bits & mask, k >> b2 & mask, k >> b3): n for k, n in packed.items()
+    }
+
+
+def _product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Numerators of the product of two packed numerator maps (zeros not yet dropped)."""
     right = tuple(b.items())
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in right:
-            key = tuple(map(add, e1, e2))
+    for k1, c1 in a.items():
+        for k2, c2 in right:
+            key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
     return out
 

@@ -14,26 +14,32 @@ Precedence: ``^`` over ``*`` over ``+``/``-``; sums and products associate
 left.  Exponents are nonnegative integer literals only, so ``P1^-1`` is a
 syntax error rather than a Laurent term.  ``/`` occurs only inside numeric
 literals; there is no division operator.  An expression must stay within one
-variable family (P* or Y*); constants alone default to the P-system.
+variable family (P* or Y*); constants alone default to the P-system.  Digits
+and names are ASCII only: any other character that is not whitespace, such
+as ``²`` or an Arabic-Indic digit, is an "unexpected character" error at its
+position.
 
-:func:`parse_polynomial` reads the token list twice with the same
-recursive-descent parser.  The first read checks the syntax, records the
-variable families named and bounds each subexpression's total degree (see
-:class:`_Bounds`); the second builds the polynomial.  So the degree guard
-still runs before any polynomial is built, and no input can ask for an
-expansion that does not fit in time or memory.
+:func:`parse_polynomial` reads the token list twice.  The first read
+(:class:`_Parser`, recursive descent) checks the syntax, records the
+variable families named, bounds each subexpression's total degree and
+writes the expression as a postfix program.  So the degree guard runs before
+anything is built, and no input can ask for an expansion that does not fit
+in time or memory.  The second read (:func:`_fold`) runs the program on
+integer numerator maps over one denominator, keyed by packed ints: slot
+``i`` of a key holds the exponent of variable ``i + 1`` in 7 bits, which
+hold every exponent up to :data:`MAX_DEGREE` and so never carry.
+Multiplying two monomials is then one integer addition, in
+:mod:`kuroda.algebra`'s product kernel, and a constant factor only scales
+the map.  The polynomial is built once, at the end, through the trusted
+constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from math import gcd
-from operator import add, mul
-from typing import Iterator
+import re
+from math import gcd, lcm
 
-from .algebra import VARIABLE_NAMES, SparsePolynomial, System
+from .algebra import VARIABLE_NAMES, SparsePolynomial, System, _product, _unpack
 
 
 class ExpressionError(ValueError):
@@ -57,71 +63,75 @@ MAX_DEGREE = 64
 
 # -- tokenizer -------------------------------------------------------------
 
+# Each match is a run of whitespace other than a newline, possibly empty, then
+# one of: a newline, an ASCII INT, an ASCII NAME, an operator, or any other
+# character that is not whitespace, which is an error.  Every character of
+# the text but trailing whitespace is in one match, so positions follow from
+# the starts of the groups.
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|([0-9]+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()/])|(\S))")
+_KINDS = (None, None, "INT", "NAME")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT, NAME, one of +-*^()/ or END
-    text: str
-    line: int
-    column: int
 
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens ``(kind, text, line, column)``: kind INT, NAME, one of ``+-*^()/`` or END.
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    Digits and names are ASCII; any other character that is not whitespace
+    raises :class:`ExpressionError` at its 1-based position.
+    """
+    tokens = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        start = m.start(group)
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
+            line_start = start + 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            yield _Token("INT", text[start:i], line, col)
-            col += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            yield _Token("NAME", text[start:i], line, col)
-            col += i - start
-            continue
-        if ch in "+-*^()/":
-            yield _Token(ch, ch, line, col)
-            col += 1
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", line, col)
-    yield _Token("END", "", line, col)
+        word = m[group]
+        if group == 5:
+            raise ExpressionError(f"unexpected character {word!r}", line, start - line_start + 1)
+        append((word if group == 4 else _KINDS[group], word, line, start - line_start + 1))
+    append(("END", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 # -- the two reads -----------------------------------------------------------
 
+# Slot width of a packed key: no subexpression's degree exceeds MAX_DEGREE, so
+# no exponent does, and adding two keys never carries.
+_BITS = MAX_DEGREE.bit_length()
 
-class _Bounds:
-    """First read: an upper bound on each subexpression's total degree.
+# Steps of the postfix program that the first read writes for the second.
+# PUSH carries its value; ADD and MUL carry their operand count, POW its
+# exponent.
+_PUSH, _ADD, _MUL, _POW, _NEG = range(5)
 
-    A variable counts 1 and a constant 0; sums take the maximum, products
-    add, and a power multiplies its base's bound by its exponent.  A power
-    of a constant counts as if the constant had degree 1, which bounds the
-    size of the number it builds.  ``excess`` keeps the first bound above
+# A value of the second read: packed numerator map and denominator.
+_Packed = tuple[dict[int, int], int]
+
+
+class _Parser:
+    """First read: recursive descent over the token list.
+
+    Each rule appends its steps to :attr:`code`, in post-order, and returns
+    an upper bound on its subexpression's total degree.  A variable counts 1
+    and a constant 0; sums take the maximum, products add, and a power
+    multiplies its base's bound by its exponent.  A power of a constant
+    counts as if the constant had degree 1, which bounds the size of the
+    number it builds.  ``excess`` keeps the first bound above
     :data:`MAX_DEGREE` in post-order (only a product or a power can be
     first: a sum or a negation never exceeds its largest part), and the
     bounds after it are capped, so that a long chain of huge exponents
-    builds no huge integer here.  ``systems`` collects the variable
-    families named.
+    builds no huge integer here.  ``systems`` maps each variable family
+    named to its first name in the text.
     """
 
-    def __init__(self):
-        self.systems: set[System] = set()
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
+        self.tokens = tokens
+        self.pos = 0
+        self.code: list[tuple[int, object]] = []
+        self.systems: dict[System, str] = {}
         self.excess: int | None = None
 
     def _checked(self, bound: int) -> int:
@@ -131,148 +141,176 @@ class _Bounds:
             self.excess = bound
         return MAX_DEGREE + 1
 
-    def const(self, value: Fraction) -> int:
-        return 0
-
-    def var(self, name: str) -> int:
-        self.systems.add(_VARIABLES[name][0])
-        return 1
-
-    def add(self, terms: list[int]) -> int:
-        return max(terms)
-
-    def mul(self, factors: list[int]) -> int:
-        return self._checked(sum(factors))
-
-    def pow(self, base: int, exponent: int) -> int:
-        return self._checked(max(base, 1) * exponent)
-
-    def neg(self, operand: int) -> int:
-        return operand
-
-
-class _Polynomials:
-    """Second read: the polynomial in ``system``, sums and products folded left."""
-
-    def __init__(self, system: System):
-        self.system = system
-
-    def const(self, value: Fraction) -> SparsePolynomial:
-        return SparsePolynomial.constant(self.system, value)
-
-    def var(self, name: str) -> SparsePolynomial:
-        var_system, index = _VARIABLES[name]
-        if var_system is not self.system:
-            raise ExpressionError(
-                f"variable {name} does not belong to the {self.system.label} system", 1, 1
-            )
-        return SparsePolynomial.variable(self.system, index)
-
-    def add(self, terms: list[SparsePolynomial]) -> SparsePolynomial:
-        return reduce(add, terms)
-
-    def mul(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
-        return reduce(mul, factors)
-
-    def pow(self, base: SparsePolynomial, exponent: int) -> SparsePolynomial:
-        return base**exponent
-
-    def neg(self, operand: SparsePolynomial) -> SparsePolynomial:
-        return -operand
-
-
-class _Parser:
-    """Recursive descent over a token list; ``ops`` gives each rule its result."""
-
-    def __init__(self, tokens: list[_Token], ops: _Bounds | _Polynomials):
-        self.tokens = tokens
-        self.pos = 0
-        self.ops = ops
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str | None = None) -> _Token:
+    def take(self, kind: str) -> tuple[str, str, int, int]:
         tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
+        if tok[0] != kind:
             raise ExpressionError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}", tok.line, tok.column
+                f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], tok[3]
             )
         self.pos += 1
         return tok
 
-    def parse(self):
-        result = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ExpressionError(f"trailing input {tok.text!r}", tok.line, tok.column)
-        return result
+    def parse(self) -> int:
+        bound = self.expr()
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != "END":
+            raise ExpressionError(f"trailing input {text!r}", line, column)
+        return bound
 
-    def expr(self):
-        terms = [self.term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            term = self.term()
-            terms.append(self.ops.neg(term) if op.kind == "-" else term)
-        return terms[0] if len(terms) == 1 else self.ops.add(terms)
+    def expr(self) -> int:
+        bound = self.term()
+        count = 1
+        while (kind := self.tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
+            bound = max(bound, self.term())
+            if kind == "-":
+                self.code.append((_NEG, None))
+            count += 1
+        if count > 1:
+            self.code.append((_ADD, count))
+        return bound
 
-    def term(self):
-        factors = [self.factor()]
-        while self.peek().kind == "*":
-            self.take()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else self.ops.mul(factors)
+    def term(self) -> int:
+        bound = self.factor()
+        count = 1
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            bound += self.factor()
+            count += 1
+        if count == 1:
+            return bound
+        self.code.append((_MUL, count))
+        return self._checked(bound)
 
-    def factor(self):
-        if self.peek().kind == "-":
-            self.take()
-            return self.ops.neg(self.factor())
+    def factor(self) -> int:
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
+            bound = self.factor()
+            self.code.append((_NEG, None))
+            return bound
         return self.power()
 
-    def power(self):
-        result = self.atom()
-        while self.peek().kind == "^":
-            caret = self.take()
-            tok = self.peek()
-            if tok.kind != "INT":
+    def power(self) -> int:
+        bound = self.atom()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "^":
+            _, _, line, column = tokens[self.pos]
+            kind, text, _, _ = tokens[self.pos + 1]
+            if kind != "INT":
                 raise ExpressionError(
-                    "exponent must be a nonnegative integer literal",
-                    caret.line,
-                    caret.column + 1,
+                    "exponent must be a nonnegative integer literal", line, column + 1
                 )
-            self.take()
-            result = self.ops.pow(result, int(tok.text))
-        return result
+            self.pos += 2
+            exponent = int(text)
+            self.code.append((_POW, exponent))
+            bound = self._checked(max(bound, 1) * exponent)
+        return bound
 
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            result = self.expr()
-            self.take(")")
-            return result
-        if tok.kind == "INT":
-            self.take()
-            numerator = int(tok.text)
-            if self.peek().kind == "/":
-                self.take()
-                den = self.take("INT")
-                if int(den.text) == 0:
-                    raise ExpressionError("zero denominator", den.line, den.column)
-                return self.ops.const(Fraction(numerator, int(den.text)))
-            return self.ops.const(Fraction(numerator))
-        if tok.kind == "NAME":
-            self.take()
-            if tok.text not in _VARIABLES:
+    def atom(self) -> int:
+        kind, text, line, column = self.tokens[self.pos]
+        if kind == "NAME":
+            if text not in _VARIABLES:
                 raise ExpressionError(
-                    f"unknown variable {tok.text!r} (expected P1..P3 or Y1..Y4)",
-                    tok.line,
-                    tok.column,
+                    f"unknown variable {text!r} (expected P1..P3 or Y1..Y4)", line, column
                 )
-            return self.ops.var(tok.text)
-        raise ExpressionError(
-            f"expected a value, found {tok.text or 'end of input'!r}", tok.line, tok.column
-        )
+            self.pos += 1
+            system, index = _VARIABLES[text]
+            self.systems.setdefault(system, text)
+            self.code.append((_PUSH, ({1 << _BITS * (index - 1): 1}, 1)))
+            return 1
+        if kind == "INT":
+            self.pos += 1
+            num, den = int(text), 1
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
+                _, text, line, column = self.take("INT")
+                den = int(text)
+                if den == 0:
+                    raise ExpressionError("zero denominator", line, column)
+            self.code.append((_PUSH, ({0: num} if num else {}, den)))
+            return 0
+        if kind == "(":
+            self.pos += 1
+            bound = self.expr()
+            self.take(")")
+            return bound
+        raise ExpressionError(f"expected a value, found {text or 'end of input'!r}", line, column)
+
+
+def _fold(code: list[tuple[int, object]]) -> _Packed:
+    """Second read: run the first read's program on packed numerator maps.
+
+    A value is ``(nums, den)``: ``nums`` maps a packed key (slot ``i`` holds
+    exponent ``e_i`` at bit ``_BITS * i``) to an integer numerator, and the
+    coefficient is ``nums[key] / den``.  Sums and products fold left, and the
+    maps are not kept in lowest terms between steps; :func:`parse_polynomial`
+    builds the one polynomial at the end.  No map is changed once made, so
+    a step may hand on its operand's map.
+    """
+    stack: list[_Packed] = []
+    push = stack.append
+    for step, arg in code:
+        if step == _PUSH:
+            push(arg)
+        elif step == _MUL:
+            factors = stack[-arg:]
+            del stack[-arg:]
+            nums, den = factors[0]
+            for b, d in factors[1:]:
+                nums = _times(nums, b)
+                den *= d
+            push((nums, den))
+        elif step == _ADD:
+            terms = stack[-arg:]
+            del stack[-arg:]
+            push(_sum(terms))
+        elif step == _NEG:
+            nums, den = stack[-1]
+            stack[-1] = {k: -n for k, n in nums.items()}, den
+        else:
+            stack[-1] = _power(stack[-1], arg)
+    return stack[0]
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two packed numerator maps; a constant factor scales the other."""
+    if not a or not b:
+        return {}
+    if len(a) == 1 and 0 in a:
+        c = a[0]
+        return {k: c * n for k, n in b.items()}
+    if len(b) == 1 and 0 in b:
+        c = b[0]
+        return {k: c * n for k, n in a.items()}
+    return _nonzero(_product(a, b))
+
+
+def _sum(terms: list[_Packed]) -> _Packed:
+    den = lcm(*(d for _, d in terms))
+    out: dict[int, int] = {}
+    get = out.get
+    for nums, d in terms:
+        scale = den // d
+        for k, n in nums.items():
+            out[k] = get(k, 0) + n * scale
+    return _nonzero(out), den
+
+
+def _power(base: _Packed, exponent: int) -> _Packed:
+    nums, den = base
+    if exponent == 0:
+        return {0: 1}, 1
+    if not nums or (len(nums) == 1 and 0 in nums):
+        return {k: n**exponent for k, n in nums.items()}, den**exponent
+    out = nums
+    for _ in range(exponent - 1):
+        out = _product(out, nums)
+    return _nonzero(out), den**exponent
+
+
+def _nonzero(nums: dict[int, int]) -> dict[int, int]:
+    """``nums`` without its zero numerators (the same dict when it has none)."""
+    return {k: n for k, n in nums.items() if n} if 0 in nums.values() else nums
 
 
 def parse_polynomial(text: str, system: System | None = None) -> SparsePolynomial:
@@ -281,24 +319,31 @@ def parse_polynomial(text: str, system: System | None = None) -> SparsePolynomia
     Raises :class:`ExpressionError`, in this order: on a syntax error; when
     the system is inferred and the text mixes P- and Y-variables; when a
     subexpression's degree bound exceeds :data:`MAX_DEGREE` (the first in
-    post-order is named); and on a variable outside an explicit system.
-    Nesting deeper than the interpreter's recursion limit is an error too.
+    post-order is named); and on a variable outside an explicit system (the
+    first in the text is named).  Nesting deeper than the interpreter's
+    recursion limit is an error too.
     """
-    tokens = list(_tokenize(text))
-    bounds = _Bounds()
+    parser = _Parser(_tokenize(text))
     try:
-        _Parser(tokens, bounds).parse()
-        if system is None:
-            if len(bounds.systems) > 1:
-                raise ExpressionError("expression mixes P- and Y-variables", 1, 1)
-            system = bounds.systems.pop() if bounds.systems else System.PI3
-        if bounds.excess is not None:
-            raise ExpressionError(
-                f"degree may reach {bounds.excess}, above the limit {MAX_DEGREE}", 1, 1
-            )
-        return _Parser(tokens, _Polynomials(system)).parse()
+        parser.parse()
     except RecursionError:
         raise ExpressionError("expression nested too deeply", 1, 1) from None
+    systems = parser.systems
+    if system is None:
+        if len(systems) > 1:
+            raise ExpressionError("expression mixes P- and Y-variables", 1, 1)
+        system = next(iter(systems), System.PI3)
+    if parser.excess is not None:
+        raise ExpressionError(
+            f"degree may reach {parser.excess}, above the limit {MAX_DEGREE}", 1, 1
+        )
+    for named, name in systems.items():
+        if named is not system:
+            raise ExpressionError(
+                f"variable {name} does not belong to the {system.label} system", 1, 1
+            )
+    nums, den = _fold(parser.code)
+    return SparsePolynomial._from_numerators(system, _unpack(nums, system.arity, _BITS), den)
 
 
 # -- canonical printing ----------------------------------------------------

@@ -1,21 +1,32 @@
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 from operator import neg
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuroda import SparsePolynomial, System, expand_y_to_x
+from kuroda import SparsePolynomial, System, expand_y_to_x, parse_polynomial
 from kuroda.algebra import (
     SystemMismatchError,
+    _pack,
+    _product,
+    _slot_bits,
+    _top,
+    _unpack,
     axis_support,
     expand_pi_to_y,
     reexpress_for_axis,
     substitute,
 )
 
-from reference import axis_to_pi, expand_pi_to_y_binomial, pi_variable, y_variable
+from reference import (
+    axis_to_pi,
+    expand_pi_to_y_binomial,
+    pi_variable,
+    product_by_tuples,
+    y_variable,
+)
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 U1, U2, U3 = (SparsePolynomial.variable(System.AXIS3, i) for i in (1, 2, 3))
@@ -439,3 +450,110 @@ def test_member_report_after_a_dense_non_member_matches_golden(tmp_path):
         code, text = run_case(name, tmp_path)
         assert code == 0
     assert text == golden
+
+
+# -- the packed product kernel at the top of its slots ------------------------
+
+
+def _by_tuples(system, factors):
+    """Product of ``(numerator map, power)`` factors by the tuple-key reference."""
+    out = {(0,) * system.arity: 1}
+    for nums, k in factors:
+        for _ in range(k):
+            out = product_by_tuples(out, nums)
+    return SparsePolynomial._from_numerators(system, out, 1)
+
+
+# Each case's largest exponent fills the top bit of its slots: 64 in the
+# parser's 7-bit slots, and top(a) + top(b) in a product's own width.
+_SLOT_TOP_CASES = [
+    ("P1^64", System.PI3, [({(1, 0, 0): 1}, 64)]),
+    ("P1^63*P1", System.PI3, [({(63, 0, 0): 1}, 1), ({(1, 0, 0): 1}, 1)]),
+    ("(P1*P2*P3)^21*P3", System.PI3, [({(1, 1, 1): 1}, 21), ({(0, 0, 1): 1}, 1)]),
+    ("(P1 - P2)^64", System.PI3, [({(1, 0, 0): 1, (0, 1, 0): -1}, 64)]),
+    ("(Y1*Y2*Y3*Y4)^16", System.Y4, [({(1, 1, 1, 1): 1}, 16)]),
+    ("Y4^63*Y4", System.Y4, [({(0, 0, 0, 63): 1}, 1), ({(0, 0, 0, 1): 1}, 1)]),
+    ("(Y1 - Y4)^32*(Y2 + 2*Y3)^32", System.Y4,
+     [({(1, 0, 0, 0): 1, (0, 0, 0, 1): -1}, 32), ({(0, 1, 0, 0): 1, (0, 0, 1, 0): 2}, 32)]),
+]
+
+
+@pytest.mark.parametrize("text, system, factors", _SLOT_TOP_CASES)
+def test_packed_products_at_the_slot_top_match_tuple_products(text, system, factors):
+    expected = _by_tuples(system, factors)
+    assert parse_polynomial(text) == expected
+    polys = [(SparsePolynomial._from_numerators(system, dict(nums), 1), k) for nums, k in factors]
+    assert prod((f**k for f, k in polys), start=SparsePolynomial.constant(system, 1)) == expected
+    # the kernel alone, one product at a time from the left
+    out = {(0,) * system.arity: 1}
+    for nums, k in factors:
+        for _ in range(k):
+            bits = _slot_bits(_top(out) + _top(nums))
+            packed = _product(_pack(out, system.arity, bits), _pack(nums, system.arity, bits))
+            assert _unpack(packed, system.arity, bits) == product_by_tuples(out, nums)
+            out = product_by_tuples(out, nums)
+
+
+def test_products_of_large_exponents():
+    m = SparsePolynomial.monomial(System.PI3, (1000, 3, 0), 5)
+    square = SparsePolynomial.monomial(System.PI3, (2000, 6, 0), 25)
+    assert m * m == m**2 == square
+    f = m + P1 - Fraction(1, 3)
+    expected = SparsePolynomial._from_numerators(
+        System.PI3, product_by_tuples(f._nums, f._nums), f._den**2
+    )
+    assert f * f == f**2 == expected
+    y = SparsePolynomial.monomial(System.Y4, (0, 0, 0, 1023), 1) + y_variable(1)
+    assert y * y == y**2 == SparsePolynomial(
+        System.Y4, {(0, 0, 0, 2046): 1, (1, 0, 0, 1023): 2, (2, 0, 0, 0): 1}
+    )
+
+
+def test_products_with_zero_and_powers_zero():
+    zero = SparsePolynomial.zero(System.PI3)
+    f = P1 - 2 * P2**3 + Fraction(1, 2)
+    for product in (zero * f, f * zero, zero * zero, zero**1, zero**5):
+        assert product.is_zero() and product.system is System.PI3
+    assert zero**0 == f**0 == 1
+    assert f**1 == f
+    assert parse_polynomial("(P1 - P1)^5 * P2") == zero
+    assert parse_polynomial("(P1 - P1)^0") == 1
+
+
+def test_dense_power_at_the_degree_limit():
+    f = parse_polynomial("(P1+P2+P3+1)^64")
+    assert f.term_count() == 47_905 and f._den == 1
+    for a in [(64, 0, 0), (0, 0, 0), (21, 21, 22), (16, 16, 16), (1, 2, 3), (0, 31, 33)]:
+        rest = 64 - sum(a)
+        multinomial = factorial(64) // prod(factorial(e) for e in (*a, rest))
+        assert f.coefficient(a) == multinomial
+    assert f == (P1 + P2 + P3 + 1) ** 64
+
+
+_SLOT_EDGES = st.sampled_from([0, 1, 2, 3, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 1000])
+
+
+@st.composite
+def _edge_polynomials(draw, system=System.PI3):
+    exps = st.tuples(*[_SLOT_EDGES] * system.arity)
+    nums = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    return SparsePolynomial._from_numerators(system, nums, draw(st.sampled_from([1, 2, 6])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([System.PI3, System.Y4]).flatmap(
+        lambda s: st.tuples(_edge_polynomials(s), _edge_polynomials(s))
+    ),
+    st.integers(0, 4),
+)
+def test_products_on_slot_edges_match_tuple_products(pair, k):
+    f, g = pair
+    expected = SparsePolynomial._from_numerators(
+        f.system, product_by_tuples(f._nums, g._nums), f._den * g._den
+    )
+    assert f * g == expected
+    power = {(0,) * f.system.arity: 1}
+    for _ in range(k):
+        power = product_by_tuples(power, f._nums)
+    assert f**k == SparsePolynomial._from_numerators(f.system, power, f._den**k)

@@ -431,6 +431,15 @@ def test_bad_expression_exits_two(capsys, concrete_path):
         assert "expression nested too deeply" in capsys.readouterr().err
 
 
+def test_non_ascii_expression_text_exits_two(capsys, concrete_path):
+    # digits and names are ASCII: an Arabic-Indic three is not 3
+    for expr, column in (("P1 + \u0663", 6), ("P1^\u00b2", 4), ("P1\u00e9", 3)):
+        assert main(["member", "--config", concrete_path, f"--expr={expr}"]) == 2
+        assert f"unexpected character {expr[column - 1]!r} (line 1, column {column})" in (
+            capsys.readouterr().err
+        )
+
+
 # The grammar's alphabet, unknown names and nesting past any stack depth.
 # Exponents are cut to 0..3 below, so that no example builds a large polynomial.
 _EXPRESSION_PIECES = st.sampled_from(

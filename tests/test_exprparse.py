@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuroda import ExpressionError, SparsePolynomial, System, parse_polynomial, polynomial_to_text
-from kuroda.exprparse import MAX_DEGREE
+from kuroda.exprparse import MAX_DEGREE, _tokenize
 
 from conftest import seeded_pi_polynomials
-from reference import pi_variable, polynomial_to_text_via_fractions, y_variable
+from reference import (
+    parse_polynomial_by_folding,
+    pi_variable,
+    polynomial_to_text_via_fractions,
+    tokens_by_character_loop,
+    y_variable,
+)
 
 
 # One row per error branch, then inputs with two faults: the tokenizer runs
@@ -19,6 +26,9 @@ from reference import pi_variable, polynomial_to_text_via_fractions, y_variable
     "text, system, message, line, column",
     [
         ("P1 + $", None, "unexpected character '$' (line 1, column 6)", 1, 6),
+        ("P1^\u00b2", None, "unexpected character '\u00b2' (line 1, column 4)", 1, 4),
+        ("P1 + \u0663", None, "unexpected character '\u0663' (line 1, column 6)", 1, 6),
+        ("P1\u00e9", None, "unexpected character '\u00e9' (line 1, column 3)", 1, 3),
         ("P1 +\n  2 # P2", None, "unexpected character '#' (line 2, column 5)", 2, 5),
         ("(P1 + P2", None, "expected ), found 'end of input' (line 1, column 9)", 1, 9),
         ("1/P1", None, "expected INT, found 'P1' (line 1, column 3)", 1, 3),
@@ -270,3 +280,144 @@ def test_random_expression_trees_round_trip():
         text = _random_expression(rng, 4)
         f = parse_polynomial(text, System.PI3)
         assert parse_polynomial(polynomial_to_text(f), System.PI3) == f
+
+
+# -- differential tests against the character loop and the polynomial fold --
+
+
+def _outcome(parse, text, system):
+    """The polynomial's stored form, or the error's message and position."""
+    try:
+        f = parse(text, system)
+    except ExpressionError as err:
+        return "error", str(err), err.line, err.column
+    return f.system, f._numerators()
+
+
+def _token_outcome(tokenize, text):
+    try:
+        return list(tokenize(text))
+    except ExpressionError as err:
+        return "error", str(err), err.line, err.column
+
+
+_NAMES = {"P": ("P1", "P2", "P3"), "Y": ("Y1", "Y2", "Y3", "Y4")}
+# at most this many terms, estimated from above, before a power is drawn
+_TERM_BUDGET = 600
+
+
+def _terms(variables, degree, estimate):
+    """``estimate`` capped by the number of monomials of at most ``degree``."""
+    return min(estimate, math.comb(variables + degree, variables))
+
+
+@st.composite
+def _expressions(draw, names, depth):
+    """``(text, degree bound, term bound)`` of a random expression over ``names``."""
+    shape = draw(st.sampled_from(
+        ["atom", "linear", "sum", "product", "power", "power", "neg", "cancel"]
+        if depth else ["atom", "linear"]
+    ))
+    if shape == "atom":
+        kind = draw(st.sampled_from(["name", "high", "int", "ratio"]))
+        if kind == "name":
+            return draw(st.sampled_from(names)), 1, 1
+        if kind == "high":
+            k = draw(st.integers(0, MAX_DEGREE))
+            return f"{draw(st.sampled_from(names))}^{k}", k, 1
+        if kind == "int":
+            return str(draw(st.integers(0, 12))), 0, 1
+        return f"{draw(st.integers(0, 40))}/{draw(st.integers(1, 12))}", 0, 1
+    if shape == "neg":
+        text, degree, terms = draw(_expressions(names, depth - 1))
+        return f"-({text})", degree, terms
+    if shape == "cancel":
+        text, degree, terms = draw(_expressions(names, depth - 1))
+        return f"({text}) - ({text})", degree, 2 * terms
+    if shape == "power":
+        text, degree, terms = draw(_expressions(names, depth - 1))
+        text = f"({text})"
+        # a chain of one to three exponents, kept within the degree limit
+        # and the term budget, and sometimes 0
+        for _ in range(draw(st.integers(1, 3))):
+            top = MAX_DEGREE // max(degree, 1)
+            while top > 1 and _terms(len(names), degree * top, terms**top) > _TERM_BUDGET:
+                top -= 1
+            k = draw(st.integers(0, top))
+            text += f"^{k}"
+            terms = _terms(len(names), degree * k, terms**k)
+            # the degree bound of a power of a constant counts the constant as 1
+            degree = max(degree, 1) * k
+        return text, degree, terms
+    if shape == "linear":
+        # a dense form in every variable, so that its powers are dense
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(names) + 1,
+                               max_size=len(names) + 1))
+        text = " + ".join(f"({c})*{name}" for c, name in zip(coeffs, names))
+        return f"{text} + {coeffs[-1]}/{draw(st.integers(1, 3))}", 1, len(coeffs)
+    parts = draw(st.lists(_expressions(names, depth - 1), min_size=2, max_size=3))
+    if shape == "sum":
+        signs = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(parts), max_size=len(parts)))
+        text = " ".join(f"{s} ({t})" for s, (t, _, _) in zip(signs, parts))
+        text = text.removeprefix("+ ")
+        return text, max(d for _, d, _ in parts), sum(n for _, _, n in parts)
+    degree = sum(d for _, d, _ in parts)
+    terms = _terms(len(names), degree, math.prod(n for _, _, n in parts))
+    if degree > MAX_DEGREE or terms > 4 * _TERM_BUDGET:
+        return parts[0]
+    return "*".join(f"({t})" for t, _, _ in parts), degree, terms
+
+
+@st.composite
+def _parse_cases(draw):
+    family = draw(st.sampled_from(["P", "Y"]))
+    text, _, _ = draw(_expressions(_NAMES[family], 4))
+    # the system inferred, given and right, or given and wrong
+    system = draw(st.sampled_from([None, System.PI3, System.Y4]))
+    return text, system
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parse_cases())
+def test_parse_matches_the_polynomial_fold(case):
+    text, system = case
+    assert _outcome(parse_polynomial, text, system) == _outcome(
+        parse_polynomial_by_folding, text, system
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(P1+P2)^3 - (P1+P2)^3",
+        "Y1^0 + 0*Y4",
+        "1/2*P1 - 2/4*P1 + 3/6",
+        "((Y1*Y2 - 1/3)^2^2)^4",
+        "(P1*P2^2 + P3^3)^3^2^2",
+        "(2/3*P1 - 3/2)*(3/2*P1 + 2/3)",
+        "0/5*(P1 + P2)^64",
+        "(Y1 + Y2 + Y3 + Y4 - 1/7)^6",
+        # whitespace beyond ASCII separates tokens, as it did in the character loop
+        "P1\u00a0+\u2003P2^2\u3000*\n\u2028P3",
+    ],
+)
+@pytest.mark.parametrize("system", [None, System.PI3, System.Y4])
+def test_parse_matches_the_polynomial_fold_fixed(text, system):
+    assert _outcome(parse_polynomial, text, system) == _outcome(
+        parse_polynomial_by_folding, text, system
+    )
+
+
+_ASCII_PIECES = st.sampled_from(
+    ["P1", "P3", "Y4", "P4", "p1", "P_1", "x", "_", "0", "7", "12", "/", "+", "-", "*",
+     "^", "(", ")", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "$", "#", "."]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.characters(max_codepoint=127)) | st.lists(_ASCII_PIECES).map("".join))
+def test_tokens_match_the_character_loop_on_ascii(text):
+    assert _token_outcome(_tokenize, text) == _token_outcome(tokens_by_character_loop, text)
+    assert _outcome(parse_polynomial, text, None) == _outcome(
+        parse_polynomial_by_folding, text, None
+    )
