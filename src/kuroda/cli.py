@@ -6,7 +6,8 @@ report); 1 when a checked property that must always hold was violated
 that signals an implementation bug, not bad input; 2 for bad input.
 
 The exact subcommands never import numpy: :mod:`kuroda.regions` is imported
-only by the float subcommands (``probe``, ``sandwich``, ``cloud``).
+only by the float subcommands (``probe``, ``sandwich``, ``cloud``), which
+exit 2 with an error naming numpy where it cannot be imported.
 """
 
 from __future__ import annotations
@@ -427,11 +428,21 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    if getattr(args, "expr", None) == []:
+        # argparse on some Python versions drops the value of "--expr=--",
+        # leaving []: the text given was "--"
+        args.expr = "--"
     try:
         data, rows, code = _HANDLERS[args.command](args)
         emit_report(data, args.format, args.out, csv_rows=rows)
     except (ConfigError, ExpressionError, SamplingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        # numpy is imported only by the float subcommands, with kuroda.regions
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which could not be imported", file=sys.stderr)
         return 2
     return code
 

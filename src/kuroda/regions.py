@@ -62,6 +62,13 @@ powers ``v**e`` (``v >= 1``) run ``pow`` only below a cutoff past which the
 result is surely 0 or inf, and take that value above it: the same bits
 without ``pow``'s slow path for results out of the normal range.
 
+The samplers draw candidates in batches of three strata (box, core box,
+rays).  Each stratum draws all of its random numbers first, so the
+generator's stream is that of whole batches; it then builds and tests its
+candidates in index ranges, in order, only while the sample still needs
+points.  A sample's strata count the candidates up to and including the one
+that completes it.
+
 ``evaluate_abs`` takes the rows in blocks sized to the cache (2**16
 elements per (terms x rows) array, 512 KiB) and reuses one pair of arrays
 for every block; each row's terms are summed in a fixed order, so a row's
@@ -651,7 +658,13 @@ def escape_threshold(config: KurodaConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Accepted sample points and the candidates drawn and accepted per stratum."""
+    """Accepted sample points and the candidates tested and accepted per stratum.
+
+    ``strata`` counts, per stratum, the candidates built and tested up to and
+    including the one that completed the sample, and how many of them were
+    accepted; the candidates whose random numbers were drawn after that
+    point are not counted.
+    """
 
     points: np.ndarray
     strata: dict[str, dict[str, int]]
@@ -696,7 +709,12 @@ def _pow_from_one(v: np.ndarray, e: float) -> np.ndarray:
 
 
 class _StarSampler:
-    """Candidate generator for the 3- and 4-dimensional cross-bound regions."""
+    """Candidate generator for the 3- and 4-dimensional cross-bound regions.
+
+    ``needed`` is how many points the next :meth:`batch` may still accept;
+    :meth:`draw` sets it before each batch.  ``None``, the default, makes a
+    batch build and test every candidate it draws.
+    """
 
     def __init__(self, config: KurodaConfig, spec: RegionSpec, radius: float, rng):
         self.config = config
@@ -704,6 +722,7 @@ class _StarSampler:
         self.radius = float(radius)
         self.rng = rng
         self.dim = spec.kind.dim
+        self.needed: int | None = None
         self.stats = {
             "box": {"candidates": 0, "accepted": 0},
             "core": {"candidates": 0, "accepted": 0},
@@ -716,46 +735,70 @@ class _StarSampler:
     def _box(self, n: int, half_width: float) -> np.ndarray:
         return self.rng.uniform(-half_width, half_width, size=(n, self.dim))
 
-    def _ray_star(self, n: int) -> np.ndarray:
-        lam, cfg = self.spec.lam, self.config
-        axis = self.rng.integers(1, 4, size=n)
-        sign = self.rng.integers(0, 2, size=n) * 2.0 - 1.0
-        t = self.rng.uniform(lam, self.radius, size=n)
-        pts = np.zeros((n, self.dim))
-        columns = pts.T
-        v = t / lam
+    def _ray_draws(self, n: int, t_low: float):
+        """The random numbers of ``n`` ray candidates, in the order the ray strata draw them.
+
+        The axes, the signs and the radii ``t``; then, axis after axis, two
+        uniforms on (-1, 1) per candidate of the axis, drawn in one call,
+        which gives the bits of one call per axis and coordinate; then the
+        fourth coordinates in 4 dimensions.  Returns the signs, the radii,
+        per axis ``(a, idx, first, second)`` with ``idx`` the ascending
+        indices of its candidates and ``first``, ``second`` their uniforms,
+        and the fourth coordinates or ``None``.
+        """
+        lam, rng = self.spec.lam, self.rng
+        axis = rng.integers(1, 4, size=n)
+        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        t = rng.uniform(t_low, self.radius, size=n)
+        uniforms = rng.uniform(-1.0, 1.0, size=2 * n)
+        fourth = rng.uniform(-lam, lam, size=n) if self.dim == 4 else None
+        axes, start = [], 0
         for a in AXES:
             idx = np.flatnonzero(axis == a)
-            if not len(idx):
-                continue
-            va = v[idx]
-            columns[a - 1][idx] = sign[idx] * t[idx]
-            for j in (x for x in AXES if x != a):
+            m = len(idx)
+            axes.append((a, idx, uniforms[start:start + m], uniforms[start + m:start + 2 * m]))
+            start += 2 * m
+        return sign, t, axes, fourth
+
+    @staticmethod
+    def _axis_rows(draws, lo: int, hi: int):
+        """Per axis, its ray candidates among ``lo..hi``: (a, rows from ``lo``, t, signs, uniforms)."""
+        sign, t, axes, _ = draws
+        # a whole stratum (every batch of the sandwich) needs no lookup
+        whole = lo == 0 and hi == len(t)
+        for a, idx, first, second in axes:
+            p, q = (0, len(idx)) if whole else (idx.searchsorted(lo), idx.searchsorted(hi))
+            if p < q:
+                sel = idx[p:q]
+                yield a, sel - lo, t[sel], sign[sel], first[p:q], second[p:q]
+
+    def _star_rows(self, draws, lo: int, hi: int) -> np.ndarray:
+        """Ray candidates ``lo..hi`` of the cross-bound regions, from :meth:`_ray_draws`."""
+        lam, cfg = self.spec.lam, self.config
+        pts = np.zeros((hi - lo, self.dim))
+        columns = pts.T
+        for a, rows, ta, sa, first, second in self._axis_rows(draws, lo, hi):
+            va = ta / lam
+            columns[a - 1][rows] = sa * ta
+            for j, u in zip((x for x in AXES if x != a), (first, second)):
                 e_fwd = cfg.magnitude(j, a) / cfg.magnitude(a, a)
                 e_rev = cfg.magnitude(j, j) / cfg.magnitude(a, j)
                 # both pows stay: pow may be 1 ulp off, so near va = 1 the
                 # larger exponent need not give the smaller value
                 lower = np.minimum(_pow_from_one(va, -e_fwd), _pow_from_one(va, -e_rev))
                 bound = lam * np.minimum(0.5, lower) * 0.999
-                columns[j - 1][idx] = self.rng.uniform(-1.0, 1.0, size=len(idx)) * bound
+                columns[j - 1][rows] = u * bound
         if self.dim == 4:
-            columns[3] = self.rng.uniform(-lam, lam, size=n)
+            columns[3] = draws[3][lo:hi]
         return pts
 
-    def _ray_tilde(self, n: int) -> np.ndarray:
+    def _tilde_rows(self, draws, lo: int, hi: int) -> np.ndarray:
+        """Ray candidates ``lo..hi`` of the basic open set, from :meth:`_ray_draws`."""
         lam, cfg = self.spec.lam, self.config
         d = column_minima(cfg)
-        axis = self.rng.integers(1, 4, size=n)
-        sign = self.rng.integers(0, 2, size=n) * 2.0 - 1.0
-        t = self.rng.uniform(lam * (1 + 1e-9), self.radius, size=n)
-        pts = np.zeros((n, 3))
+        pts = np.zeros((hi - lo, 3))
         columns = pts.T
-        for a in AXES:
-            idx = np.flatnonzero(axis == a)
-            m = len(idx)
-            if not m:
-                continue
-            ta = t[idx]
+        for a, rows, ta, sa, first, second in self._axis_rows(draws, lo, hi):
             va = ta / lam
             arm_factor = _pow_from_one(va, 2 * d[a - 1]) - 1.0
             bound_w = lam * np.minimum(
@@ -764,16 +807,55 @@ class _StarSampler:
             with np.errstate(over="ignore"):  # an inf square gives s_sq = 4, as meant
                 s_sq = 4.0 + _CAP_RHS / (va**2 - 1.0)
             bound_s = np.minimum(lam * np.sqrt(np.maximum(s_sq, 0.0)) * 0.999, 1.9 * lam)
-            w = self.rng.uniform(-1.0, 1.0, size=m) * bound_w
-            s = self.rng.uniform(-1.0, 1.0, size=m) * bound_s
+            w = first * bound_w
+            s = second * bound_s
             j, k = (x for x in AXES if x != a)
-            columns[a - 1][idx] = sign[idx] * ta
-            columns[j - 1][idx] = (s + w) / 2.0
-            columns[k - 1][idx] = (s - w) / 2.0
+            columns[a - 1][rows] = sa * ta
+            columns[j - 1][rows] = (s + w) / 2.0
+            columns[k - 1][rows] = (s - w) / 2.0
         return pts
 
+    def _ray_star(self, n: int) -> np.ndarray:
+        return self._star_rows(self._ray_draws(n, self.spec.lam), 0, n)
+
+    def _ray_tilde(self, n: int) -> np.ndarray:
+        return self._tilde_rows(self._ray_draws(n, self.spec.lam * (1 + 1e-9)), 0, n)
+
+    def _accept(self, name: str, n: int, rows, draws, need: int, chunks: list) -> int:
+        """Test the candidates ``rows(draws, lo, hi)`` of a stratum of ``n`` until ``need`` pass.
+
+        The ranges go in order; each holds at least the points still needed
+        and twice the last one, so a stratum with low acceptance takes
+        O(log n) ranges.  The passing candidates go to ``chunks``, and the
+        stratum counts the candidates up to and including the one that
+        completes the sample.  Returns how many points are still needed.
+        """
+        lo = width = 0
+        while lo < n and need > 0:
+            width = max(need, 2 * width)
+            hi = min(n, lo + width)
+            cand = rows(draws, lo, hi)
+            verdict = self._inside(cand)
+            keep = cand[verdict]
+            if len(keep) >= need:
+                hi = lo + int(np.flatnonzero(verdict)[need - 1]) + 1
+                keep = keep[:need]
+            self.stats[name]["candidates"] += hi - lo
+            self.stats[name]["accepted"] += len(keep)
+            chunks.append(keep)
+            need -= len(keep)
+            lo = hi
+        return need
+
     def batch(self, size: int) -> np.ndarray:
-        """One candidate round: box, core-box and ray strata, each through the region test."""
+        """One candidate round: box, core-box and ray strata, each through the region test.
+
+        Each stratum draws all of its random numbers first, so the generator
+        moves as it would for the whole round.  It then builds and tests its
+        candidates in index ranges, in order, only until the round has
+        accepted ``needed`` points (every candidate when ``needed`` is
+        ``None``); a stratum after that builds none.
+        """
         lam = self.spec.lam
         rays_possible = self.radius > lam
         n_box = max(size // 5, 1)
@@ -781,19 +863,18 @@ class _StarSampler:
         n_ray = max(size - n_box - n_core, 1) if rays_possible else 0
         if not rays_possible:
             n_box = size
-        chunks = []
-        for name, n, draw in (
-            ("box", n_box, lambda n: self._box(n, self.radius)),
-            ("core", n_core, lambda n: self._box(n, lam)),
-            ("ray", n_ray, self._ray_tilde if self.spec.kind is RegionKind.S_TILDE3 else self._ray_star),
-        ):
+        tilde = self.spec.kind is RegionKind.S_TILDE3
+        need = n_box + n_core + n_ray if self.needed is None else self.needed
+        chunks: list[np.ndarray] = []
+        for name, n in (("box", n_box), ("core", n_core), ("ray", n_ray)):
             if n <= 0:
                 continue
-            cand = draw(n)
-            keep = cand[self._inside(cand)]
-            self.stats[name]["candidates"] += n
-            self.stats[name]["accepted"] += len(keep)
-            chunks.append(keep)
+            if name == "ray":
+                draws = self._ray_draws(n, lam * (1 + 1e-9) if tilde else lam)
+                rows = self._tilde_rows if tilde else self._star_rows
+            else:
+                draws, rows = self._box(n, self.radius if name == "box" else lam), _box_rows
+            need = self._accept(name, n, rows, draws, need, chunks)
         return np.vstack(chunks) if chunks else np.zeros((0, self.dim))
 
     def draw(self, count: int, size: int, rounds: int, keep=None) -> np.ndarray:
@@ -801,16 +882,26 @@ class _StarSampler:
 
         Each batch's accepted points go through the map ``keep``, if given;
         fewer than ``count`` points come back when the rounds run out.
+        Without a map, each batch is told how many points are still needed,
+        so it builds and tests candidates only until the sample is full.  A
+        map may draw from the same generator per accepted point (the
+        sandwich's diagonal shift), so with one every batch is built whole.
         """
         kept: list[np.ndarray] = []
         total = 0
         for _ in range(rounds):
             if total >= count:
                 break
+            self.needed = None if keep is not None else count - total
             chunk = self.batch(size)
             kept.append(chunk if keep is None else keep(chunk))
             total += len(kept[-1])
         return np.vstack(kept)[:count] if kept else np.zeros((0, self.dim))
+
+
+def _box_rows(box: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Candidates ``lo..hi`` of a box stratum: its uniform rows themselves."""
+    return box[lo:hi]
 
 
 # Candidate budgets.  sample_region draws batches of max(count, 4096)
@@ -838,11 +929,14 @@ def sample_region(
     """Stratified rejection sampling of a region; deterministic per seed.
 
     Every returned point passes the region test :func:`inside` (candidates
-    from all strata go through the same test).  The
-    fattened star is sampled constructively: star samples plus a uniform
-    diagonal shift.  ``radius`` must be finite and positive, else
-    ``ValueError`` is raised; so is a radius whose double is not finite,
-    since the box stratum draws from an interval of width ``2*radius``.
+    from all strata go through the same test).  Every random number of a
+    batch is drawn, but its candidates are built and tested only until the
+    sample holds ``count`` points, and the strata count them up to that
+    point.  The fattened star is sampled constructively: star samples plus a
+    uniform diagonal shift, drawn after the star samples.  ``radius`` must
+    be finite and positive, else ``ValueError`` is raised; so is a radius
+    whose double is not finite, since the box stratum draws from an
+    interval of width ``2*radius``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -591,27 +591,51 @@ def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, o
     return written
 
 
-def collect_by_loop(sampler, count: int, cap_candidates: int) -> np.ndarray:
-    """The sampler's own draw loop for :func:`kuroda.regions.sample_region`.
+def collect_by_loop(sampler, count: int, cap_candidates: int) -> tuple[np.ndarray, dict]:
+    """The sampler's draw loop for :func:`kuroda.regions.sample_region`, on whole batches.
 
     Batches of ``min(max(4096, count), 200000)`` candidates until ``count``
-    points are accepted or ``cap_candidates`` candidates are drawn.
+    points are accepted or ``cap_candidates`` candidates are drawn.  Every
+    stratum of a batch is built whole by ``_box`` and ``_ray_star`` or
+    ``_ray_tilde`` and tested whole by the sampler's region test.  Returns
+    the first ``count`` accepted points and the strata: per stratum, the
+    candidates and acceptances up to and including the ``count``-th
+    accepted candidate, read off the per-candidate verdicts.
     """
+    lam = sampler.spec.lam
+    ray = sampler._ray_tilde if sampler.spec.kind is RegionKind.S_TILDE3 else sampler._ray_star
+    size = int(min(max(4096, count), 200_000))
+    n_box = n_core = max(size // 5, 1)
+    n_ray = max(size - n_box - n_core, 1)
+    if not sampler.radius > lam:
+        n_box, n_ray = size, 0
+    strata = {name: {"candidates": 0, "accepted": 0} for name in ("box", "core", "ray")}
     accepted: list[np.ndarray] = []
     total = 0
     drawn = 0
-    batch_size = int(min(max(4096, count), 200_000))
     while total < count and drawn < cap_candidates:
-        chunk = sampler.batch(batch_size)
-        drawn += batch_size
-        if len(chunk):
-            accepted.append(chunk)
-            total += len(chunk)
+        drawn += size
+        for name, n, build in (
+            ("box", n_box, lambda n: sampler._box(n, sampler.radius)),
+            ("core", n_core, lambda n: sampler._box(n, lam)),
+            ("ray", n_ray, ray),
+        ):
+            if not n:
+                continue
+            candidates = build(n)
+            passed = np.flatnonzero(np.asarray(sampler._inside(candidates), dtype=bool))
+            accepted.append(candidates[passed])
+            needed = count - total
+            if needed > 0:
+                done = len(passed) >= needed
+                strata[name]["candidates"] += int(passed[needed - 1]) + 1 if done else n
+                strata[name]["accepted"] += needed if done else len(passed)
+            total += len(passed)
     if total == 0:
         raise SamplingError(
             f"no {sampler.spec.kind.value} sample accepted after {drawn} candidates"
         )
-    return np.vstack(accepted)[:count]
+    return np.vstack(accepted)[:count], strata
 
 
 def sample_region_by_loop(config: KurodaConfig, spec, count: int, seed: int, radius: float):
@@ -627,13 +651,12 @@ def sample_region_by_loop(config: KurodaConfig, spec, count: int, seed: int, rad
     )
     sampler = _StarSampler(config, base_spec, radius, rng)
     if count == 0:
-        points = np.zeros((0, kind.dim))
-    else:
-        points = collect_by_loop(sampler, count, max(500_000, 200 * count))
-        if kind is RegionKind.S3:
-            shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
-            points = points + shift[:, None]
-    return SampleSet(points, sampler.stats)
+        return SampleSet(np.zeros((0, kind.dim)), sampler.stats)
+    points, strata = collect_by_loop(sampler, count, max(500_000, 200 * count))
+    if kind is RegionKind.S3:
+        shift = rng.uniform(-spec.lam, spec.lam, size=len(points))
+        points = points + shift[:, None]
+    return SampleSet(points, strata)
 
 
 def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float = 50.0,

@@ -425,6 +425,10 @@ def test_bad_config_exits_two(capsys, tmp_path):
 def test_bad_expression_exits_two(capsys, concrete_path):
     assert main(["member", "--config", concrete_path, "--expr", "P1^-1"]) == 2
     assert main(["member", "--config", concrete_path, "--expr", "P1 + Y1"]) == 2
+    # argparse may read the value "--" as [], which no parser takes
+    for command in (["member"], ["cond", "--axis", "1"]):
+        assert main([*command, "--config", concrete_path, "--expr=--"]) == 2
+        assert "error: expected a value" in capsys.readouterr().err
     # nested past any interpreter stack, whatever the caller's own depth
     for expr in ("(" * 10_000 + "P1" + ")" * 10_000, "-" * 10_000 + "P1"):
         assert main(["member", "--config", concrete_path, f"--expr={expr}"]) == 2
@@ -866,6 +870,51 @@ def test_exact_subcommands_never_import_numpy(tmp_path, concrete_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_float_subcommands_without_numpy_exit_two(tmp_path, concrete_path):
+    # numpy blocked: the float subcommands report it, the exact ones still run
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None
+        from kuroda.cli import main
+
+        config, out = {concrete_path!r}, {str(tmp_path / "out.json")!r}
+        results = []
+        for argv in (
+            ["probe", "--expr", "P1*P2", "--seed", "1", "--samples", "20", "--kmax", "0"],
+            ["sandwich", "--seed", "1", "--samples", "5"],
+            ["cloud", "--which", "stilde", "--grid", "4", "--cloud-out", out + ".csv"],
+            ["validate"],
+            ["tower"],
+            ["generators", "--degree-bound", "4"],
+            ["member", "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"],
+            ["cond", "--axis", "1", "--expr", "P1*P2"],
+            ["pullback", "--axis", "2"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", config, "--format", "json", "--out", out])
+            results.append([argv[0], code, err.getvalue()])
+        print(json.dumps(results))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    codes = {}
+    for command, code, err in json.loads(done.stdout):
+        codes[command] = code
+        if code:
+            assert err == f"error: {command} needs numpy, which could not be imported\n"
+    assert codes == {
+        "probe": 2, "sandwich": 2, "cloud": 2, "validate": 0, "tower": 0,
+        "generators": 0, "member": 0, "cond": 0, "pullback": 0,
+    }
 
 
 def test_reused_parser_keeps_no_flag_between_calls(capsys, concrete_path):

@@ -63,6 +63,7 @@ from reference import (
     pi_variable,
     ray_star_by_masks,
     ray_tilde_by_masks,
+    collect_by_loop,
     sample_region_by_loop,
     sandwich_by_loops,
     shift_margins_full_scan,
@@ -1447,14 +1448,56 @@ def _same_sample_sets(ours, ref):
 @pytest.mark.parametrize("count", DRAW_LOOP_COUNTS)
 @pytest.mark.parametrize("name", list(DRAW_LOOP_CONFIGS))
 def test_sample_region_matches_loop_reference(name, count):
-    # the one draw loop gathers the points, strata counts and rng draws of
-    # the sampler's former loop
+    # the draw loop gathers the points and rng draws of whole batches; the
+    # strata count up to the candidate that completes the sample
     config = DRAW_LOOP_CONFIGS[name]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for kind in RegionKind:
             for seed in (1, 2, 3):
                 args = (config, RegionSpec(kind, 1.5), count, seed, 50.0)
                 _same_sample_sets(sample_region(*args), sample_region_by_loop(*args))
+
+
+def test_sample_region_counts_candidates_up_to_the_last_point(concrete):
+    # a 20 000-point probe of the basic open set fills its sample with the
+    # first ray candidate of its second batch: the 11 999 rays of that batch
+    # after it are neither built nor counted (24 000 ray candidates when
+    # every batch was built whole)
+    samples = sample_region(concrete, RegionSpec(RegionKind.S_TILDE3, 1.0), 20000, 1, 50.0)
+    assert samples.strata == {
+        "box": {"candidates": 8000, "accepted": 0},
+        "core": {"candidates": 8000, "accepted": 8000},
+        "ray": {"candidates": 12001, "accepted": 12000},
+    }
+    assert samples.strata == sample_region_by_loop(
+        concrete, RegionSpec(RegionKind.S_TILDE3, 1.0), 20000, 1, 50.0
+    ).strata
+
+
+@pytest.mark.parametrize("count", [0, 1, 200, 5000, 20000])
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+@pytest.mark.parametrize("kind", list(RegionKind))
+@pytest.mark.parametrize("name", list(MARGIN_CONFIGS))
+def test_sampler_streams_match_whole_batch_reference(name, kind, lam, count):
+    # the samplers build candidates only until the sample is full, but draw
+    # every random number of every stratum: the points, the strata and the
+    # generator's state after the draw are those of whole batches
+    config = MARGIN_CONFIGS[name]
+    base = RegionSpec(RegionKind.S_DOUBLE_PRIME3 if kind is RegionKind.S3 else kind, lam)
+    size = min(max(4096, count), 200_000)
+    budget = max(500_000, 200 * count)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for radius in (50.0, 1.2):
+            args = (config, RegionSpec(kind, lam), count, 11, radius)
+            _same_sample_sets(sample_region(*args), sample_region_by_loop(*args))
+            ours = _StarSampler(config, base, radius, np.random.default_rng(11))
+            points = ours.draw(count, size, -(-budget // size))
+            ref = _StarSampler(config, base, radius, np.random.default_rng(11))
+            if count:
+                expected, _ = collect_by_loop(ref, count, budget)
+                assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+            assert len(points) == count
+            assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("count", DRAW_LOOP_COUNTS)
