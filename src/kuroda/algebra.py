@@ -19,13 +19,14 @@ equality and hashing compare the stored fields.  All arithmetic is exact.
 The inner loops of ``+``, ``-``, ``*``, ``**`` and the change-of-variable maps
 run on the stored numerators and build their results through a private
 trusted constructor, which skips the exponent checks (the library built
-those exponents itself) and divides out one gcd.  There is one product
-loop, :func:`_product`, on packed keys: :func:`_pack` puts exponent ``e_i``
-at bit ``bits * i`` of one int, so multiplying two monomials is one integer
+those exponents itself) and divides out one gcd.  The arithmetic on
+numerator maps lives here, once each: :func:`_sum`, :func:`_times` and
+:func:`_power`, for ``+``, ``*`` and ``**`` and for the expression parser's
+fold.  Products run on packed keys: :func:`_pack` puts exponent ``e_i`` at
+bit ``bits * i`` of one int, so multiplying two monomials is one integer
 addition, and :func:`_unpack` turns the keys back into tuples.  ``*`` and
 ``**`` pack once per call, with slots wide enough for the largest exponent
-the result can have, so any exponent works; the expression parser folds
-its packed maps through the same loop with 7-bit slots.  ``Fraction``
+the result can have, so any exponent works.  ``Fraction``
 appears only at the edges: the public constructor takes
 ``Fraction``-compatible coefficients and keeps every exponent check, and
 :meth:`~SparsePolynomial.terms` and :meth:`~SparsePolynomial.coefficient`
@@ -181,8 +182,8 @@ class SparsePolynomial:
         return cls._from_numerators(system, {exps: 1}, 1)
 
     @classmethod
-    def monomial(cls, system: System, exponents: Sequence[int], coeff=1) -> "SparsePolynomial":
-        return cls(system, {tuple(exponents): Fraction(coeff)})
+    def monomial(cls, system: System, exponents: Sequence[int]) -> "SparsePolynomial":
+        return cls(system, {tuple(exponents): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -220,15 +221,9 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = self._nums, self._den
-        b, db = other._nums, other._den
-        den = lcm(da, db)
-        scale_a, scale_b = den // da, den // db
-        out = dict(a) if scale_a == 1 else {e: n * scale_a for e, n in a.items()}
-        get = out.get
-        for e, n in b.items():
-            out[e] = get(e, 0) + n * scale_b
-        return SparsePolynomial._from_numerators(self.system, out, den)
+        return SparsePolynomial._from_numerators(
+            self.system, *_sum((self._numerators(), other._numerators()))
+        )
 
     __radd__ = __add__
 
@@ -251,11 +246,9 @@ class SparsePolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._nums, other._nums
-        if not a or not b:
-            return SparsePolynomial.zero(self.system)
         bits = _slot_bits(_top(a) + _top(b))
         arity = self.system.arity
-        out = _product(_pack(a, arity, bits), _pack(b, arity, bits))
+        out = _times(_pack(a, arity, bits), _pack(b, arity, bits))
         return SparsePolynomial._from_numerators(
             self.system, _unpack(out, arity, bits), self._den * other._den
         )
@@ -263,27 +256,14 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """``self ** k`` by ``k - 1`` multiplications by ``self``, on packed keys.
-
-        Each step multiplies by the base, never by a large power: for a dense
-        base in three variables the cost grows like ``k^4``, where the last
-        step of repeated squaring alone grows like ``k^6``.  The base is
-        packed once, with slots wide enough for ``k`` times its largest
-        exponent, and the result is unpacked once.
-        """
+        """``self ** k`` by :func:`_power`, packed in slots for ``k`` times the top exponent."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        if k == 0:
-            return SparsePolynomial.constant(self.system, 1)
-        if not self._nums:
-            return self
+        arity = self.system.arity
         bits = _slot_bits(_top(self._nums) * k)
-        base = _pack(self._nums, self.system.arity, bits)
-        out = base
-        for _ in range(k - 1):
-            out = _product(out, base)
+        out = _power(_pack(self._nums, arity, bits), k)
         return SparsePolynomial._from_numerators(
-            self.system, _unpack(out, self.system.arity, bits), self._den**k
+            self.system, _unpack(out, arity, bits), self._den**k
         )
 
     def __eq__(self, other):
@@ -310,18 +290,20 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.system.label}, {polynomial_to_text(self)!r})"
 
 
-# -- the product kernel on packed keys ----------------------------------------
+# -- the numerator-map kernels --------------------------------------------------
 #
-# A packed key holds exponent e_i in the ``bits`` bits from bit ``bits * i``
-# up, so adding two keys adds their exponent vectors, provided that no sum
-# reaches ``2**bits`` (the caller sizes the slots so that none does).  The
-# top slot is read without a mask, so a carry out of it would show as a
-# large exponent rather than wrap.
+# :func:`_sum` takes maps with any keys, the product kernels packed keys.  A
+# packed key holds exponent e_i in the ``bits`` bits from bit ``bits * i`` up,
+# so adding two keys adds their exponent vectors, provided that no sum reaches
+# ``2**bits`` (the caller sizes the slots so that none does); key 0 is the
+# constant monomial.  The top slot is read without a mask, so a carry out of
+# it would show as a large exponent rather than wrap.  No kernel changes a
+# map it is given, and given maps without zeros, none returns one with zeros.
 
 
 def _top(nums: Mapping[tuple[int, ...], int]) -> int:
-    """Largest single exponent among the keys of a nonempty numerator map."""
-    return max(map(max, nums))
+    """Largest single exponent among the keys of a numerator map (0 for an empty map)."""
+    return max(map(max, nums), default=0)
 
 
 def _slot_bits(top: int) -> int:
@@ -360,6 +342,51 @@ def _product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
     return out
+
+
+def _nonzero(nums: dict) -> dict:
+    """``nums`` without its zero numerators (the same dict when it has none)."""
+    return {k: n for k, n in nums.items() if n} if 0 in nums.values() else nums
+
+
+def _sum(terms: Sequence[tuple[Mapping, int]]) -> tuple[dict, int]:
+    """``(nums, den)`` of the sum of ``(nums, den)`` terms, over the lcm of their denominators."""
+    den = lcm(*(d for _, d in terms))
+    out: dict = {}
+    get = out.get
+    for nums, d in terms:
+        scale = den // d
+        for k, n in nums.items():
+            out[k] = get(k, 0) + n * scale
+    return _nonzero(out), den
+
+
+def _times(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Numerators of the product of two packed maps; a constant factor only scales the other."""
+    if not a or not b:
+        return {}
+    if len(b) == 1 and 0 in b:
+        a, b = b, a
+    if len(a) == 1 and 0 in a:
+        c = a[0]
+        return {k: c * n for k, n in b.items()}
+    return _nonzero(_product(a, b))
+
+
+def _power(base: Mapping[int, int], k: int) -> dict[int, int]:
+    """Numerators of the ``k``-th power of a packed map, by ``k - 1`` products by the base.
+
+    Never by a large power: for a dense base in three variables the cost
+    grows like ``k^4``, where the last squaring alone grows like ``k^6``.
+    """
+    if k == 0:
+        return {0: 1}
+    if not base or (len(base) == 1 and 0 in base):
+        return {key: n**k for key, n in base.items()}
+    out = base
+    for _ in range(k - 1):
+        out = _product(out, base)
+    return _nonzero(out)
 
 
 def substitute(

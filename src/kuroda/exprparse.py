@@ -25,21 +25,23 @@ variable families named, bounds each subexpression's total degree and
 writes the expression as a postfix program.  So the degree guard runs before
 anything is built, and no input can ask for an expansion that does not fit
 in time or memory.  The second read (:func:`_fold`) runs the program on
-integer numerator maps over one denominator, keyed by packed ints: slot
-``i`` of a key holds the exponent of variable ``i + 1`` in 7 bits, which
-hold every exponent up to :data:`MAX_DEGREE` and so never carry.
-Multiplying two monomials is then one integer addition, in
-:mod:`kuroda.algebra`'s product kernel, and a constant factor only scales
-the map.  The polynomial is built once, at the end, through the trusted
+integer numerator maps over one denominator, keyed by packed ints in
+:mod:`kuroda.algebra`'s layout, with slots wide enough for
+:data:`MAX_DEGREE`, so that no exponent carries.  Its sums, products and
+powers are the ones of ``SparsePolynomial``'s ``+``, ``*`` and ``**``:
+:mod:`kuroda.algebra` holds the arithmetic, and this module only reads
+text.  The polynomial is built once, at the end, through the trusted
 constructor.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import gcd
 
-from .algebra import VARIABLE_NAMES, SparsePolynomial, System, _product, _unpack
+from .algebra import (
+    VARIABLE_NAMES, SparsePolynomial, System, _pack, _power, _slot_bits, _sum, _times, _unpack
+)
 
 
 class ExpressionError(ValueError):
@@ -51,14 +53,19 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-_VARIABLES = {
-    name: (system, index)
-    for system in (System.PI3, System.Y4)
-    for index, name in enumerate(VARIABLE_NAMES[system], start=1)
-}
-
 # Largest degree bound that parsing accepts, for every subexpression.
 MAX_DEGREE = 64
+
+# Slot width of a packed key: no subexpression's degree exceeds MAX_DEGREE, so
+# no exponent does, and adding two keys never carries.
+_BITS = _slot_bits(MAX_DEGREE)
+
+# Each variable name: its system and its packed numerator map.
+_VARIABLES = {
+    name: (system, _pack(SparsePolynomial.variable(system, i)._nums, system.arity, _BITS))
+    for system in (System.PI3, System.Y4)
+    for i, name in enumerate(VARIABLE_NAMES[system], start=1)
+}
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -97,10 +104,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 # -- the two reads -----------------------------------------------------------
-
-# Slot width of a packed key: no subexpression's degree exceeds MAX_DEGREE, so
-# no exponent does, and adding two keys never carries.
-_BITS = MAX_DEGREE.bit_length()
 
 # Steps of the postfix program that the first read writes for the second.
 # PUSH carries its value; ADD and MUL carry their operand count, POW its
@@ -214,9 +217,9 @@ class _Parser:
                     f"unknown variable {text!r} (expected P1..P3 or Y1..Y4)", line, column
                 )
             self.pos += 1
-            system, index = _VARIABLES[text]
+            system, nums = _VARIABLES[text]
             self.systems.setdefault(system, text)
-            self.code.append((_PUSH, ({1 << _BITS * (index - 1): 1}, 1)))
+            self.code.append((_PUSH, (nums, 1)))
             return 1
         if kind == "INT":
             self.pos += 1
@@ -240,12 +243,13 @@ class _Parser:
 def _fold(code: list[tuple[int, object]]) -> _Packed:
     """Second read: run the first read's program on packed numerator maps.
 
-    A value is ``(nums, den)``: ``nums`` maps a packed key (slot ``i`` holds
-    exponent ``e_i`` at bit ``_BITS * i``) to an integer numerator, and the
-    coefficient is ``nums[key] / den``.  Sums and products fold left, and the
-    maps are not kept in lowest terms between steps; :func:`parse_polynomial`
-    builds the one polynomial at the end.  No map is changed once made, so
-    a step may hand on its operand's map.
+    A value is ``(nums, den)``: ``nums`` maps a packed key (slots of
+    ``_BITS`` bits) to an integer numerator, and the coefficient is
+    ``nums[key] / den``.  Sums and products fold left through
+    :mod:`kuroda.algebra`'s kernels, and the maps are not kept in lowest
+    terms between steps; :func:`parse_polynomial` builds the one polynomial
+    at the end.  No map is changed once made, so a step may hand on its
+    operand's map.
     """
     stack: list[_Packed] = []
     push = stack.append
@@ -268,49 +272,9 @@ def _fold(code: list[tuple[int, object]]) -> _Packed:
             nums, den = stack[-1]
             stack[-1] = {k: -n for k, n in nums.items()}, den
         else:
-            stack[-1] = _power(stack[-1], arg)
+            nums, den = stack[-1]
+            stack[-1] = _power(nums, arg), den**arg
     return stack[0]
-
-
-def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two packed numerator maps; a constant factor scales the other."""
-    if not a or not b:
-        return {}
-    if len(a) == 1 and 0 in a:
-        c = a[0]
-        return {k: c * n for k, n in b.items()}
-    if len(b) == 1 and 0 in b:
-        c = b[0]
-        return {k: c * n for k, n in a.items()}
-    return _nonzero(_product(a, b))
-
-
-def _sum(terms: list[_Packed]) -> _Packed:
-    den = lcm(*(d for _, d in terms))
-    out: dict[int, int] = {}
-    get = out.get
-    for nums, d in terms:
-        scale = den // d
-        for k, n in nums.items():
-            out[k] = get(k, 0) + n * scale
-    return _nonzero(out), den
-
-
-def _power(base: _Packed, exponent: int) -> _Packed:
-    nums, den = base
-    if exponent == 0:
-        return {0: 1}, 1
-    if not nums or (len(nums) == 1 and 0 in nums):
-        return {k: n**exponent for k, n in nums.items()}, den**exponent
-    out = nums
-    for _ in range(exponent - 1):
-        out = _product(out, nums)
-    return _nonzero(out), den**exponent
-
-
-def _nonzero(nums: dict[int, int]) -> dict[int, int]:
-    """``nums`` without its zero numerators (the same dict when it has none)."""
-    return {k: n for k, n in nums.items() if n} if 0 in nums.values() else nums
 
 
 def parse_polynomial(text: str, system: System | None = None) -> SparsePolynomial:

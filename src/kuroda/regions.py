@@ -565,6 +565,8 @@ class EscapePoint:
 ESCAPE_FIRST = 16
 _ESCAPE_THRESHOLD_LIMIT = 10**6
 _DIVERGENCE_THRESHOLD = 1e3
+# Indices per block of escape_threshold's search.
+_ESCAPE_BLOCK = 4096
 # Largest gap below a row's largest term that the log-form evaluation passes
 # to exp2: 2**-1000 is still a normal double, and exp2 is many times slower
 # on results below the normal range (in process on a 2-core x86-64 VM, numpy
@@ -646,10 +648,19 @@ def escape_point(k: int, config: KurodaConfig) -> EscapePoint:
 
 
 def escape_threshold(config: KurodaConfig) -> int:
-    """Smallest k >= 16 whose escape point lies in the 4-dim region at scale 1."""
-    for k in range(ESCAPE_FIRST, _ESCAPE_THRESHOLD_LIMIT + 1):
-        if in_s_prime(escape_point(k, config).y, 1.0, config):
-            return k
+    """Smallest k >= 16 whose escape point lies in the 4-dim region at scale 1.
+
+    Decided on the log form :func:`_escape_logs`, in blocks of indices: the
+    point is inside where every cross bound's ``e_i*log2 y_i + e_j*log2
+    y_j`` and ``log2 y_4`` are negative, so no weight makes it overflow.
+    """
+    pairs = _cross_pairs(config)
+    for first in range(ESCAPE_FIRST, _ESCAPE_THRESHOLD_LIMIT + 1, _ESCAPE_BLOCK):
+        last = min(first + _ESCAPE_BLOCK - 1, _ESCAPE_THRESHOLD_LIMIT)
+        logs = _escape_logs(first, last, config).T
+        hits = np.flatnonzero(np.maximum(_cross_max(logs, pairs), logs[3]) < 0)
+        if len(hits):
+            return first + int(hits[0])
     raise ValueError(f"no escape point enters the region below k = {_ESCAPE_THRESHOLD_LIMIT}")
 
 
@@ -814,12 +825,6 @@ class _StarSampler:
             columns[j - 1][rows] = (s + w) / 2.0
             columns[k - 1][rows] = (s - w) / 2.0
         return pts
-
-    def _ray_star(self, n: int) -> np.ndarray:
-        return self._star_rows(self._ray_draws(n, self.spec.lam), 0, n)
-
-    def _ray_tilde(self, n: int) -> np.ndarray:
-        return self._tilde_rows(self._ray_draws(n, self.spec.lam * (1 + 1e-9)), 0, n)
 
     def _accept(self, name: str, n: int, rows, draws, need: int, chunks: list) -> int:
         """Test the candidates ``rows(draws, lo, hi)`` of a stratum of ``n`` until ``need`` pass.

@@ -261,12 +261,11 @@ class _Polynomials:
         return SparsePolynomial.constant(self.system, value)
 
     def var(self, name: str) -> SparsePolynomial:
-        var_system, index = _VARIABLES[name]
-        if var_system is not self.system:
+        if _VARIABLES[name][0] is not self.system:
             raise ExpressionError(
                 f"variable {name} does not belong to the {self.system.label} system", 1, 1
             )
-        return SparsePolynomial.variable(self.system, index)
+        return SparsePolynomial.variable(self.system, VARIABLE_NAMES[self.system].index(name) + 1)
 
     def add(self, terms: list[SparsePolynomial]) -> SparsePolynomial:
         return reduce(add, terms)
@@ -454,8 +453,22 @@ def escape_rows_one_by_one(ks: Sequence[int], config: KurodaConfig) -> np.ndarra
     return np.array(rows, dtype=float).reshape(len(rows), 4)
 
 
+def ray_stratum(sampler, n: int) -> np.ndarray:
+    """A ray stratum of ``n`` candidates built whole, as ``_StarSampler.batch`` draws and builds it.
+
+    The basic open set's rays start just above ``lam``, the cross-bound
+    regions' at ``lam``; the draws and the bits are the sampler's own.
+    """
+    lam = sampler.spec.lam
+    if sampler.spec.kind is RegionKind.S_TILDE3:
+        return sampler._tilde_rows(sampler._ray_draws(n, lam * (1 + 1e-9)), 0, n)
+    return sampler._star_rows(sampler._ray_draws(n, lam), 0, n)
+
+
 def ray_star_by_masks(sampler, n: int) -> np.ndarray:
-    """``_StarSampler._ray_star`` with a boolean mask per stratum: the same draws in the same order.
+    """:func:`ray_stratum` of the cross-bound regions, with a boolean mask per stratum.
+
+    It makes the same draws in the same order.
 
     Every power is a plain ``**``, so libm ``pow`` runs on every element,
     also where its result underflows to 0.
@@ -484,7 +497,9 @@ def ray_star_by_masks(sampler, n: int) -> np.ndarray:
 
 
 def ray_tilde_by_masks(sampler, n: int) -> np.ndarray:
-    """``_StarSampler._ray_tilde`` with a boolean mask per stratum: the same draws in the same order.
+    """:func:`ray_stratum` of the basic open set, with a boolean mask per stratum.
+
+    It makes the same draws in the same order.
 
     Every power is a plain ``**``, so libm ``pow`` runs on every element,
     also where its result overflows to inf.
@@ -596,14 +611,13 @@ def collect_by_loop(sampler, count: int, cap_candidates: int) -> tuple[np.ndarra
 
     Batches of ``min(max(4096, count), 200000)`` candidates until ``count``
     points are accepted or ``cap_candidates`` candidates are drawn.  Every
-    stratum of a batch is built whole by ``_box`` and ``_ray_star`` or
-    ``_ray_tilde`` and tested whole by the sampler's region test.  Returns
+    stratum of a batch is built whole by ``_box`` and :func:`ray_stratum`
+    and tested whole by the sampler's region test.  Returns
     the first ``count`` accepted points and the strata: per stratum, the
     candidates and acceptances up to and including the ``count``-th
     accepted candidate, read off the per-candidate verdicts.
     """
     lam = sampler.spec.lam
-    ray = sampler._ray_tilde if sampler.spec.kind is RegionKind.S_TILDE3 else sampler._ray_star
     size = int(min(max(4096, count), 200_000))
     n_box = n_core = max(size // 5, 1)
     n_ray = max(size - n_box - n_core, 1)
@@ -618,7 +632,7 @@ def collect_by_loop(sampler, count: int, cap_candidates: int) -> tuple[np.ndarra
         for name, n, build in (
             ("box", n_box, lambda n: sampler._box(n, sampler.radius)),
             ("core", n_core, lambda n: sampler._box(n, lam)),
-            ("ray", n_ray, ray),
+            ("ray", n_ray, lambda n: ray_stratum(sampler, n)),
         ):
             if not n:
                 continue

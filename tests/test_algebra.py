@@ -10,8 +10,11 @@ from kuroda import SparsePolynomial, System, expand_y_to_x, parse_polynomial
 from kuroda.algebra import (
     SystemMismatchError,
     _pack,
+    _power,
     _product,
     _slot_bits,
+    _sum,
+    _times,
     _top,
     _unpack,
     axis_support,
@@ -86,7 +89,7 @@ def test_negative_exponents_rejected_in_every_system():
 
 def test_scalar_mixing():
     assert (P1 + 1) - 1 == P1
-    assert Fraction(2, 3) * P1 == SparsePolynomial.monomial(System.PI3, (1, 0, 0), Fraction(2, 3))
+    assert P1 * Fraction(2, 3) == Fraction(2, 3) * SparsePolynomial.monomial(System.PI3, (1, 0, 0))
 
 
 def test_expand_pi_to_y_variable():
@@ -495,15 +498,15 @@ def test_packed_products_at_the_slot_top_match_tuple_products(text, system, fact
 
 
 def test_products_of_large_exponents():
-    m = SparsePolynomial.monomial(System.PI3, (1000, 3, 0), 5)
-    square = SparsePolynomial.monomial(System.PI3, (2000, 6, 0), 25)
+    m = 5 * SparsePolynomial.monomial(System.PI3, (1000, 3, 0))
+    square = 25 * SparsePolynomial.monomial(System.PI3, (2000, 6, 0))
     assert m * m == m**2 == square
     f = m + P1 - Fraction(1, 3)
     expected = SparsePolynomial._from_numerators(
         System.PI3, product_by_tuples(f._nums, f._nums), f._den**2
     )
     assert f * f == f**2 == expected
-    y = SparsePolynomial.monomial(System.Y4, (0, 0, 0, 1023), 1) + y_variable(1)
+    y = SparsePolynomial.monomial(System.Y4, (0, 0, 0, 1023)) + y_variable(1)
     assert y * y == y**2 == SparsePolynomial(
         System.Y4, {(0, 0, 0, 2046): 1, (1, 0, 0, 1023): 2, (2, 0, 0, 0): 1}
     )
@@ -518,6 +521,65 @@ def test_products_with_zero_and_powers_zero():
     assert f**1 == f
     assert parse_polynomial("(P1 - P1)^5 * P2") == zero
     assert parse_polynomial("(P1 - P1)^0") == 1
+
+
+# -- the kernels that ``*``, ``**`` and the parser share ------------------------
+
+Y1, Y4 = y_variable(1), y_variable(4)
+C = SparsePolynomial.constant
+ZERO = SparsePolynomial.zero(System.PI3)
+THIRD = Fraction(1, 3)
+
+# (text, the same polynomial built by the operators)
+_SHARED_CASES = [
+    # a constant factor with a denominator only scales the other map
+    ("3/4*(P1 - 2*P2 + 1/3)", lambda: C(System.PI3, Fraction(3, 4)) * (P1 - 2 * P2 + THIRD)),
+    ("(P1 - 2*P2 + 1/3)*3/4", lambda: (P1 - 2 * P2 + THIRD) * C(System.PI3, Fraction(3, 4))),
+    ("5/6*7/10", lambda: C(System.PI3, Fraction(5, 6)) * C(System.PI3, Fraction(7, 10))),
+    ("(1/2)^3*(2*P1*P2 - 6/5)^2",
+     lambda: C(System.PI3, Fraction(1, 2)) ** 3 * (2 * P1 * P2 - Fraction(6, 5)) ** 2),
+    # constant powers
+    ("(-2/3)^5", lambda: C(System.PI3, Fraction(-2, 3)) ** 5),
+    ("(5/6)^0", lambda: C(System.PI3, Fraction(5, 6)) ** 0),
+    ("7^1", lambda: C(System.PI3, 7) ** 1),
+    ("0^3", lambda: ZERO**3),
+    ("0^0", lambda: ZERO**0),
+    ("(P1 - P1)^0", lambda: (P1 - P1) ** 0),
+    # products that cancel, in part or to 0
+    ("(P1 + P2)*(P1 - P2)", lambda: (P1 + P2) * (P1 - P2)),
+    ("(P1 - P1)*(P2 + 1/2)", lambda: (P1 - P1) * (P2 + Fraction(1, 2))),
+    ("1/2*(2/3*P1 + 1)^3*0", lambda: Fraction(1, 2) * (Fraction(2, 3) * P1 + 1) ** 3 * 0),
+    ("(P1 + P2)^2 - P1^2 - 2*P1*P2 - P2^2", lambda: (P1 + P2) ** 2 - P1**2 - 2 * P1 * P2 - P2**2),
+    ("(Y1 - Y4)*(Y1 + Y4) - Y1^2 + Y4^2", lambda: (Y1 - Y4) * (Y1 + Y4) - Y1**2 + Y4**2),
+    ("(1/3*Y1 - Y4)^4*(3*Y1 + 2/7)", lambda: (THIRD * Y1 - Y4) ** 4 * (3 * Y1 + Fraction(2, 7))),
+]
+
+
+@pytest.mark.parametrize("text, build", _SHARED_CASES)
+def test_shared_kernels_match_sympy(text, build):
+    sympy = pytest.importorskip("sympy")
+    parsed = parse_polynomial(text)
+    built = build()
+    assert parsed == built
+    assert_canonical(parsed, built.system)
+    assert_canonical(built, built.system)
+    names = sympy.symbols("P1:4") if built.system is System.PI3 else sympy.symbols("Y1:5")
+    text = text.replace("^", "**")
+    expected = sympy.expand(sympy.sympify(text, locals={str(v): v for v in names}))
+    assert sympy.expand(_as_sympy(sympy, built, names) - expected) == 0
+
+
+def test_shared_kernels_on_their_edges():
+    # key 0 is the constant monomial in every packing
+    assert _times({0: 3}, {5: 2, 9: -1}) == _times({5: 2, 9: -1}, {0: 3}) == {5: 6, 9: -3}
+    assert _times({}, {0: 3}) == _times({4: 1}, {}) == {}
+    assert _times({1: 1, 2: 1}, {1: 1, 2: -1}) == {2: 1, 4: -1}
+    assert _power({}, 0) == _power({0: 5}, 0) == _power({3: 2}, 0) == {0: 1}
+    assert _power({}, 3) == {} and _power({0: -2}, 3) == {0: -8}
+    base = {1: 1, 2: -1}
+    assert _power(base, 2) == _product(base, base) == {2: 1, 3: -2, 4: 1}
+    assert _sum([({(1, 0): 1, (0, 1): 2}, 2), ({(1, 0): -1}, 4)]) == ({(1, 0): 1, (0, 1): 4}, 4)
+    assert _sum([({7: 1}, 3), ({7: -2}, 6)]) == ({}, 6)
 
 
 def test_dense_power_at_the_degree_limit():

@@ -62,6 +62,7 @@ from reference import (
     inside_exact,
     pi_variable,
     ray_star_by_masks,
+    ray_stratum,
     ray_tilde_by_masks,
     collect_by_loop,
     sample_region_by_loop,
@@ -336,11 +337,20 @@ def test_escape_point_values(concrete):
     assert in_s_prime(ep.y, 1.0, concrete)
 
 
-def test_escape_threshold_is_17(concrete):
+@pytest.mark.parametrize("name", ["concrete", "min2_7", "big_weights"])
+def test_escape_threshold_is_17(name):
+    # decided in log form: the big weights' escape points leave the double
+    # range, where escape_point raises
+    config = MARGIN_CONFIGS[name]
+    assert escape_threshold(config) == 17
+    if name == "big_weights":
+        with pytest.raises(OverflowError):
+            escape_point(17, config)
+        return
     # index 16 lands exactly on the |y4| = 1 boundary, 17 is strictly inside
-    assert escape_threshold(concrete) == 17
-    assert escape_point(16, concrete).y[3] == 1.0
-    assert not in_s_prime(escape_point(16, concrete).y, 1.0, concrete)
+    assert escape_point(16, config).y[3] == 1.0
+    entered = (k for k in range(16, 1000) if in_s_prime(escape_point(k, config).y, 1.0, config))
+    assert next(entered) == 17
 
 
 def test_escape_projection_dominates(concrete):
@@ -821,10 +831,11 @@ def test_margin_filters_match_pow_reference(name, kind):
     config = MARGIN_CONFIGS[name]
     spec = RegionSpec(kind, 1.0)
     sampler = _StarSampler(config, spec, 50.0, np.random.default_rng(17))
-    ray = sampler._ray_tilde if kind is RegionKind.S_TILDE3 else sampler._ray_star
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the sampler's own strata: box, core box and rays
-        candidates = np.vstack([sampler._box(4000, 50.0), sampler._box(4000, 1.0), ray(12000)])
+        candidates = np.vstack(
+            [sampler._box(4000, 50.0), sampler._box(4000, 1.0), ray_stratum(sampler, 12000)]
+        )
         reference = _POW_MARGINS[kind](candidates, 1.0, config)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -898,9 +909,10 @@ def test_region_test_matches_exact_at_other_scales(name, kind, lam):
     # log|p| - log(lam) at a scale other than 1, on the strata of that scale
     config = MARGIN_CONFIGS[name]
     sampler = _StarSampler(config, RegionSpec(kind, lam), 50.0 * lam, np.random.default_rng(5))
-    ray = sampler._ray_tilde if kind is RegionKind.S_TILDE3 else sampler._ray_star
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        candidates = np.vstack([sampler._box(100, 50.0 * lam), sampler._box(100, lam), ray(300)])
+        candidates = np.vstack(
+            [sampler._box(100, 50.0 * lam), sampler._box(100, lam), ray_stratum(sampler, 300)]
+        )
     verdicts = inside(kind, candidates, lam, config)
     assert np.array_equal(verdicts, inside_exact(kind, candidates, lam, config))
     assert 0 < verdicts.sum() < len(candidates)
@@ -1185,7 +1197,7 @@ def test_ray_strata_match_mask_indexed_reference(name, kind, n):
         ref = _StarSampler(config, spec, radius, np.random.default_rng(29))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(2):
-                points = ours._ray_tilde(n) if tilde else ours._ray_star(n)
+                points = ray_stratum(ours, n)
                 expected = ray_tilde_by_masks(ref, n) if tilde else ray_star_by_masks(ref, n)
                 assert points.shape == expected.shape == (n, kind.dim)
                 assert np.array_equal(points.view(np.int64), expected.view(np.int64))

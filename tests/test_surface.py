@@ -34,8 +34,6 @@ ALLOWED_UNREFERENCED = {
 ALLOWED_UNSET_DEFAULTS = {
     "regions.in_s(tolerance)": "the per-point form of sandwich --tolerance, which "
     "sandwich_check applies to its whole batch",
-    "algebra.SparsePolynomial.monomial(coeff)": "only the tests build monomials "
-    "with a coefficient; whether it moves out of the package is still open",
 }
 
 
