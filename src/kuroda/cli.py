@@ -242,13 +242,15 @@ def _cmd_member(args):
     f = parse_polynomial(args.expr, System.PI3)
     star = membership.in_r_star(f, config)
     oracle = membership.in_r_oracle(f, config)
-    # A member has no violations, so only a non-member's route runs again to list
-    # them, and that listing pass reuses the images its verdict pass cached
-    # (expand_pi_to_y, reexpress_for_axis).  Reading the verdict off the listing
-    # would call each route once, but the benchmark's route-agreement metric
-    # reads the in_r_star/in_r_oracle spans (perfbench
-    # test_short_traced_run_gives_every_layer_metric); that waits for the
-    # ROADMAP item on tracing inside src/ (kuroda.trace).
+    # The verdicts stop at the first violation, so a member's routes scan all of
+    # their support and a non-member's only up to its first violation.  Only a
+    # non-member's route then runs again to list the violations, and that
+    # listing pass reuses the images its verdict pass cached (expand_pi_to_y,
+    # reexpress_for_axis); the star listing maps any axis the verdict did not
+    # reach.  Reading the verdict off the listing would call each route once,
+    # but the benchmark's route-agreement metric reads the in_r_star/in_r_oracle
+    # spans (perfbench test_short_traced_run_gives_every_layer_metric); that
+    # waits for the ROADMAP item on tracing inside src/ (kuroda.trace).
     violations = () if star else membership.star_violations(f, config)
     outside = () if oracle else membership.oracle_violations(f, config)
     rows = [

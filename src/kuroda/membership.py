@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     SparsePolynomial,
@@ -140,34 +140,46 @@ class StarViolation:
     rhs: int
 
 
-def star_violations(f: SparsePolynomial, config: KurodaConfig) -> tuple[StarViolation, ...]:
-    """Every support triple with ``delta_ii * r1 > d_i * r3``, across all three axes.
+def _star_violations(f: SparsePolynomial, config: KurodaConfig) -> Iterator[StarViolation]:
+    """The support triples with ``delta_ii * r1 > d_i * r3``, lazily, axis 1 first.
 
-    All axes are scanned even after the first hit; the list is the diagnostic
-    payload for membership reports.
+    The slope bound is defined here alone: :func:`star_violations` lists
+    what this yields and :func:`in_r_star` reads its first item, so axis
+    ``i + 1`` is re-expressed only once axis ``i`` has been scanned.
     """
     if f.system is not System.PI3:
         raise ValueError("membership tests expect a PI3 polynomial")
     d = column_minima(config)
-    violations = []
     for i in AXES:
-        dii = config.magnitude(i, i)
+        dii, di = config.magnitude(i, i), d[i - 1]
         for triple in axis_support(f, i):
             r1, _, r3 = triple
-            if dii * r1 > d[i - 1] * r3:
-                violations.append(StarViolation(i, triple, dii * r1, d[i - 1] * r3))
-    return tuple(violations)
+            if dii * r1 > di * r3:
+                yield StarViolation(i, triple, dii * r1, di * r3)
+
+
+def star_violations(f: SparsePolynomial, config: KurodaConfig) -> tuple[StarViolation, ...]:
+    """Every support triple with ``delta_ii * r1 > d_i * r3``, across all three axes.
+
+    All axes are scanned even after the first hit, where :func:`in_r_star`
+    stops; the list is the diagnostic payload for membership reports.
+    """
+    return tuple(_star_violations(f, config))
 
 
 def in_r_star(f: SparsePolynomial, config: KurodaConfig) -> bool:
-    """Combinatorial ring-membership route: no axis support triple violates the slope bound."""
-    return not star_violations(f, config)
+    """Combinatorial ring-membership route: no axis support triple violates the slope bound.
+
+    Returns at the first violating triple, so a non-member whose axis-1
+    support breaks the bound never re-expresses axes 2 and 3.
+    """
+    return next(_star_violations(f, config), None) is None
 
 
 def _outside_monoid(
     keys: Iterable[tuple[int, ...]], config: KurodaConfig
-) -> list[tuple[int, ...]]:
-    """The ``Y4`` exponent vectors among ``keys`` that fall outside the monoid, in input order.
+) -> Iterator[tuple[int, ...]]:
+    """The ``Y4`` exponent vectors among ``keys`` outside the monoid, lazily, in input order.
 
     The test is :func:`monoid_member_oracle`'s: a vector is outside when its
     dot product with one of the four :func:`ambient_columns` is negative.
@@ -177,13 +189,27 @@ def _outside_monoid(
     (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4), (g1, g2, g3, g4) = ambient_columns(
         config
     )
-    return [
+    return (
         n for n in keys for n1, n2, n3, n4 in (n,)
         if a1 * n1 + a2 * n2 + a3 * n3 + a4 * n4 < 0
         or b1 * n1 + b2 * n2 + b3 * n3 + b4 * n4 < 0
         or c1 * n1 + c2 * n2 + c3 * n3 + c4 * n4 < 0
         or g1 * n1 + g2 * n2 + g3 * n3 + g4 * n4 < 0
-    ]
+    )
+
+
+def _oracle_violations(
+    f: SparsePolynomial, config: KurodaConfig
+) -> Iterator[tuple[int, int, int, int]]:
+    """The monomials of the Y4 expansion of ``f`` outside the monoid, lazily, in storage order.
+
+    Every stored exponent of the expansion goes through :func:`_outside_monoid`,
+    with the columns read once per call instead of once per monomial.
+    """
+    if f.system is not System.PI3:
+        raise ValueError("membership tests expect a PI3 polynomial")
+    nums, _ = expand_pi_to_y(f)._numerators()
+    return _outside_monoid(nums, config)
 
 
 def oracle_violations(
@@ -191,19 +217,18 @@ def oracle_violations(
 ) -> tuple[tuple[int, int, int, int], ...]:
     """Monomials of the Y4 expansion of ``f`` that fall outside the monoid, in lex order.
 
-    Every stored exponent of the expansion goes through :func:`_outside_monoid`,
-    with the columns read once per call instead of once per monomial, and
-    only the monomials that fail are sorted.
+    Every monomial is tested, where :func:`in_r_oracle` stops at the first
+    that fails, and only the ones that fail are sorted.
     """
-    if f.system is not System.PI3:
-        raise ValueError("membership tests expect a PI3 polynomial")
-    nums, _ = expand_pi_to_y(f)._numerators()
-    return tuple(sorted(_outside_monoid(nums, config)))
+    return tuple(sorted(_oracle_violations(f, config)))
 
 
 def in_r_oracle(f: SparsePolynomial, config: KurodaConfig) -> bool:
-    """Expansion ring-membership route: every Y4 monomial of ``f`` is in the monoid."""
-    return not oracle_violations(f, config)
+    """Expansion ring-membership route: every Y4 monomial of ``f`` is in the monoid.
+
+    Returns at the first monomial outside the monoid.
+    """
+    return next(_oracle_violations(f, config), None) is None
 
 
 class RouteDisagreementError(RuntimeError):

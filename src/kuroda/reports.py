@@ -11,7 +11,11 @@ byte in one recursive pass: exact ``str``, ``int``, ``float``, ``bool``,
 ``None``, ``dict``, ``list`` and ``tuple`` values are written directly, and
 every other value goes through :func:`jsonable` first.  ``Fraction`` values
 become their ``"p/q"`` text there, and a value that json cannot encode
-raises ``TypeError`` as it would in json.
+raises ``TypeError`` as it would in json.  A list of integer rows, such as
+a membership report's violation rows, is written by one ``%``-template
+instead of one call per value: its items are all dicts with the same
+``str`` keys in the same order, or all lists or tuples of one length, and
+every value in them is an exact ``int``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import enum
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 
 
 def jsonable(obj):
@@ -67,6 +72,50 @@ _LEAVES = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
+_DICT, _STR, _INT, _ARRAYS = {dict}, {str}, {int}, {list, tuple}
+
+
+def _int_rows(rows: list | tuple, newline: str) -> str | None:
+    """JSON text of ``rows``, a non-empty list, if it holds int rows of one shape; else None.
+
+    The rows are either all ``dict`` with the same ``str`` keys in the same
+    order, or all ``list``/``tuple`` of the same length, and every value is
+    an exact ``int`` (not a ``bool`` or another subclass); empty rows are
+    refused.  Such a list is written by one ``%``-template, filled with all
+    of its values at once.
+    """
+    first = rows[0]
+    # the first row's values turn away most other lists before any full pass
+    if type(first) is dict:
+        if {*map(type, first.values())} != _INT or {*map(type, rows)} != _DICT:
+            return None
+        keys = [*first]
+        # no row can be longer than the first, since it would repeat a key, so
+        # equal key sequences mean that every row has the first row's keys
+        flat_keys = [*chain.from_iterable(rows)]
+        if flat_keys != keys * len(rows) or {*map(type, flat_keys)} != _STR:
+            return None
+        values = tuple(chain.from_iterable(map(dict.values, rows)))
+        fields = [_escape(k).replace("%", "%%") + ": %d" for k in keys]
+        opening, closing = "{", "}"
+    elif type(first) is list or type(first) is tuple:
+        if (
+            {*map(type, first)} != _INT
+            or {*map(type, rows)} - _ARRAYS
+            or {*map(len, rows)} != {len(first)}
+        ):
+            return None
+        values = tuple(chain.from_iterable(rows))
+        fields = ["%d"] * len(first)
+        opening, closing = "[", "]"
+    else:
+        return None
+    if {*map(type, values)} != _INT:
+        return None
+    inner = newline + "  "
+    row = opening + inner + "  " + ("," + inner + "  ").join(fields) + inner + closing
+    template = "[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]"
+    return template % values
 
 
 def _json_text(obj, newline: str) -> str:
@@ -86,6 +135,9 @@ def _json_text(obj, newline: str) -> str:
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
+        text = _int_rows(obj, newline)
+        if text is not None:
+            return text
         inner = newline + "  "
         items = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

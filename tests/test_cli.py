@@ -695,6 +695,8 @@ def test_expression_at_degree_limit_runs(capsys, concrete_path):
 def test_member_route_disagreement_exits_one(capsys, concrete_path, monkeypatch):
     import kuroda.membership
 
+    # the verdict no longer reads the listing, so both are patched
+    monkeypatch.setattr(kuroda.membership, "in_r_oracle", lambda f, config: False)
     monkeypatch.setattr(
         kuroda.membership, "oracle_violations", lambda f, config: ((1, 0, 0, 0),)
     )
@@ -732,8 +734,9 @@ def test_membership_routes_do_not_use_substitute(
     "expr, member, calls_made",
     [
         ("(P1-P2)*(P2-P3)*(P3-P1)", True, {"expand_pi_to_y": 1, "reexpress_for_axis": 3}),
-        # a non-member's routes run again to list the violations
-        ("P1^2*P2 + P3", False, {"expand_pi_to_y": 2, "reexpress_for_axis": 6}),
+        # a non-member's verdicts stop at the first violation (on axis 1 for the
+        # star route), and its routes run again to list the violations
+        ("P1^2*P2 + P3", False, {"expand_pi_to_y": 2, "reexpress_for_axis": 4}),
     ],
     ids=["member", "non_member"],
 )

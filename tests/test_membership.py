@@ -224,7 +224,33 @@ def pi_polynomials_to_degree_eight(draw):
     return ANTISYM * f if multiple else f
 
 
-FILE_CONFIGS = [KurodaConfig.from_json_file(path) for path in sorted(CONFIGS.glob("*.json"))]
+NAMED_CONFIGS = {
+    path.stem: KurodaConfig.from_json_file(path) for path in sorted(CONFIGS.glob("*.json"))
+}
+FILE_CONFIGS = list(NAMED_CONFIGS.values())
+
+
+@pytest.mark.parametrize("name", ["concrete", "min2_7", "big_weights"])
+@settings(max_examples=60, deadline=None)
+@given(f=pi_polynomials_to_degree_eight())
+def test_each_verdict_agrees_with_its_listing(name, f):
+    """A verdict stops at the first violation; the listing it stands for holds all of them."""
+    config = NAMED_CONFIGS[name]
+    assert in_r_star(f, config) is (not star_violations(f, config))
+    assert in_r_oracle(f, config) is (not oracle_violations(f, config))
+
+
+def test_star_verdict_maps_later_axes_only_for_a_clean_first_axis(concrete):
+    from kuroda.algebra import reexpress_for_axis
+
+    f = P1**2 * P2 + P3
+    assert 1 in {v.axis for v in star_violations(f, concrete)}
+    reexpress_for_axis.cache_clear()
+    assert not in_r_star(f, concrete)
+    assert reexpress_for_axis.cache_info().misses == 1
+    reexpress_for_axis.cache_clear()
+    assert in_r_star(ANTISYM, concrete)
+    assert reexpress_for_axis.cache_info().misses == 3
 
 
 @settings(max_examples=200, deadline=None)

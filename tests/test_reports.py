@@ -1,18 +1,24 @@
-"""``render_json`` writes exactly ``json.dumps(jsonable(x), indent=2)``, and
-``render_csv`` writes the same bytes for columns as for the rows they hold."""
+"""``render_json`` writes exactly ``json.dumps(jsonable(x), indent=2)``, on
+any report and on lists of integer rows (the one-template path) in
+particular, and ``render_csv`` writes the same bytes for columns as for the
+rows they hold."""
 
 import dataclasses
 import enum
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuroda.reports import jsonable, render_csv, render_json
+from kuroda.reports import _int_rows, jsonable, render_csv, render_json
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class Color(enum.Enum):
@@ -24,6 +30,20 @@ class Color(enum.Enum):
 class Odd(enum.Enum):
     # json cannot encode this value: jsonable does not convert enum values
     HALF = Fraction(1, 2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Count(int):
+    """An int subclass with its own text: json writes ``int.__repr__`` of it."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+    __str__ = __repr__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +131,119 @@ def test_render_json_equals_json_dumps_of_jsonable(x):
 )
 def test_render_json_examples(x):
     assert render_json(x) == reference(x)
+
+
+# exact ints of every size and sign; keys with template and json escapes
+_row_ints = st.one_of(
+    st.integers(-9, 9),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 10**40, -(10**40)]),
+)
+_row_keys = st.one_of(
+    _text, st.sampled_from(["%", "%d", "%%s", "%(a)s", '"', "\\", "é", "\U0001F600", "r1"])
+)
+# what must not take the template: bools print true/false, int subclasses
+# go through jsonable, and the rest is not an int at all
+_row_misfits = st.one_of(
+    st.booleans(),
+    st.sampled_from(Level),
+    st.builds(Count, _row_ints),
+    st.builds(np.int64, st.integers(-9, 9)),
+    _floats,
+    st.fractions(max_denominator=9),
+    st.none(),
+    _text,
+    st.lists(_row_ints, max_size=2),
+)
+
+
+@st.composite
+def _int_row_lists(draw):
+    """A list of 1..5 rows of one shape holding exact ints, then 0..2 deviations.
+
+    The rows are dicts with the same keys, or lists and tuples of one width.
+    A deviation puts a misfit value in a row, reverses a row's keys, drops a
+    row's last entry or adds one.
+    """
+    n = draw(st.integers(1, 5))
+    as_dicts = draw(st.booleans())
+    if as_dicts:
+        keys = draw(st.lists(_row_keys, max_size=4, unique=True))
+        rows = [{k: draw(_row_ints) for k in keys} for _ in range(n)]
+    else:
+        width = draw(st.integers(0, 4))
+        rows = [[draw(_row_ints) for _ in range(width)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        row = rows[i]
+        change = draw(st.sampled_from(["misfit", "reverse", "drop", "add"]))
+        if change == "misfit" and row:
+            at = draw(st.sampled_from(list(row) if as_dicts else range(len(row))))
+            row[at] = draw(_row_misfits)
+        elif change == "reverse":
+            rows[i] = dict(reversed(row.items())) if as_dicts else row[::-1]
+        elif change == "drop" and row:
+            row.popitem() if as_dicts else row.pop()
+        elif change == "add":
+            if as_dicts:
+                row[draw(_row_keys)] = draw(_row_ints)
+            else:
+                row.append(draw(_row_ints))
+    if not as_dicts:
+        rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+_row_reports = st.recursive(
+    st.one_of(_int_row_lists(), _leaves), _containers, max_leaves=8
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_int_row_lists(), _row_reports))
+def test_render_json_of_int_rows_equals_json_dumps_of_jsonable(x):
+    assert render_json(x) == reference(x)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"axis": 1, "r1": 2}],
+        [[1, 2], (3, 4), [5, 6]],
+        [{"a": 1, "b": True}, {"a": 2, "b": 3}],
+        [[1, False], [2, 3]],
+        [{"a": 1, "b": 2}, {"a": 3, "b": True}],
+        [[1, 2], [3, 4.0]],
+        [[1], [None]],
+        [(1,), (Fraction(1, 2),)],
+        [[1, 2], [3, "4"]],
+        [[Level.LOW, 1], [Level.HIGH, 2]],
+        [[Count(5)], [6]],
+        [[2**64, -(2**70)], [-1, 0]],
+        [{"%d": 1, "%": 2, '"q"': 3, "\\": 4, "é\U0001F600": 5}],
+        [{}, {}],
+        [[], ()],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1, "b": 2}, {"a": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [[1], [1, 2]],
+        [[1, 2], [1]],
+        [{"a": 1}, [1]],
+        [[1], 1],
+    ],
+)
+def test_render_json_int_row_examples(rows):
+    for x in (rows, {"k": rows, "nested": [rows]}):
+        assert render_json(x) == reference(x)
+
+
+def test_member_rows_take_the_template():
+    golden = json.loads((GOLDEN / "member_dense8.json").read_text(encoding="utf-8"))
+    for key in ("star_violations", "oracle_violations"):
+        rows = golden[key]
+        assert len(rows) > 1
+        assert _int_rows(rows, "\n") == json.dumps(rows, indent=2)
+    assert render_json(golden) == reference(golden)
 
 
 @settings(max_examples=100, deadline=None)
