@@ -7,6 +7,7 @@ config      exact validity condition, derived column minima, continued-
             fraction towers per axis
 algebra     sparse multivariate polynomials over exact rationals and the
             change-of-variable maps between the variable systems
+cone        the exponent cone's facets, rays and lattice points by degree
 membership  exponent-monoid and ring membership by two independent routes,
             minimal-generator enumeration, ring-generator census by degree
 blowup      chart-exponent traces through the blowup tower, pole profiles,

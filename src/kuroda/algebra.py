@@ -37,11 +37,11 @@ return ``Fraction`` values.
 The change-of-variable maps are closed forms, written once each:
 ``PI3 -> Y4`` expands ``P_i = y_i - y_4`` by Taylor's formula along
 (1, 1, 1), one derivative step per power of ``y_4`` (oracle route),
-``PI3 -> AXIS3`` is one binomial row per term (star route), and
-:func:`expand_y_to_x` sends a ``Y4`` exponent vector to the ambient exponent
-vector ``x1..x4`` by combining the signed rows (a plain tuple whose entries
-may be negative, not a polynomial).  The two routes share no expansion code;
-:func:`substitute` is the generic reference for tests.
+``PI3 -> AXIS3`` is one binomial row per term (star route, one way only),
+and :func:`expand_y_to_x` sends a ``Y4`` exponent vector to the ambient
+exponent vector ``x1..x4`` by combining the signed rows (a plain tuple whose
+entries may be negative, not a polynomial).  The two routes share no
+expansion code; :func:`substitute` is the generic reference for tests.
 
 The two route maps keep small bounded caches (``functools.lru_cache``):
 :func:`expand_pi_to_y` its last image, :func:`reexpress_for_axis` its last
@@ -58,7 +58,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .config import AXES, KurodaConfig
@@ -484,29 +484,9 @@ def expand_y_to_x(n: Sequence[int], config: KurodaConfig) -> tuple[int, int, int
     return tuple(sum(map(mul, exps, column)) for column in ambient_columns(config))
 
 
-# The basis of axis i is u1 = P_a, u2 = P_b, u3 = P_b - P_c, with the 0-based
-# positions (a, b, c) below; inversely P_a = u1, P_b = u2, P_c = u2 - u3.
+# The basis of axis i is u1 = P_a, u2 = P_b, u3 = P_b - P_c at the 0-based positions (a, b, c)
+# below, so P_a^r1 P_b^r2 P_c^r3 = sum_k C(r3, k) (-1)^(r3-k) u1^r1 u2^(r2+k) u3^(r3-k).
 _AXIS_POSITIONS = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
-
-
-def _shear(f: SparsePolynomial, source, target, system: System) -> SparsePolynomial:
-    """Send the variables at positions ``source`` to v_a, v_b, v_b - v_c, (a, b, c) = ``target``.
-
-    A term with exponents (r1, r2, r3) at ``source`` becomes the binomial row
-    C(r3, k) (-1)^(r3 - k) v_a^r1 v_b^(r2 + k) v_c^(r3 - k), k = 0..r3.
-    """
-    read = itemgetter(*source)
-    # entry j of an image is row entry place[j]
-    place = itemgetter(*sorted(range(3), key=target.__getitem__))
-    nums, den = f._numerators()
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for exps, c in nums.items():
-        r1, r2, r3 = read(exps)
-        for k, b in enumerate(_signed_binomials(r3)):
-            image = place((r1, r2 + k, r3 - k))
-            out[image] = get(image, 0) + c * b
-    return SparsePolynomial._from_numerators(system, out, den)
 
 
 @lru_cache(maxsize=3)
@@ -522,7 +502,16 @@ def reexpress_for_axis(f: SparsePolynomial, axis: int) -> SparsePolynomial:
         raise SystemMismatchError("reexpress_for_axis expects a PI3 polynomial")
     if axis not in _AXIS_POSITIONS:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    return _shear(f, _AXIS_POSITIONS[axis], (0, 1, 2), System.AXIS3)
+    a, b, c = _AXIS_POSITIONS[axis]
+    nums, den = f._numerators()
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for exps, n in nums.items():
+        r1, r2, r3 = exps[a], exps[b], exps[c]
+        for k, s in enumerate(_signed_binomials(r3)):
+            image = (r1, r2 + k, r3 - k)
+            out[image] = get(image, 0) + n * s
+    return SparsePolynomial._from_numerators(System.AXIS3, out, den)
 
 
 def axis_support(f: SparsePolynomial, axis: int) -> tuple[tuple[int, int, int], ...]:

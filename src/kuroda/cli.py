@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, default=None)
     p.add_argument("--r3", type=int, default=None)
     p.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--which", choices=("1", "2", "3", "all"), default="all")
 
     p = sub.add_parser("pullback", help="chart traces, pole profile, arm-inequality poles")
     _add_common(p)
@@ -278,7 +277,8 @@ def _cmd_cond(args):
     if args.expr is not None:
         subject = parse_polynomial(args.expr, System.PI3)
         subject_desc = polynomial_to_text(subject)
-        rows = poles = None
+        rows = None
+        poles = blowup.polynomial_pole_set(subject, tower, args.axis)
     elif all(triple_given):
         subject = (args.r1, args.r2, args.r3)
         subject_desc = list(subject)
@@ -288,15 +288,12 @@ def _cmd_cond(args):
         poles = frozenset(profile.pole_set())
     else:
         raise ConfigError("cond needs --expr or all of --r1 --r2 --r3")
-    which_list = ("1", "2", "3") if args.which == "all" else (args.which,)
-    if poles is None and which_list != ("1",):
-        poles = blowup.polynomial_pole_set(subject, tower, args.axis)
     # conditions 2 and 3 compare the one pole set with j1 and with j2
     ax = tower.axis(args.axis)
-    unions = {"2": ax.j1, "3": ax.j2}
     verdicts = {
-        w: blowup.cond(subject, args.axis, 1, tower) if w == "1" else poles <= unions[w]
-        for w in which_list
+        "1": blowup.cond(subject, args.axis, 1, tower),
+        "2": poles <= ax.j1,
+        "3": poles <= ax.j2,
     }
     agree = len(set(verdicts.values())) == 1
     data = {
@@ -307,8 +304,7 @@ def _cmd_cond(args):
     }
     if rows is not None:
         data["trace"] = rows
-    code = 0 if (len(which_list) == 1 or agree) else 1
-    return data, rows, code
+    return data, rows, 0 if agree else 1
 
 
 def _cmd_pullback(args):

@@ -12,11 +12,11 @@ suite exercises it exhaustively at desk scale, and the CLI treats any
 disagreement as an implementation bug.
 
 :func:`enumerate_t_generators` lists the minimal generators of the monoid up
-to a degree bound: ``e4`` and, found by a sieve over the 3-dimensional cone
-of ``(n1, n2, n3)`` (``n4`` enters no inequality), the members from which
-subtracting no smaller generator leaves a member.  That basis is
-finite (Gordan's lemma: the monoid is a rational polyhedral cone cut with
-``Z^4``), so its counts plateau.  The growth the paper is about
+to a degree bound: ``e4`` and, found by a sieve over :mod:`kuroda.cone`'s
+3-dimensional cone of ``(n1, n2, n3)`` (``n4`` enters no inequality), the
+members from which subtracting no smaller generator leaves a member.  That
+basis is finite (Gordan's lemma: the monoid is a rational polyhedral cone
+cut with ``Z^4``), so its counts plateau.  The growth the paper is about
 lives in the ring: :func:`ring_generator_census` counts the algebra
 generators of ``R = k[P1,P2,P3] ∩ k[T]`` degree by degree, computing each
 graded piece by both routes.
@@ -39,22 +39,13 @@ from .algebra import (
     reexpress_for_axis,
 )
 from .config import AXES, KurodaConfig, column_minima
+from .cone import facets, points
 
 
 def monoid_member(n: Sequence[int], config: KurodaConfig) -> bool:
-    """Exact inequality test: each column's diagonal weight is dominated.
-
-    True iff for every axis i (with {j, k} the other two):
-    ``delta_ii * n_i <= delta_ji * n_j + delta_ki * n_k``.
-    """
-    exps = check_exponents(System.Y4, n)
-    for i in AXES:
-        j, k = (t for t in AXES if t != i)
-        lhs = config.magnitude(i, i) * exps[i - 1]
-        rhs = config.magnitude(j, i) * exps[j - 1] + config.magnitude(k, i) * exps[k - 1]
-        if lhs > rhs:
-            return False
-    return True
+    """Exact inequality test: ``(n1, n2, n3)`` is on the inner side of every cone facet."""
+    n1, n2, n3, _ = check_exponents(System.Y4, n)
+    return all(f1 * n1 + f2 * n2 + f3 * n3 >= 0 for f1, f2, f3 in facets(config))
 
 
 def monoid_member_oracle(n: Sequence[int], config: KurodaConfig) -> bool:
@@ -90,14 +81,15 @@ def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> Generator
 
     ``n4`` enters none of :func:`monoid_member`'s three inequalities, so the
     members are the vectors ``(m, n4)`` with ``n4 >= 0`` and ``m`` in the
-    3-dimensional cone they cut out.  A member with ``n4 > 0`` other than
-    ``e4`` splits as ``e4 + (n - e4)``, and the parts of a member with
-    ``n4 = 0`` have ``n4 = 0`` too.  So the generators are ``e4`` and the
-    minimal members of the 3-dimensional cone, with ``n4 = 0``.
+    3-dimensional cone ``C`` of :mod:`kuroda.cone`.  A member with ``n4 > 0``
+    other than ``e4`` splits as ``e4 + (n - e4)``, and the parts of a member
+    with ``n4 = 0`` have ``n4 = 0`` too.  So the generators are ``e4`` and
+    the minimal members of ``C``, with ``n4 = 0``.
 
-    Those are sieved: the cone members ``m`` are walked in ``(degree, lex)``
-    order, and ``m`` is kept unless ``m - g`` is a member for a generator
-    ``g`` kept before it.  This is exact: the members up to the bound are
+    Those are sieved: the points ``m`` of ``C_1`` to ``C_bound``
+    (:func:`~kuroda.cone.points`) are walked in ``(degree, lex)`` order, and
+    ``m`` is kept unless ``m - g`` is a member for a generator ``g`` kept
+    before it.  This is exact: the members up to the bound are
     the lattice points of a cone, so they are closed under addition within
     the bound, and any splitting ``m = a + b`` has a generator ``g <= a``
     with ``m - g = (a - g) + b`` a member.  The list comes out in the
@@ -105,27 +97,14 @@ def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> Generator
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    mag = config.magnitude
-    d11, d21, d31 = mag(1, 1), mag(2, 1), mag(3, 1)
-    d22, d12, d32 = mag(2, 2), mag(1, 2), mag(3, 2)
-    d33, d13, d23 = mag(3, 3), mag(1, 3), mag(2, 3)
-    members: set[tuple[int, int, int]] = set()
+    levels = points(config, degree_bound)
+    members = set().union(*levels)
     cone: list[tuple[int, int, int]] = []
-    generators = [(0, 0, 0, 1)] if degree_bound >= 1 else []
-    for degree in range(1, degree_bound + 1):
-        for n1 in range(degree + 1):
-            for n2 in range(degree + 1 - n1):
-                n3 = degree - n1 - n2
-                if (
-                    d11 * n1 > d21 * n2 + d31 * n3
-                    or d22 * n2 > d12 * n1 + d32 * n3
-                    or d33 * n3 > d13 * n1 + d23 * n2
-                ):
-                    continue
-                members.add((n1, n2, n3))
-                if not any((n1 - g1, n2 - g2, n3 - g3) in members for g1, g2, g3 in cone):
-                    cone.append((n1, n2, n3))
-                    generators.append((n1, n2, n3, 0))
+    for level in levels[1:]:
+        for n1, n2, n3 in level:
+            if not any((n1 - g1, n2 - g2, n3 - g3) in members for g1, g2, g3 in cone):
+                cone.append((n1, n2, n3))
+    generators = ([(0, 0, 0, 1)] if degree_bound >= 1 else []) + [(*g, 0) for g in cone]
     growing = any(sum(g) == degree_bound for g in generators)
     return GeneratorList(degree_bound, tuple(generators), growing)
 

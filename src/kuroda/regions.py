@@ -101,6 +101,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import cone
 from .algebra import SparsePolynomial, System
 # RegionKind, SamplingError and SANDWICH_MIN_RADIUS are defined in config and
 # re-exported from here.
@@ -136,16 +137,6 @@ class Verdict(enum.Enum):
     IN = "IN"
     OUT = "OUT"
     UNCERTAIN = "UNCERTAIN"
-
-
-def _cross_pairs(config: KurodaConfig) -> tuple[tuple[int, int, int, int], ...]:
-    """(i, j, exp_i, exp_j) for the six ordered cross bounds |y_i**e_i * y_j**e_j| < 1."""
-    return tuple(
-        (i, j, config.magnitude(j, i), config.magnitude(i, i))
-        for i in AXES
-        for j in AXES
-        if i != j
-    )
 
 
 def _check_scale(lam: float) -> None:
@@ -210,7 +201,7 @@ def _star_margins(p, lam: float, config: KurodaConfig) -> np.ndarray:
     """The log margin of the cross bounds, with ``log|q_4|`` for a fourth coordinate array."""
     log_lam = math.log(lam)
     logq = [_log_of(np.abs(c), log_lam) for c in p]
-    margin = _cross_max(logq, _cross_pairs(config))
+    margin = _cross_max(logq, cone.rays(config))
     return margin if len(p) == 3 else _into(np.maximum, margin, logq[3])
 
 
@@ -490,7 +481,7 @@ def s_shift_margins(points, lam: float, config: KurodaConfig) -> tuple[np.ndarra
         raise ValueError(
             f"the shift search at scale {lam} passes the double range (max |p| + scale = {reach})"
         )
-    pairs = _cross_pairs(config)
+    pairs = cone.rays(config)
     log_lam = math.log(lam)
     best = np.empty(len(pts))
     best_a = np.empty(len(pts))
@@ -654,7 +645,7 @@ def escape_threshold(config: KurodaConfig) -> int:
     point is inside where every cross bound's ``e_i*log2 y_i + e_j*log2
     y_j`` and ``log2 y_4`` are negative, so no weight makes it overflow.
     """
-    pairs = _cross_pairs(config)
+    pairs = cone.rays(config)
     for first in range(ESCAPE_FIRST, _ESCAPE_THRESHOLD_LIMIT + 1, _ESCAPE_BLOCK):
         last = min(first + _ESCAPE_BLOCK - 1, _ESCAPE_THRESHOLD_LIMIT)
         logs = _escape_logs(first, last, config).T
@@ -785,18 +776,18 @@ class _StarSampler:
 
     def _star_rows(self, draws, lo: int, hi: int) -> np.ndarray:
         """Ray candidates ``lo..hi`` of the cross-bound regions, from :meth:`_ray_draws`."""
-        lam, cfg = self.spec.lam, self.config
+        lam = self.spec.lam
+        exps = {(i, j): (ei, ej) for i, j, ei, ej in cone.rays(self.config)}
         pts = np.zeros((hi - lo, self.dim))
         columns = pts.T
         for a, rows, ta, sa, first, second in self._axis_rows(draws, lo, hi):
             va = ta / lam
             columns[a - 1][rows] = sa * ta
             for j, u in zip((x for x in AXES if x != a), (first, second)):
-                e_fwd = cfg.magnitude(j, a) / cfg.magnitude(a, a)
-                e_rev = cfg.magnitude(j, j) / cfg.magnitude(a, j)
                 # both pows stay: pow may be 1 ulp off, so near va = 1 the
                 # larger exponent need not give the smaller value
-                lower = np.minimum(_pow_from_one(va, -e_fwd), _pow_from_one(va, -e_rev))
+                (fa, fj), (rj, ra) = exps[a, j], exps[j, a]
+                lower = np.minimum(_pow_from_one(va, -(fa / fj)), _pow_from_one(va, -(ra / rj)))
                 bound = lam * np.minimum(0.5, lower) * 0.999
                 columns[j - 1][rows] = u * bound
         if self.dim == 4:

@@ -21,11 +21,11 @@ from kuroda.algebra import (
     SparsePolynomial,
     System,
     SystemMismatchError,
-    _shear,
     _signed_binomials,
     ambient_columns,
     expand_pi_to_y,
 )
+from kuroda.cone import rays
 from kuroda.config import AXES, KurodaConfig, column_minima
 from kuroda.exprparse import _VARIABLES, MAX_DEGREE, ExpressionError
 from kuroda.membership import GeneratorList, monoid_member
@@ -36,7 +36,6 @@ from kuroda.regions import (
     SandwichReport,
     _as_points,
     _check_scale,
-    _cross_pairs,
     _power_table,
     _StarSampler,
     inside,
@@ -55,12 +54,26 @@ def y_variable(i: int) -> SparsePolynomial:
 
 
 def axis_to_pi(g: SparsePolynomial, axis: int) -> SparsePolynomial:
-    """Inverse of :func:`kuroda.algebra.reexpress_for_axis`."""
+    """Inverse of :func:`kuroda.algebra.reexpress_for_axis`, one binomial row per term.
+
+    With ``u1 = P_a``, ``u2 = P_b``, ``u3 = P_b - P_c``, a term
+    ``u1^r1 u2^r2 u3^r3`` becomes
+    ``sum_k C(r3, k) (-1)^(r3 - k) P_a^r1 P_b^(r2 + k) P_c^(r3 - k)``.
+    """
     if g.system is not System.AXIS3:
         raise SystemMismatchError("axis_to_pi expects an AXIS3 polynomial")
     if axis not in _AXIS_POSITIONS:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    return _shear(g, (0, 1, 2), _AXIS_POSITIONS[axis], System.PI3)
+    a, b, c = _AXIS_POSITIONS[axis]
+    nums, den = g._numerators()
+    out: dict[tuple[int, ...], int] = {}
+    for (r1, r2, r3), n in nums.items():
+        for k, s in enumerate(_signed_binomials(r3)):
+            exps = [0, 0, 0]
+            exps[a], exps[b], exps[c] = r1, r2 + k, r3 - k
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + n * s
+    return SparsePolynomial._from_numerators(System.PI3, out, den)
 
 
 def evaluate_continued_fraction(quotients: Sequence[int]) -> Fraction:
@@ -550,7 +563,7 @@ def shift_margins_full_scan(points, lam: float, config: KurodaConfig) -> tuple[n
     _check_scale(lam)
     rows = np.arange(len(pts))
     coords = pts.T[:, :, None]
-    pairs = _cross_pairs(config)
+    pairs = rays(config)
     log_lam = math.log(lam)
     grid = np.linspace(-lam, lam, 1026)[1:-1]
     shifts = np.broadcast_to(grid, (len(pts), 1024))
@@ -781,7 +794,7 @@ def _cross_bounds_hold(q, L, config: KurodaConfig) -> bool:
     q = [(abs(n), e) for n, e in q]
     return all(
         _dy_less(_dy_mul(_dy_pow(q[i - 1], ei), _dy_pow(q[j - 1], ej)), _dy_pow(L, ei + ej))
-        for i, j, ei, ej in _cross_pairs(config)
+        for i, j, ei, ej in rays(config)
     )
 
 

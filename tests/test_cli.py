@@ -150,6 +150,26 @@ def test_cond_subcommand(capsys, concrete_path):
     assert data["verdicts"] == {"1": True, "2": True, "3": True}
 
 
+@pytest.mark.parametrize(
+    "subject",
+    [["--r1", "1", "--r2", "0", "--r3", "0"], ["--expr", "(P1-P2)*(P2-P3)*(P3-P1)"]],
+)
+def test_cond_disagreement_exits_one(capsys, concrete_path, monkeypatch, subject):
+    import kuroda.blowup
+
+    # condition 1 flipped: the pole-set conditions 2 and 3 no longer agree with it
+    truth = kuroda.blowup.cond
+    monkeypatch.setattr(kuroda.blowup, "cond", lambda *args: not truth(*args))
+    code, data = run_json(capsys, "cond", "--config", concrete_path, "--axis", "1", *subject)
+    assert code == 1
+    assert data["agree"] is False
+    assert data["verdicts"]["1"] != data["verdicts"]["2"] == data["verdicts"]["3"]
+    # the flag that chose one condition, and so skipped the check, is gone
+    with pytest.raises(SystemExit) as caught:
+        main(["cond", "--config", concrete_path, "--axis", "1", "--which", "1", *subject])
+    assert caught.value.code == 2
+
+
 def test_pullback_triple_and_region(capsys, concrete_path):
     code, data = run_json(
         capsys,

@@ -33,11 +33,11 @@ from kuroda import (
     sandwich_check,
 )
 import kuroda.regions as regions_module
+from kuroda.cone import rays
 from kuroda.config import column_minima, condition_value
 from kuroda.exprparse import parse_polynomial
 from kuroda.regions import (
     Verdict,
-    _cross_pairs,
     _escape_logs,
     _log2_abs,
     _projection_logs,
@@ -744,7 +744,7 @@ def test_cloud_blocks_are_bit_identical(monkeypatch, tmp_path, budget):
 
 def _pow_cross_margins(q3_abs, config):
     margin = np.full(len(q3_abs), -np.inf)
-    for i, j, ei, ej in _cross_pairs(config):
+    for i, j, ei, ej in rays(config):
         margin = np.maximum(margin, q3_abs[:, i - 1] ** ei * q3_abs[:, j - 1] ** ej - 1.0)
     return margin
 

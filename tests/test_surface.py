@@ -14,6 +14,10 @@ set by some call in those files, by keyword, by position, or through
 ``*args`` or ``**kwargs``.  A call matches by the name it calls (a name or
 an attribute).  A parameter that only the tests set is a knob nobody turns;
 it becomes a constant.
+
+The last check reads the benchmark's coupling to ``src`` names with ``ast``,
+without importing ``perfbench``: each ``spans.TARGETS`` entry and each
+``from kuroda... import`` in ``perfbench/*.py`` must resolve.
 """
 
 import ast
@@ -163,3 +167,54 @@ def test_defaulted_parameters_are_set_outside_tests():
         if not any(_sets(call, param, position) for call in calls.get(name, ()))
     )
     assert unset == sorted(ALLOWED_UNSET_DEFAULTS), unset
+
+
+def _span_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of each entry of ``perfbench/spans.py``'s ``TARGETS``, read with ``ast``."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/spans.py has no TARGETS")
+
+
+def _perfbench_imports() -> list[tuple[str, str]]:
+    """(module, name) of each ``from kuroda... import name`` in ``perfbench/*.py``, at any depth."""
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kuroda":
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_benchmark_names_resolve():
+    """Every ``src`` name the benchmark rebinds, wraps or imports exists.
+
+    The traced benchmark run rebinds these names from outside the program,
+    and a renamed one fails only there, with an ``AttributeError``.
+    """
+    import importlib
+
+    import numpy as np
+
+    from kuroda.cli import build_parser
+    from kuroda.config import KurodaConfig, RegionKind
+    from kuroda.regions import RegionSpec, _StarSampler
+
+    targets, imports = _span_targets(), _perfbench_imports()
+    assert targets and imports
+    missing = [
+        f"{module}.{name}" for module, name in targets + imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing
+    assert callable(build_parser) and callable(_StarSampler.batch)
+    config = KurodaConfig.from_signed([[-1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0]], 1)
+    sampler = _StarSampler(
+        config, RegionSpec(RegionKind.S_PRIME4), 50.0, np.random.default_rng(1)
+    )
+    for stratum in ("box", "core", "ray"):
+        assert set(sampler.stats[stratum]) == {"candidates", "accepted"}, stratum
