@@ -25,7 +25,6 @@ boundary unions whose complements realize the intersection ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .algebra import SparsePolynomial, System, axis_support
@@ -50,8 +49,7 @@ def _axis_tower(tower: EuclidTower, axis: int) -> AxisTower:
     return tower.axis(axis)
 
 
-@dataclass(frozen=True)
-class TowerTrace:
+class TowerTrace(NamedTuple):
     """Triples traced through every chart index 0..N of one axis."""
 
     axis: int
@@ -90,8 +88,7 @@ def block_formula_check(trace: TowerTrace, tower: EuclidTower) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PoleProfile:
+class PoleProfile(NamedTuple):
     """Per-divisor pole flags for one traced monomial.
 
     ``pole_at[n]`` follows the parity rule at index n.  Membership of each
@@ -181,8 +178,7 @@ def cond(f_or_triple, axis: int, which: int, tower: EuclidTower) -> bool:
     return poles <= (ax.j1 if which == 2 else ax.j2)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One boundary component: tower divisor, hyperplane sentinel, or plane at infinity."""
 
     axis: int | None
@@ -192,8 +188,7 @@ class CensusRow:
     in_z2: bool
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Complete divisor census with the z1 = z2 comparison."""
 
     rows: tuple[CensusRow, ...]
@@ -218,8 +213,7 @@ def boundary_census(tower: EuclidTower) -> Census:
     return Census(tuple(rows), equal)
 
 
-@dataclass(frozen=True)
-class RegionPullbackReport:
+class RegionPullbackReport(NamedTuple):
     """Pole bookkeeping for the pulled-back arm inequality of one axis.
 
     The left side splits into two chart monomials with triples

@@ -25,11 +25,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 AXES = (1, 2, 3)
+
+# Largest accepted tower length ``N = sum(q)`` on one axis (indices 0..N).
+# Every index is an entry of the tower's tuples, a census row and a trace
+# step, so memory grows linearly with N: ``kuroda tower`` at N = 10**4 on all
+# three axes peaks at ~47 MB RSS and writes ~4.8 MB of JSON.
+MAX_TOWER_INDICES = 10**4
 
 # The region names, the sampler's error and the sandwich radius floor live
 # here rather than in :mod:`kuroda.regions`, so that the CLI can parse its
@@ -121,27 +126,36 @@ def _sign_issues(rows: tuple[tuple[int, int, int, int], ...]) -> list[str]:
     return issues
 
 
-@dataclass(frozen=True)
-class KurodaConfig:
+class _KurodaConfigFields(NamedTuple):
+    delta: tuple[tuple[int, int, int, int], ...]
+    gamma: int
+
+
+class KurodaConfig(_KurodaConfigFields):
     """Weight data; ``delta[i][j]`` holds the magnitude of the (i+1, j+1) entry.
 
     All entries are stored positive (``delta[i][i]`` is the magnitude of the
     negated diagonal entry).  Use :meth:`signed_row` for the as-displayed row.
+    Every construction is checked, ``_replace`` included; the rows are
+    stored as a tuple of tuples.
     """
 
-    delta: tuple[tuple[int, int, int, int], ...]
-    gamma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = _check_shape(self.delta)
-        object.__setattr__(self, "delta", rows)
+    def __new__(cls, delta, gamma):
+        rows = _check_shape(delta)
         for i, row in enumerate(rows, start=1):
             for j, v in enumerate(row, start=1):
                 if j <= 3 and v < 1:
                     raise ConfigError(f"magnitude delta[{i}][{j}] must be >= 1, got {v}")
                 if j == 4 and v < 0:
                     raise ConfigError(f"delta[{i}][4] must be >= 0, got {v}")
-        _check_gamma(self.gamma)
+        _check_gamma(gamma)
+        return super().__new__(cls, rows, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> "KurodaConfig":
+        return cls(*iterable)
 
     def magnitude(self, i: int, j: int) -> int:
         """Magnitude of entry (i, j), axes 1-based, j in 1..4."""
@@ -189,16 +203,14 @@ def concrete_example() -> KurodaConfig:
     )
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Column minima ``d`` and the exact ratios ``q_ratio[i] = d_i / delta_ii``."""
 
     d: tuple[int, int, int]
     q_ratio: tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """Cross-product dominance for one unordered axis pair."""
 
     i: int
@@ -211,8 +223,7 @@ class PairCheck:
         return self.diagonal_product < self.cross_product
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of :func:`validate`; ``valid`` requires sign pattern and strict condition."""
 
     sign_ok: bool
@@ -324,8 +335,7 @@ def continued_fraction(value: Fraction) -> tuple[int, ...]:
     return tuple(quotients)
 
 
-@dataclass(frozen=True)
-class AxisTower:
+class AxisTower(NamedTuple):
     """Per-axis tower bookkeeping derived from the continued fraction of Q_i.
 
     ``blocks[m-1]`` is the m-th consecutive run of indices: the first block is
@@ -380,7 +390,13 @@ class AxisTower:
 
     @classmethod
     def from_ratio(cls, axis: int, ratio: Fraction) -> "AxisTower":
+        """The tower of ``ratio``; ``ValueError`` above :data:`MAX_TOWER_INDICES` indices."""
         q = continued_fraction(ratio)
+        n_total = sum(q)
+        if n_total > MAX_TOWER_INDICES:
+            raise ValueError(
+                f"axis {axis} tower has {n_total} indices, more than {MAX_TOWER_INDICES}"
+            )
         blocks = []
         start = 0
         for m, qm in enumerate(q, start=1):
@@ -391,8 +407,7 @@ class AxisTower:
         return cls(axis, q, tuple(blocks), positions)
 
 
-@dataclass(frozen=True)
-class EuclidTower:
+class EuclidTower(NamedTuple):
     """The three per-axis towers of a valid configuration."""
 
     config: KurodaConfig

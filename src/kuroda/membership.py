@@ -24,9 +24,8 @@ graded piece by both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     SparsePolynomial,
@@ -53,12 +52,12 @@ def monoid_member_oracle(n: Sequence[int], config: KurodaConfig) -> bool:
     return all(e >= 0 for e in expand_y_to_x(n, config))
 
 
-@dataclass(frozen=True)
-class GeneratorList:
+class GeneratorList(NamedTuple):
     """Minimal monoid generators of total degree <= ``degree_bound``.
 
     ``growing_at_bound`` is set when new generators still appear at the bound
     itself, a hint that the chosen bound truncates the (finite) basis.
+    :meth:`count` is the number of generators; it shadows ``tuple.count``.
     """
 
     degree_bound: int
@@ -109,8 +108,7 @@ def enumerate_t_generators(config: KurodaConfig, degree_bound: int) -> Generator
     return GeneratorList(degree_bound, tuple(generators), growing)
 
 
-@dataclass(frozen=True)
-class StarViolation:
+class StarViolation(NamedTuple):
     """One support triple breaking the slope bound on one axis."""
 
     axis: int
@@ -214,8 +212,7 @@ class RouteDisagreementError(RuntimeError):
     """Two independent computations of the same exact quantity differ (implementation bug)."""
 
 
-@dataclass(frozen=True)
-class RingDegree:
+class RingDegree(NamedTuple):
     """The graded piece ``R_d`` of the intersection ring and its new generators.
 
     ``basis`` spans ``R_d``: one element per free column of the kernel, with
@@ -234,8 +231,7 @@ class RingDegree:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class RingCensus:
+class RingCensus(NamedTuple):
     """Graded pieces ``R_1..R_D`` of ``R = k[P1,P2,P3] ∩ k[T]``, ``D = degree_bound``."""
 
     degree_bound: int

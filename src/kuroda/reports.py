@@ -4,7 +4,11 @@ Exact rationals are serialized as ``"p/q"`` strings (plain ``"n"`` for
 integers), never as floats, so values survive round trips.  Ordering is
 deterministic everywhere: dicts render in insertion order, which report
 builders keep canonical.  numpy arrays and scalars are converted by their
-``tolist`` method, so this module never imports numpy.
+``tolist`` method, so this module never imports numpy.  A dataclass
+instance (the float layer's reports) becomes a dict of its fields, found by
+its ``__dataclass_fields__``, so the exact subcommands, whose records are
+NamedTuples, never import :mod:`dataclasses`; a NamedTuple becomes a list,
+as any tuple does.
 
 :func:`render_json` writes ``json.dumps(jsonable(data), indent=2)`` byte for
 byte in one recursive pass: exact ``str``, ``int``, ``float``, ``bool``,
@@ -21,7 +25,6 @@ every value in them is an exact ``int``.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import enum
 import io
 import json
@@ -35,7 +38,11 @@ def jsonable(obj):
         return str(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if hasattr(type(obj), "__dataclass_fields__"):
+        # a dataclass instance (the float layer's reports): dataclasses is
+        # loaded by then, and the exact layer's records never load it
+        import dataclasses
+
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}

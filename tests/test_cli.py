@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kuroda import KurodaConfig
 from kuroda.cli import MAX_GRID, MAX_KMAX, MAX_SAMPLES, build_parser, main
+from kuroda.config import MAX_TOWER_INDICES
 from kuroda.exprparse import MAX_DEGREE
 
 from conftest import BIG_WEIGHTS_PATH, valid_configs
@@ -689,6 +690,31 @@ def test_size_flags_accept_their_limits(concrete_path):
     assert MAX_GRID == 512
 
 
+def test_tower_above_its_index_limit_exits_two(capsys, tmp_path):
+    # off-diagonal 10**12 over diagonal 1: a 10**12-index tower on every axis
+    big = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"delta": [[-1, big, big, 0], [big, -1, big, 0], [big, big, -1, 0]], "gamma": 1})
+    )
+    for argv in (
+        ["tower"],
+        ["cond", "--axis", "1", "--r1", "1", "--r2", "0", "--r3", "1"],
+        ["cond", "--axis", "2", "--expr", "P1*P2"],
+        ["pullback", "--axis", "3"],
+    ):
+        assert main([*argv, "--config", str(path)]) == 2
+        assert f"more than {MAX_TOWER_INDICES}" in capsys.readouterr().err
+    # the subcommands that build no tower still run
+    for argv in (
+        ["validate"],
+        ["member", "--expr", "(P1-P2)*(P2-P3)*(P3-P1)"],
+        ["generators", "--degree-bound", "4"],
+    ):
+        assert main([*argv, "--config", str(path)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -865,6 +891,8 @@ def test_exact_subcommands_never_import_numpy(tmp_path, concrete_path):
     script = textwrap.dedent(
         f"""
         import sys
+        # modules loaded at interpreter start (a site hook may load any) are not counted
+        at_start = set(sys.modules)
         from kuroda.cli import main
 
         config, out = {concrete_path!r}, {str(tmp_path / "out.json")!r}
@@ -879,6 +907,9 @@ def test_exact_subcommands_never_import_numpy(tmp_path, concrete_path):
         ):
             assert main([*argv, "--config", config, "--format", "json", "--out", out]) == 0
         assert "numpy" not in sys.modules, "an exact subcommand imported numpy"
+        # the exact records are NamedTuples: no dataclass machinery on this path
+        loaded = {{"dataclasses", "inspect"}} & (set(sys.modules) - at_start)
+        assert not loaded, f"the exact path imported {{sorted(loaded)}}"
 
         import kuroda.regions
         from kuroda import RegionKind, sample_region

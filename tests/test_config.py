@@ -6,7 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kuroda import ConfigError, KurodaConfig, derive_constants, euclid_tower, validate
-from kuroda.config import SignPatternError, column_minima, condition_value, continued_fraction
+from kuroda.config import (
+    MAX_TOWER_INDICES,
+    SignPatternError,
+    column_minima,
+    condition_value,
+    continued_fraction,
+)
 
 from reference import evaluate_continued_fraction
 
@@ -58,6 +64,25 @@ def test_malformed_matrix_raises():
         validate({"delta": [[-1, 3, 3.5, 0], [3, -1, 3, 0], [3, 3, -1, 0]], "gamma": 1})
     with pytest.raises(ConfigError):
         validate({"delta": [[-1, 3, 3, 0], [3, -1, 3, 0], [3, 3, -1, 0]], "gamma": 0})
+    # direct construction from magnitudes runs the same checks
+    rows = [[1, 3, 3, 0], [3, 1, 3, 0], [3, 3, 1, 0]]
+    for delta, gamma in (
+        ([[0, 3, 3, 0], [3, 1, 3, 0], [3, 3, 1, 0]], 1),
+        ([[1, 3, 3, -1], [3, 1, 3, 0], [3, 3, 1, 0]], 1),
+        ([[1, True, 3, 0], [3, 1, 3, 0], [3, 3, 1, 0]], 1),
+        ([[1, 3.0, 3, 0], [3, 1, 3, 0], [3, 3, 1, 0]], 1),
+        ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], 1),
+        (rows, 0),
+        (rows, True),
+    ):
+        with pytest.raises(ConfigError):
+            KurodaConfig(delta, gamma)
+    config = KurodaConfig(rows, 1)
+    assert config.delta == ((1, 3, 3, 0), (3, 1, 3, 0), (3, 3, 1, 0))
+    assert type(config.delta) is tuple and all(type(row) is tuple for row in config.delta)
+    assert config == KurodaConfig(delta=config.delta, gamma=1)
+    with pytest.raises(ConfigError):
+        config._replace(gamma=0)
 
 
 def test_malformed_document_with_bad_signs_raises_config_error():
@@ -169,6 +194,24 @@ def test_tower_with_unit_and_sub_unit_ratios():
     assert ax.blocks == ((0,), (1, 2))
     assert ax.j1 == frozenset({0, 1})
     assert ax.j2 == frozenset({0})
+
+
+def _symmetric(off: int) -> KurodaConfig:
+    return KurodaConfig.from_signed([[-1, off, off, 0], [off, -1, off, 0], [off, off, -1, 0]], 1)
+
+
+def test_tower_length_is_bounded(big_weights):
+    # diagonal 1, off-diagonal o: q = (o,) on every axis, so o + 1 indices
+    assert [ax.n_total for ax in euclid_tower(_symmetric(MAX_TOWER_INDICES)).axes] == [
+        MAX_TOWER_INDICES
+    ] * 3
+    assert all(ax.n_total == 300 for ax in euclid_tower(big_weights).axes)
+    # checked on the quotients, before any index tuple is built
+    for off in (MAX_TOWER_INDICES + 1, 10**12):
+        with pytest.raises(ValueError, match=f"axis 1 tower has {off} indices"):
+            euclid_tower(_symmetric(off))
+    # the configuration itself is fine: validity needs no tower
+    assert validate(_symmetric(10**12)).valid
 
 
 def test_block_lookup_and_sentinel(family72):
