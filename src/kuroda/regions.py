@@ -36,7 +36,8 @@ bodies take coordinate arrays of any shapes that broadcast: the point-list
 margins pass the columns of their points, and the boundary cloud the open
 mesh of its grid axis, in blocks of x-slabs that fit one element budget.
 Each cross term and arm softplus takes two axes only, and each margin has
-the bits of the point-list call.
+the bits of the point-list call; the basic set's axis-1 arm softplus and
+cap factor take (y, z) only, so the cloud forms them once for all slabs.
 
 Membership in ``S3`` quantifies over the diagonal shift ``a``.  As a
 function of ``a``, each cross bound holds on at most two open intervals, one
@@ -67,7 +68,10 @@ rays).  Each stratum draws all of its random numbers first, so the
 generator's stream is that of whole batches; it then builds and tests its
 candidates in index ranges, in order, only while the sample still needs
 points.  A sample's strata count the candidates up to and including the one
-that completes it.
+that completes it.  A batch with no count to reach (each of the sandwich's)
+builds all three strata into one array, in the same order, and decides it
+by one region test, run in row blocks of at most ``_SAMPLE_BATCH_MAX``, so
+numpy's fixed cost per call is paid once per block, not once per stratum.
 
 ``evaluate_abs`` takes the rows in blocks sized to the cache (2**16
 elements per (terms x rows) array, 512 KiB) and reuses one pair of arrays
@@ -205,59 +209,90 @@ def _star_margins(p, lam: float, config: KurodaConfig) -> np.ndarray:
     return margin if len(p) == 3 else _into(np.maximum, margin, logq[3])
 
 
-def _arm_logs(p, i: int, log_lam: float, d, config: KurodaConfig):
-    """``L = 2*d_i*log|q_i|`` and ``t = -2*delta_ii*log|q_j - q_k|`` of axis ``i``'s arm.
+def _arm_log(p, i: int, log_lam: float, d) -> np.ndarray:
+    """``L = 2*d_i*log|q_i|`` of axis ``i``'s arm; ``d`` is the column minima.
 
-    The arm ``(e**L - 1) * e**-t < 1`` (``_ARM_RHS`` is 1) holds iff ``L <=
-    0`` or ``L < softplus(t)``.  The logs are ``log|p| - log(lam)`` and
-    ``log|p_j - p_k| - log(lam)``: finite, or ``-inf`` at 0 (``t = -inf``
-    where ``p_j - p_k`` passes the double range).  ``d`` is the column minima.
+    The arm ``(e**L - 1) * e**-t < 1`` (``_ARM_RHS`` is 1), with ``t`` from
+    :func:`_arm_t`, holds iff ``L <= 0`` or ``L < softplus(t)``.  Both logs
+    are ``log|p| - log(lam)``: finite, or ``-inf`` at 0.
     """
-    j, k = (c for c in AXES if c != i)
     arm_log = _log_of(np.abs(p[i - 1]), log_lam)
     arm_log *= 2.0 * d[i - 1]
+    return arm_log
+
+
+def _arm_t(p, i: int, log_lam: float, config: KurodaConfig) -> np.ndarray:
+    """``t = -2*delta_ii*log|q_j - q_k|`` of axis ``i``'s arm.
+
+    ``t`` is ``-inf`` where ``p_j - p_k`` passes the double range.
+    """
+    j, k = (c for c in AXES if c != i)
     t = np.subtract(p[j - 1], p[k - 1])
     t = _log_of(np.abs(t, out=t), log_lam)
     t *= -2.0 * config.magnitude(i, i)
-    return arm_log, t
+    return t
 
 
-def _cap_product(p, i: int, lam: float) -> np.ndarray:
-    """``(q_i**2 - 1) * ((q_j + q_k)**2 - 4)``, with ``q_j + q_k`` formed as ``(p_j + p_k) / lam``.
+def _softplus(t: np.ndarray) -> np.ndarray:
+    """``max(t, _TINY) + log1p(exp(-|t|))``: ``L = 0`` stays inside where ``exp(t)`` underflows."""
+    softplus = np.maximum(t, _TINY)
+    softplus += np.log1p(np.exp(-np.abs(t)))
+    return softplus
 
-    A factor past the double range is read as the largest double, so the
-    product keeps its sign and is 0 wherever the other factor is.
-    """
-    j, k = (c for c in AXES if c != i)
+
+# A cap bound is ``_cap_own * _cap_pair < _CAP_RHS``.  A factor past the
+# double range is read as the largest double, so the product keeps its sign
+# and is 0 wherever the other factor is.
+def _cap_own(p, i: int, lam: float) -> np.ndarray:
+    """``q_i**2 - 1`` of axis ``i``'s cap, capped at the largest double."""
     qi = p[i - 1] if lam == 1.0 else p[i - 1] / lam
     own = qi * qi
     own -= 1.0
+    return np.minimum(own, _MAX, out=own)
+
+
+def _cap_pair(p, i: int, lam: float) -> np.ndarray:
+    """``(q_j + q_k)**2 - 4`` of axis ``i``'s cap, capped, with ``q_j + q_k`` as ``(p_j + p_k) / lam``."""
+    j, k = (c for c in AXES if c != i)
     s = np.add(p[j - 1], p[k - 1])
     if lam != 1.0:
         s /= lam
     s *= s
     s -= 4.0
-    return np.minimum(own, _MAX, out=own) * np.minimum(s, _MAX, out=s)
+    return np.minimum(s, _MAX, out=s)
 
 
 def _tilde_margins(p, lam: float, config: KurodaConfig) -> np.ndarray:
     """The log margin of the basic open set: the max of its arm and cap margins.
 
-    An arm's is ``L - softplus(t)``, with softplus as ``max(t, _TINY) +
-    log1p(exp(-|t|))``, so that ``L = 0`` stays inside where ``exp(t)``
-    underflows; a cap's is its product minus ``_CAP_RHS``.
+    An arm's is ``L - softplus(t)``, a cap's its product minus ``_CAP_RHS``.
+    """
+    return next(_tilde_slabs(p, lam, config, (slice(None),)))
+
+
+def _tilde_slabs(p, lam: float, config: KurodaConfig, blocks):
+    """:func:`_tilde_margins` of ``(p[0][block], p[1], p[2])`` for each of ``blocks``, in turn.
+
+    Axis 1's arm softplus and cap factor take ``p[1]`` and ``p[2]`` only:
+    they are formed once, before the first block, so the cloud's x-slabs
+    share them.  Each block runs the operations of one call, so its margins
+    have the bits of :func:`_tilde_margins` on its points.
     """
     log_lam, d = math.log(lam), column_minima(config)
-    margin = None
-    for i in AXES:
-        arm_log, t = _arm_logs(p, i, log_lam, d, config)
-        softplus = np.maximum(t, _TINY)
-        softplus += np.log1p(np.exp(-np.abs(t)))
-        margin = _into(np.maximum, margin, arm_log - softplus)
-        cap = _cap_product(p, i, lam)
-        cap -= _CAP_RHS
-        margin = _into(np.maximum, margin, cap)
-    return margin
+    yz = _softplus(_arm_t(p, 1, log_lam, config)), _cap_pair(p, 1, lam)
+    for block in blocks:
+        q = (p[0][block], p[1], p[2])
+        margin = None
+        for i in AXES:
+            if i == 1:
+                softplus, pair = yz
+            else:
+                softplus, pair = _softplus(_arm_t(q, i, log_lam, config)), _cap_pair(q, i, lam)
+            margin = _into(np.maximum, margin, _arm_log(q, i, log_lam, d) - softplus)
+            cap = _cap_own(q, i, lam) * pair
+            cap -= _CAP_RHS
+            margin = _into(np.maximum, margin, cap)
+        yield margin
 
 
 def _tilde_inside(p, lam: float, config: KurodaConfig) -> np.ndarray:
@@ -270,8 +305,8 @@ def _tilde_inside(p, lam: float, config: KurodaConfig) -> np.ndarray:
     log_lam, d = math.log(lam), column_minima(config)
     held = np.ones(len(p[0]), dtype=bool)
     for i in AXES:
-        held &= _cap_product(p, i, lam) < _CAP_RHS
-        arm_log, t = _arm_logs(p, i, log_lam, d, config)
+        held &= _cap_own(p, i, lam) * _cap_pair(p, i, lam) < _CAP_RHS
+        arm_log, t = _arm_log(p, i, log_lam, d), _arm_t(p, i, log_lam, config)
         floor = np.maximum(t, _TINY)
         arm = arm_log < floor
         # the band: arm_log in [floor, floor + span), where arm is False
@@ -715,7 +750,8 @@ class _StarSampler:
 
     ``needed`` is how many points the next :meth:`batch` may still accept;
     :meth:`draw` sets it before each batch.  ``None``, the default, makes a
-    batch build and test every candidate it draws.
+    batch build every candidate it draws and decide them all by one region
+    test, in row blocks.
     """
 
     def __init__(self, config: KurodaConfig, spec: RegionSpec, radius: float, rng):
@@ -849,8 +885,9 @@ class _StarSampler:
         Each stratum draws all of its random numbers first, so the generator
         moves as it would for the whole round.  It then builds and tests its
         candidates in index ranges, in order, only until the round has
-        accepted ``needed`` points (every candidate when ``needed`` is
-        ``None``); a stratum after that builds none.
+        accepted ``needed`` points; a stratum after that builds none.  When
+        ``needed`` is ``None`` every candidate is built, and the round is
+        decided by one region test (:meth:`_whole`).
         """
         lam = self.spec.lam
         rays_possible = self.radius > lam
@@ -859,19 +896,46 @@ class _StarSampler:
         n_ray = max(size - n_box - n_core, 1) if rays_possible else 0
         if not rays_possible:
             n_box = size
-        tilde = self.spec.kind is RegionKind.S_TILDE3
-        need = n_box + n_core + n_ray if self.needed is None else self.needed
+        strata = [(name, n) for name, n in (("box", n_box), ("core", n_core), ("ray", n_ray)) if n > 0]
+        if self.needed is None:
+            return self._whole(strata)
+        need = self.needed
         chunks: list[np.ndarray] = []
-        for name, n in (("box", n_box), ("core", n_core), ("ray", n_ray)):
-            if n <= 0:
-                continue
-            if name == "ray":
-                draws = self._ray_draws(n, lam * (1 + 1e-9) if tilde else lam)
-                rows = self._tilde_rows if tilde else self._star_rows
-            else:
-                draws, rows = self._box(n, self.radius if name == "box" else lam), _box_rows
-            need = self._accept(name, n, rows, draws, need, chunks)
+        for name, n in strata:
+            need = self._accept(name, n, *self._stratum(name, n), need, chunks)
         return np.vstack(chunks) if chunks else np.zeros((0, self.dim))
+
+    def _stratum(self, name: str, n: int):
+        """The row builder and the random numbers of a stratum of ``n``, drawn now."""
+        lam = self.spec.lam
+        if name != "ray":
+            return _box_rows, self._box(n, self.radius if name == "box" else lam)
+        if self.spec.kind is RegionKind.S_TILDE3:
+            return self._tilde_rows, self._ray_draws(n, lam * (1 + 1e-9))
+        return self._star_rows, self._ray_draws(n, lam)
+
+    def _whole(self, strata) -> np.ndarray:
+        """A round built whole into one array, then decided by one region test in row blocks.
+
+        The strata draw and build in the order of :meth:`batch`, so the
+        generator and the candidates are those of the stratum-by-stratum
+        round; each row's verdict does not depend on its block, and each
+        stratum counts every candidate and its slice of the verdict.
+        """
+        pts = np.empty((sum(n for _, n in strata), self.dim))
+        lo = 0
+        for name, n in strata:
+            rows, draws = self._stratum(name, n)
+            pts[lo:lo + n] = rows(draws, 0, n)
+            lo += n
+        blocks = _blocks(len(pts), 1, _SAMPLE_BATCH_MAX)
+        verdict = np.concatenate([self._inside(pts[block]) for block in blocks])
+        lo = 0
+        for name, n in strata:
+            self.stats[name]["candidates"] += n
+            self.stats[name]["accepted"] += int(np.count_nonzero(verdict[lo:lo + n]))
+            lo += n
+        return pts[verdict]
 
     def draw(self, count: int, size: int, rounds: int, keep=None) -> np.ndarray:
         """The first ``count`` points kept from at most ``rounds`` batches of ``size`` candidates.
@@ -881,7 +945,8 @@ class _StarSampler:
         Without a map, each batch is told how many points are still needed,
         so it builds and tests candidates only until the sample is full.  A
         map may draw from the same generator per accepted point (the
-        sandwich's diagonal shift), so with one every batch is built whole.
+        sandwich's diagonal shift), so with one every batch is built whole
+        and decided by one region test, in row blocks.
         """
         kept: list[np.ndarray] = []
         total = 0
@@ -1325,9 +1390,16 @@ def boundedness_probe(
 
 
 def _far_zone(points: np.ndarray) -> np.ndarray:
-    """The points with some coordinate of absolute value above ``FAR_ZONE_START``."""
-    return points[(np.abs(points) > FAR_ZONE_START).any(axis=1)]
+    """The points with some coordinate of absolute value above ``FAR_ZONE_START``.
 
+    One comparison per column: a reduction over the short row axis costs
+    more than the three.
+    """
+    x, y, z = points.T
+    far = np.abs(x) > FAR_ZONE_START
+    far |= np.abs(y) > FAR_ZONE_START
+    far |= np.abs(z) > FAR_ZONE_START
+    return points[far]
 
 
 @dataclass(frozen=True)
@@ -1370,8 +1442,10 @@ def sandwich_check(
 
     ``radius`` must exceed :data:`SANDWICH_MIN_RADIUS`, else no sampled
     point reaches the far zone and ``ValueError`` is raised; so is a radius
-    whose double is not finite, which the samplers cannot draw from.  All
-    far-zone points of the basic open set go through one shift search.
+    whose double is not finite, which the samplers cannot draw from.  Each
+    direction builds its batches whole and decides each by one region test,
+    in row blocks; all far-zone points of the basic open set go through one
+    shift search.
 
     :class:`SamplingError` is raised when either direction found fewer than
     ``count`` far-zone points within its candidate budget, so a run never
@@ -1466,17 +1540,21 @@ def export_surface_cloud(
         raise ValueError("grid must be >= 1")
     _check_radius(radius)
     axis = np.linspace(-radius, radius, grid)
-    margins_of = _tilde_margins if which is RegionKind.S_TILDE3 else _star_margins
+    mesh = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+    # blocks of x-slabs on the open mesh keep memory near one budget
+    blocks = list(_blocks(grid, grid * grid, _CLOUD_ELEMENTS))
+    if which is RegionKind.S_TILDE3:
+        slabs = _tilde_slabs(mesh, 1.0, config, blocks)
+    else:
+        slabs = (_star_margins((mesh[0][block], *mesh[1:]), 1.0, config) for block in blocks)
     written = nan_margins = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "margin"])
-        # blocks of x-slabs on the open mesh keep memory near one budget
-        for block in _blocks(grid, grid * grid, _CLOUD_ELEMENTS):
-            mesh = (axis[block, None, None], axis[None, :, None], axis[None, None, :])
+        for block in blocks:
             # log 0 = -inf is meant, and so is a cap square past the double range
             with np.errstate(divide="ignore", over="ignore"):
-                margins = margins_of(mesh, 1.0, config)
+                margins = next(slabs)
             nan_margins += int(np.isnan(margins).sum())
             ix, iy, iz = np.nonzero(np.abs(margins) < band)  # x, then y, then z
             rows = np.column_stack(

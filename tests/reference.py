@@ -619,43 +619,68 @@ def surface_cloud_by_slabs(config: KurodaConfig, which: RegionKind, grid: int, o
     return written
 
 
-def collect_by_loop(sampler, count: int, cap_candidates: int) -> tuple[np.ndarray, dict]:
-    """The sampler's draw loop for :func:`kuroda.regions.sample_region`, on whole batches.
+def strata_by_loop(sampler, size: int):
+    """The strata of one batch of ``size`` candidates, in the order ``_StarSampler.batch`` draws them.
 
-    Batches of ``min(max(4096, count), 200000)`` candidates until ``count``
-    points are accepted or ``cap_candidates`` candidates are drawn.  Every
-    stratum of a batch is built whole by ``_box`` and :func:`ray_stratum`
-    and tested whole by the sampler's region test.  Returns
-    the first ``count`` accepted points and the strata: per stratum, the
-    candidates and acceptances up to and including the ``count``-th
-    accepted candidate, read off the per-candidate verdicts.
+    Yields ``(name, candidates, verdict)`` per stratum: each stratum is
+    built whole by ``_box`` or :func:`ray_stratum` and tested whole by the
+    sampler's region test.  A stratum draws when it is reached.
     """
     lam = sampler.spec.lam
-    size = int(min(max(4096, count), 200_000))
     n_box = n_core = max(size // 5, 1)
     n_ray = max(size - n_box - n_core, 1)
     if not sampler.radius > lam:
         n_box, n_ray = size, 0
+    for name, n, build in (
+        ("box", n_box, lambda n: sampler._box(n, sampler.radius)),
+        ("core", n_core, lambda n: sampler._box(n, lam)),
+        ("ray", n_ray, lambda n: ray_stratum(sampler, n)),
+    ):
+        if not n:
+            continue
+        candidates = build(n)
+        yield name, candidates, np.asarray(sampler._inside(candidates), dtype=bool)
+
+
+def batch_by_strata(sampler, size: int) -> tuple[np.ndarray, dict]:
+    """``sampler.batch(size)`` with no ``needed``, one stratum at a time, by :func:`strata_by_loop`.
+
+    Returns the accepted points, stratum after stratum, and per stratum the
+    candidates and acceptances; the sampler's own counts are not touched.
+    """
+    strata = {name: {"candidates": 0, "accepted": 0} for name in ("box", "core", "ray")}
+    accepted = []
+    for name, candidates, verdict in strata_by_loop(sampler, size):
+        strata[name]["candidates"] += len(candidates)
+        strata[name]["accepted"] += int(verdict.sum())
+        accepted.append(candidates[verdict])
+    return np.vstack(accepted), strata
+
+
+def collect_by_loop(sampler, count: int, cap_candidates: int) -> tuple[np.ndarray, dict]:
+    """The sampler's draw loop for :func:`kuroda.regions.sample_region`, on whole batches.
+
+    Batches of ``min(max(4096, count), 200000)`` candidates, each from
+    :func:`strata_by_loop`, until ``count`` points are accepted or
+    ``cap_candidates`` candidates are drawn.  Returns the first ``count``
+    accepted points and the strata: per stratum, the candidates and
+    acceptances up to and including the ``count``-th accepted candidate,
+    read off the per-candidate verdicts.
+    """
+    size = int(min(max(4096, count), 200_000))
     strata = {name: {"candidates": 0, "accepted": 0} for name in ("box", "core", "ray")}
     accepted: list[np.ndarray] = []
     total = 0
     drawn = 0
     while total < count and drawn < cap_candidates:
         drawn += size
-        for name, n, build in (
-            ("box", n_box, lambda n: sampler._box(n, sampler.radius)),
-            ("core", n_core, lambda n: sampler._box(n, lam)),
-            ("ray", n_ray, lambda n: ray_stratum(sampler, n)),
-        ):
-            if not n:
-                continue
-            candidates = build(n)
-            passed = np.flatnonzero(np.asarray(sampler._inside(candidates), dtype=bool))
+        for name, candidates, verdict in strata_by_loop(sampler, size):
+            passed = np.flatnonzero(verdict)
             accepted.append(candidates[passed])
             needed = count - total
             if needed > 0:
                 done = len(passed) >= needed
-                strata[name]["candidates"] += int(passed[needed - 1]) + 1 if done else n
+                strata[name]["candidates"] += int(passed[needed - 1]) + 1 if done else len(candidates)
                 strata[name]["accepted"] += needed if done else len(passed)
             total += len(passed)
     if total == 0:
@@ -690,7 +715,8 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
                       tolerance: float = 1e-6) -> SandwichReport:
     """:func:`kuroda.regions.sandwich_check` with one draw loop per direction.
 
-    Each loop draws up to 400 batches of ``max(4096, count)`` candidates.
+    Each loop draws up to 400 batches of ``max(4096, count)`` candidates,
+    each built and tested stratum by stratum by :func:`batch_by_strata`.
     The half-scaled direction checks its points batch by batch and keeps up
     to 5 violation examples per batch.
     """
@@ -706,7 +732,7 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
     guard = 0
     while half_checked < count and guard < 400:
         guard += 1
-        chunk = star.batch(max(4096, count))
+        chunk, _ = batch_by_strata(star, max(4096, count))
         if not len(chunk):
             continue
         shift = rng.uniform(-1.0, 1.0, size=len(chunk))
@@ -727,7 +753,7 @@ def sandwich_by_loops(config: KurodaConfig, count: int, seed: int, radius: float
     guard = 0
     while tilde_checked < count and guard < 400:
         guard += 1
-        chunk = tilde.batch(max(4096, count))
+        chunk, _ = batch_by_strata(tilde, max(4096, count))
         chunk = chunk[in_far_zone(chunk)][: count - tilde_checked]
         far.append(chunk)
         tilde_checked += len(chunk)

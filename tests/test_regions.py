@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import random
@@ -34,11 +35,13 @@ from kuroda import (
 )
 import kuroda.regions as regions_module
 from kuroda.cone import rays
-from kuroda.config import column_minima, condition_value
+from kuroda.config import FAR_ZONE_START, column_minima, condition_value
 from kuroda.exprparse import parse_polynomial
 from kuroda.regions import (
     Verdict,
+    _SAMPLE_BATCH_MAX,
     _escape_logs,
+    _far_zone,
     _log2_abs,
     _projection_logs,
     _int_power,
@@ -57,6 +60,7 @@ from kuroda.regions import (
 from conftest import BIG_WEIGHTS_PATH, seeded_pi_polynomials, valid_configs
 import reference as reference_module
 from reference import (
+    batch_by_strata,
     escape_rows_one_by_one,
     evaluate_abs_whole,
     inside_exact,
@@ -1512,6 +1516,40 @@ def test_sampler_streams_match_whole_batch_reference(name, kind, lam, count):
             assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("size", [4096, 10_000, _SAMPLE_BATCH_MAX + 1000])
+@pytest.mark.parametrize("kind", [RegionKind.S_DOUBLE_PRIME3, RegionKind.S_TILDE3])
+@pytest.mark.parametrize("name", ["concrete", "big_weights"])
+def test_whole_batch_matches_stratum_by_stratum_build(name, kind, size):
+    # a batch with no count to reach decides all its strata by one region
+    # test in row blocks: the points, the strata and the generator are those
+    # of building and testing one stratum at a time; radius 1.2 at scale 1.5
+    # leaves no room for rays
+    config = MARGIN_CONFIGS[name]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for radius, lam in ((50.0, 1.0), (1.2, 1.5)):
+            ours = _StarSampler(config, RegionSpec(kind, lam), radius, np.random.default_rng(17))
+            points = ours.batch(size)
+            ref = _StarSampler(config, RegionSpec(kind, lam), radius, np.random.default_rng(17))
+            expected, strata = batch_by_strata(ref, size)
+            assert points.shape == expected.shape
+            assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+            assert ours.stats == strata
+            assert (strata["ray"]["candidates"] == 0) == (radius < lam)
+            assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_far_zone_matches_the_row_reduction():
+    # three column comparisons keep the rows the reduction over each row
+    # keeps, at the threshold, on signed zeros, infinities and nan
+    values = [FAR_ZONE_START, -FAR_ZONE_START, np.nextafter(FAR_ZONE_START, np.inf),
+              np.nextafter(-FAR_ZONE_START, 0.0), 0.0, -0.0, np.inf, -np.inf, np.nan, 3.0]
+    points = np.array(list(itertools.product(values, repeat=3)))
+    expected = points[(np.abs(points) > FAR_ZONE_START).any(axis=1)]
+    kept = _far_zone(points)
+    assert 0 < len(kept) < len(points)
+    assert np.array_equal(kept.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("count", DRAW_LOOP_COUNTS)
 @pytest.mark.parametrize("name", list(DRAW_LOOP_CONFIGS))
 def test_sandwich_matches_loop_reference(name, count):
@@ -1570,12 +1608,14 @@ def test_sandwich_half_examples_are_the_first_violators(monkeypatch, concrete):
     real = regions_module.inside
 
     def all_violate(kind, points, lam, cfg):
-        # the samplers' strata are smaller than the 6000 points checked
-        if len(points) != 6000:
-            return real(kind, points, lam, cfg)
         gathered.append(np.array(points))
         return np.zeros(len(points), dtype=bool)
 
+    # the samplers keep the real region test, so only the half check sees the
+    # patched one, however its batches are laid out
+    monkeypatch.setattr(
+        _StarSampler, "_inside", lambda self, pts: real(self.spec.kind, pts, self.spec.lam, self.config)
+    )
     monkeypatch.setattr(regions_module, "inside", all_violate)
     report = sandwich_check(concrete, 6000, seed=8)
     (half,) = gathered
