@@ -14,8 +14,9 @@ substitutions, chosen by the parity of the block holding ``n + 1``:
 
 Both steps are invertible integer-linear maps, so distinct input triples stay
 distinct along the whole trace; that injectivity is what allows per-term pole
-bookkeeping for polynomials without worrying about cancellation, and it is
-asserted explicitly wherever sums are traced.
+bookkeeping for polynomials without worrying about cancellation.  Wherever
+sums are traced, the input triples are asserted distinct at index 0, which
+by injectivity makes them distinct at every index.
 
 A divisor at index ``n`` carries a pole of the traced monomial exactly when
 ``r1 > 0`` (odd block) or ``r3 < 0`` (even block) at that index.  The index
@@ -115,27 +116,24 @@ def pole_profile(trace: TowerTrace, tower: EuclidTower) -> PoleProfile:
     return PoleProfile(axis=trace.axis, pole_at=tuple(poles))
 
 
-def _assert_distinct_traces(traces: Sequence[TowerTrace], axis: int) -> None:
-    if not traces:
-        return
-    length = len(traces[0].triples)
-    for n in range(length):
-        seen = {t.triples[n] for t in traces}
-        if len(seen) != len(traces):
-            raise TraceCollisionError(
-                f"axis {axis}: {len(traces)} terms map to {len(seen)} triples at index {n}"
-            )
+def _assert_distinct_traces(triples: Sequence[Sequence[int]], axis: int) -> None:
+    """Distinct at index 0 means distinct at every index: the steps are invertible."""
+    seen = set(triples)
+    if len(seen) != len(triples):
+        raise TraceCollisionError(
+            f"axis {axis}: {len(triples)} terms map to {len(seen)} triples at index 0"
+        )
 
 
-def _trace_terms(
-    terms: Sequence[Sequence[int]], tower: EuclidTower, axis: int
-) -> tuple[tuple[TowerTrace, ...], tuple[PoleProfile, ...], frozenset[int]]:
-    """Trace each term, require distinct traces, and union their pole sets."""
-    traces = tuple(pullback_trace(t, tower, axis) for t in terms)
-    _assert_distinct_traces(traces, axis)
-    profiles = tuple(pole_profile(trace, tower) for trace in traces)
-    poles = frozenset(n for profile in profiles for n in profile.pole_set())
-    return traces, profiles, poles
+def _pole_union(
+    triples: Sequence[Sequence[int]], tower: EuclidTower, axis: int
+) -> frozenset[int]:
+    """Union of the terms' pole sets, each term traced and dropped in turn."""
+    _assert_distinct_traces(triples, axis)
+    poles: set[int] = set()
+    for t in triples:
+        poles.update(pole_profile(pullback_trace(t, tower, axis), tower).pole_set())
+    return frozenset(poles)
 
 
 def polynomial_pole_set(
@@ -143,11 +141,12 @@ def polynomial_pole_set(
 ) -> frozenset[int]:
     """Divisor indices where some support term of ``f`` has a pole.
 
-    Terms are traced separately; the union is the polynomial's pole set
-    because invertibility of the step maps rules out cancellation between
-    distinct terms (checked via :class:`TraceCollisionError`).
+    Terms are traced one at a time and only the union of their pole sets is
+    kept; the union is the polynomial's pole set because invertibility of
+    the step maps rules out cancellation between distinct terms (checked on
+    the input triples via :class:`TraceCollisionError`).
     """
-    return _trace_terms(axis_support(f, axis), tower, axis)[2]
+    return _pole_union(axis_support(f, axis), tower, axis)
 
 
 def _slope_ok(triple: Sequence[int], tower: EuclidTower, axis: int) -> bool:
@@ -161,7 +160,8 @@ def cond(f_or_triple, axis: int, which: int, tower: EuclidTower) -> bool:
     ``which = 1``: the slope bound on every support triple (exact integers).
     ``which = 2``: every divisor carrying a pole lies in the j1 index set.
     ``which = 3``: same with j2.  Input is a ChartTriple-like sequence or a
-    PI3 polynomial (whose support is traced term by term).
+    PI3 polynomial, whose support is traced one term at a time, keeping only
+    the union of the pole sets (as in :func:`polynomial_pole_set`).
     """
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
@@ -174,8 +174,7 @@ def cond(f_or_triple, axis: int, which: int, tower: EuclidTower) -> bool:
         triples = (ChartTriple(*f_or_triple),)
     if which == 1:
         return all(_slope_ok(t, tower, axis) for t in triples)
-    poles = _trace_terms(triples, tower, axis)[2]
-    return poles <= (ax.j1 if which == 2 else ax.j2)
+    return _pole_union(triples, tower, axis) <= (ax.j1 if which == 2 else ax.j2)
 
 
 class CensusRow(NamedTuple):
@@ -217,7 +216,8 @@ class RegionPullbackReport(NamedTuple):
     """Pole bookkeeping for the pulled-back arm inequality of one axis.
 
     The left side splits into two chart monomials with triples
-    ``(2*d_i, 0, 2*delta_ii)`` and ``(0, 0, 2*delta_ii)`` (scale factors are
+    ``(2*d_i, 0, 2*delta_ii)`` and ``(0, 0, 2*delta_ii)``, distinct since
+    ``d_i >= 1``, so their pole sets simply unite (scale factors are
     nonzero constants and cannot move poles, so they are dropped).  Every
     tower divisor in the j2 union must carry a pole of the first term.
     """
@@ -237,7 +237,9 @@ def region_inequality_pullback(axis: int, tower: EuclidTower) -> RegionPullbackR
     d_i = tower.constants.d[axis - 1]
     dii = tower.config.magnitude(axis, axis)
     terms = (ChartTriple(2 * d_i, 0, 2 * dii), ChartTriple(0, 0, 2 * dii))
-    traces, profiles, poles = _trace_terms(terms, tower, axis)
+    traces = tuple(pullback_trace(t, tower, axis) for t in terms)
+    profiles = tuple(pole_profile(trace, tower) for trace in traces)
+    poles = frozenset(n for profile in profiles for n in profile.pole_set())
     j2 = tuple(sorted(ax.j2))
     pole_tuple = tuple(sorted(poles))
     return RegionPullbackReport(

@@ -23,10 +23,12 @@ from kuroda.algebra import (
     SystemMismatchError,
     _signed_binomials,
     ambient_columns,
+    axis_support,
     expand_pi_to_y,
 )
+from kuroda.blowup import TraceCollisionError, pole_profile, pullback_trace
 from kuroda.cone import rays
-from kuroda.config import AXES, KurodaConfig, column_minima
+from kuroda.config import AXES, EuclidTower, KurodaConfig, column_minima
 from kuroda.exprparse import _VARIABLES, MAX_DEGREE, ExpressionError
 from kuroda.membership import GeneratorList, monoid_member
 from kuroda.config import RegionKind, SamplingError
@@ -419,6 +421,24 @@ def oracle_violations_by_column_sums(
     return tuple(
         n for n in expand_pi_to_y(f).support()
         if any(sum(map(mul, n, column)) < 0 for column in columns)
+    )
+
+
+def pole_set_by_stored_traces(
+    f: SparsePolynomial, tower: EuclidTower, axis: int
+) -> frozenset[int]:
+    """:func:`kuroda.blowup.polynomial_pole_set` with every trace kept.
+
+    Every support term is traced through the whole tower first; the traces
+    must hold distinct triples at every index, one set per index, and only
+    then are the terms' pole profiles united.
+    """
+    traces = [pullback_trace(t, tower, axis) for t in axis_support(f, axis)]
+    for n in range(tower.axis(axis).n_total + 1):
+        if len({trace.triples[n] for trace in traces}) != len(traces):
+            raise TraceCollisionError(f"axis {axis}: traces collide at index {n}")
+    return frozenset(
+        n for trace in traces for n in pole_profile(trace, tower).pole_set()
     )
 
 

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from kuroda import (
     KurodaConfig,
@@ -20,10 +22,18 @@ from kuroda.blowup import (
     polynomial_pole_set,
 )
 
-from reference import pi_variable
+from conftest import seeded_pi_polynomials, valid_configs
+from reference import pi_variable, pole_set_by_stored_traces
 
 P1, P2, P3 = (pi_variable(i) for i in (1, 2, 3))
 ANTISYM = (P1 - P2) * (P2 - P3) * (P3 - P1)
+
+HARDER_RATIO_ROWS = [
+    [[-4, 9, 9, 0], [2, -1, 9, 0], [3, 9, -1, 0]],    # ratio 1/2: leading quotient 0
+    [[-4, 9, 9, 0], [4, -1, 9, 0], [4, 9, -1, 0]],    # ratio 1: single one-step block
+    [[-3, 11, 11, 0], [5, -1, 11, 0], [6, 11, -1, 0]],  # ratio 5/3: three blocks
+    [[-5, 17, 17, 0], [8, -1, 17, 0], [9, 17, -1, 0]],  # ratio 8/5: four blocks
+]
 
 
 def test_block_index_examples(concrete, family72):
@@ -76,9 +86,8 @@ def test_chart_monomial_semantics(concrete):
     assert trace.triples[1] == ChartTriple(3 - 1, 2, 1)
 
 
-def test_distinctness_guard_raises(concrete):
-    tower = euclid_tower(concrete)
-    t = pullback_trace((1, 0, 1), tower, 1)
+def test_distinctness_guard_raises():
+    t = ChartTriple(1, 0, 1)
     with pytest.raises(TraceCollisionError):
         _assert_distinct_traces([t, t], 1)
 
@@ -156,15 +165,7 @@ def test_cond_equivalence_small_sweep(concrete, family72):
                     assert len(verdicts) == 1, (config, axis, r1, r3)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[-4, 9, 9, 0], [2, -1, 9, 0], [3, 9, -1, 0]],    # ratio 1/2: leading quotient 0
-        [[-4, 9, 9, 0], [4, -1, 9, 0], [4, 9, -1, 0]],    # ratio 1: single one-step block
-        [[-3, 11, 11, 0], [5, -1, 11, 0], [6, 11, -1, 0]],  # ratio 5/3: three blocks
-        [[-5, 17, 17, 0], [8, -1, 17, 0], [9, 17, -1, 0]],  # ratio 8/5: four blocks
-    ],
-)
+@pytest.mark.parametrize("rows", HARDER_RATIO_ROWS)
 def test_equivalence_on_harder_ratios(rows):
     """The three-way equivalence, nonnegativity and block formulas also hold on
     towers with leading zero quotients and longer continued fractions."""
@@ -208,6 +209,47 @@ def test_polynomial_pole_set(concrete):
     # the plain variable reaches the last divisor, which sits outside them
     assert polynomial_pole_set(P1, tower, 1) == frozenset({0, 1, 2, 3})
     assert polynomial_pole_set(P1 * P2 * P3, tower, 1) == frozenset({0, 1, 2, 3})
+
+
+def _check_pole_union_against_stored_traces(config, polys):
+    tower = euclid_tower(config)
+    for f in polys:
+        for axis in (1, 2, 3):
+            ax = tower.axis(axis)
+            expected = pole_set_by_stored_traces(f, tower, axis)
+            assert polynomial_pole_set(f, tower, axis) == expected, (config, f, axis)
+            assert cond(f, axis, 2, tower) == (expected <= ax.j1)
+            assert cond(f, axis, 3, tower) == (expected <= ax.j2)
+
+
+def test_pole_union_matches_stored_traces(concrete, family72):
+    harder = [KurodaConfig.from_signed(rows, 1) for rows in HARDER_RATIO_ROWS]
+    for config in (concrete, family72, *harder):
+        _check_pole_union_against_stored_traces(config, seeded_pi_polynomials(7070, 60))
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_configs())
+def test_pole_union_matches_stored_traces_random(config):
+    _check_pole_union_against_stored_traces(config, seeded_pi_polynomials(7171, 8))
+
+
+def test_pole_union_memory_stays_per_term():
+    # 325 support terms on a tower of 1001 indices: keeping every trace
+    # until the union costs tens of MiB, tracing one term at a time does not
+    config = KurodaConfig.from_signed(
+        [[-1, 1000, 1000, 0], [1000, -1, 1000, 0], [1000, 1000, -1, 0]], 1
+    )
+    tower = euclid_tower(config)
+    f = (P1 + P2 + P3) ** 24
+    tracemalloc.start()
+    try:
+        poles = polynomial_pole_set(f, tower, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poles == frozenset(range(1001))
+    assert peak < 2 * 2**20, peak
 
 
 def test_census_concrete(concrete):
@@ -269,8 +311,6 @@ def test_polynomial_conditions_match_membership_routes(concrete):
     """On random polynomials, the slope condition over all axes is the ring
     membership verdict, and the two pole conditions agree with it term by term."""
     from kuroda import in_r_oracle, in_r_star
-
-    from conftest import seeded_pi_polynomials
 
     for f in seeded_pi_polynomials(60606, 120):
         slope_all = all(cond(f, axis, 1, euclid_tower(concrete)) for axis in (1, 2, 3))

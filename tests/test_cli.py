@@ -868,6 +868,8 @@ def test_probe_escape_series_starts_at_sixteen(capsys, concrete_path, kmax, k_ra
         (["cond", "--axis", "1", "--r1", "6", "--r2", "0", "--r3", "2"], 1),
         (["pullback", "--axis", "1", "--r1", "6", "--r2", "0", "--r3", "2"], 1),
         (["pullback", "--axis", "2"], 2),
+        # five axis-1 support terms, each traced once for the union
+        (["cond", "--expr", "(P1-P2)*(P2-P3)*(P3-P1)", "--axis", "1"], 5),
     ],
 )
 def test_tower_queries_trace_each_term_once(capsys, concrete_path, monkeypatch, argv, traces):
